@@ -16,7 +16,7 @@ lint:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis src/
 
 # the whole-program pass on top of the per-file linter: call-graph
-# effect inference, static lock-order, wire taint — every finding
+# effect inference, async blocking, determinism, wire taint — every finding
 # carries a witness call chain (docs/ANALYSIS.md).  The cache file is
 # hash-keyed over the analyzed tree, so unchanged reruns are instant
 deep-lint:
@@ -42,9 +42,10 @@ bench:
 bench-suite:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-# quick (<60s) serving benchmark: thread mode at 1/4/8 workers, the
-# process-shard matrix at 1/2/4 shards, one kill-one-shard chaos run,
-# serial MSP-identity everywhere; then schema validation of the output
+# quick (<60s) serving benchmark: one in-process row (the single-threaded
+# loop on a virtual clock), the process-shard matrix at 1/2/4 shards, one
+# kill-one-shard chaos run, serial MSP-identity everywhere; then schema
+# validation of the output
 serve-bench:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_service.py --quick --output BENCH_service_quick.json
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_service.py --validate BENCH_service_quick.json
@@ -80,7 +81,8 @@ gateway-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro gateway --domain demo --sessions 2 --crowd-size 4 --seed 0
 
 # seeded chaos campaigns (docs/RELIABILITY.md): every durability
-# invariant checked across three fixed seeds; a failing seed reproduces
+# invariant checked across three fixed seeds; a failing seed replays
+# exactly (one serving thread, virtual clock)
 chaos:
 	PYTHONPATH=src $(PYTHON) -m repro chaos --seeds 0,1,2
 

@@ -1,13 +1,13 @@
 #!/usr/bin/env python
 """Throughput report for the concurrent crowd-serving layer.
 
-Schema v2 covers both serving backends:
+Schema v3 covers both serving backends:
 
-* **thread mode** — :func:`repro.service.run_simulation` at worker
-  counts 1, 4 and 8 (sessions of one domain, shared crowd, injected
-  drops and departures), each row carrying the satellite timeout-churn
-  regression fields: after the deadline-scaling fix every reaped
-  question should be an *injected* drop, so
+* **in-process** — one :func:`repro.service.run_simulation` row
+  (sessions of one domain, shared crowd, injected drops and
+  departures) served by the single-threaded loop on a virtual clock.
+  The row carries the timeout-churn regression fields: with scaled
+  deadlines every reaped question should be an *injected* drop, so
   ``excess_timeout_ratio = max(0, timeouts - dispatched // drop_every)
   / answered`` must stay ~0;
 * **process-sharded mode** — :func:`repro.service.shard.
@@ -51,12 +51,11 @@ if __package__ in (None, ""):
 from repro.observability import atomic_write_json, derive_service, tracing
 from repro.service import run_simulation
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
-WORKER_COUNTS = (1, 4, 8)
 SHARD_COUNTS = (1, 2, 4)
 
-#: every member ignores every n-th question in the thread-mode rows
+#: every member ignores every n-th question in the in-process row
 DROP_EVERY = 5
 #: ceiling on timeouts beyond the injected drops, per answered question
 MAX_EXCESS_TIMEOUT_RATIO = 0.02
@@ -72,14 +71,13 @@ def effective_cores() -> int:
         return os.cpu_count() or 1
 
 
-def run_config(workers: int, *, sessions: int, domain: str, seed: int) -> dict:
-    """One thread-mode simulation; returns a report row."""
+def run_config(*, sessions: int, domain: str, seed: int) -> dict:
+    """One in-process simulation; returns a report row."""
     with tracing() as tracer:
         started = time.perf_counter()
         report = run_simulation(
             domain=domain,
             sessions=sessions,
-            workers=workers,
             crowd_size=6,
             sample_size=3,
             drop_every=DROP_EVERY,
@@ -97,8 +95,8 @@ def run_config(workers: int, *, sessions: int, domain: str, seed: int) -> dict:
     injected = questions.get("dispatched", 0) // DROP_EVERY
     excess = max(0, questions.get("timeouts", 0) - injected)
     return {
-        "workers": workers,
         "elapsed_seconds": round(elapsed, 4),
+        "virtual_seconds": round(report["virtual_seconds"], 4),
         "sessions": sessions,
         "sessions_completed": states.count("completed"),
         "sessions_per_second": round(report["sessions_per_second"], 4),
@@ -169,11 +167,7 @@ def build_report(quick: bool, seed: int) -> dict:
     from repro.service.shard import run_shard_chaos_once
 
     sessions = 4 if quick else 8
-    rows = [
-        run_config(workers, sessions=sessions, domain="demo", seed=seed)
-        for workers in WORKER_COUNTS
-    ]
-    serial_row = rows[0]
+    in_process = run_config(sessions=sessions, domain="demo", seed=seed)
 
     shard_sessions = 4 if quick else 8
     shard_crowd = 1_000 if quick else 100_000
@@ -243,25 +237,20 @@ def build_report(quick: bool, seed: int) -> dict:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "domain": "demo",
-        "runs": rows,
+        "in_process": in_process,
         "shard_runs": shard_rows,
         "shard_efficiency": efficiency,
         "scaling_gate": scaling_gate,
         "chaos": chaos,
         "identity": {
             "all_msps_identical": all(
-                r["msps_identical_to_serial"] for r in rows + shard_rows
+                r["msps_identical_to_serial"] for r in [in_process] + shard_rows
             ),
             "all_settled": all(
                 not r["timed_out"] and r["sessions_completed"] == r["sessions"]
-                for r in rows + shard_rows
+                for r in [in_process] + shard_rows
             ),
         },
-        "speedup_1_to_4_workers": round(
-            serial_row["elapsed_seconds"] / rows[1]["elapsed_seconds"], 3
-        )
-        if rows[1]["elapsed_seconds"] > 0
-        else None,
     }
 
 
@@ -270,34 +259,31 @@ def validate(report: dict) -> list:
     problems = []
     if report.get("schema_version") != SCHEMA_VERSION:
         problems.append(f"schema_version != {SCHEMA_VERSION}")
-    runs = report.get("runs", [])
-    if sorted(r.get("workers") for r in runs) != sorted(WORKER_COUNTS):
-        problems.append(f"expected runs at workers {WORKER_COUNTS}")
-    for row in runs:
-        tag = f"workers={row.get('workers')}"
-        for field in (
-            "elapsed_seconds",
-            "sessions_per_second",
-            "questions_per_second",
-            "questions_answered",
-        ):
-            if not isinstance(row.get(field), (int, float)):
-                problems.append(f"{tag}: missing numeric {field}")
-        if row.get("timed_out"):
-            problems.append(f"{tag}: simulation timed out")
-        if not row.get("msps_identical_to_serial"):
-            problems.append(f"{tag}: MSPs diverged from serial execution")
-        if row.get("sessions_completed") != row.get("sessions"):
-            problems.append(f"{tag}: not every session completed")
-        churn = row.get("timeout_churn", {})
-        ratio = churn.get("excess_timeout_ratio")
-        if not isinstance(ratio, (int, float)):
-            problems.append(f"{tag}: missing timeout_churn.excess_timeout_ratio")
-        elif ratio > MAX_EXCESS_TIMEOUT_RATIO:
-            problems.append(
-                f"{tag}: excess timeout ratio {ratio} > {MAX_EXCESS_TIMEOUT_RATIO} "
-                "(deadline scaling regression)"
-            )
+    row = report.get("in_process", {})
+    tag = "in-process"
+    for field in (
+        "elapsed_seconds",
+        "sessions_per_second",
+        "questions_per_second",
+        "questions_answered",
+    ):
+        if not isinstance(row.get(field), (int, float)):
+            problems.append(f"{tag}: missing numeric {field}")
+    if row.get("timed_out"):
+        problems.append(f"{tag}: simulation timed out")
+    if not row.get("msps_identical_to_serial"):
+        problems.append(f"{tag}: MSPs diverged from serial execution")
+    if row.get("sessions_completed") != row.get("sessions"):
+        problems.append(f"{tag}: not every session completed")
+    churn = row.get("timeout_churn", {})
+    ratio = churn.get("excess_timeout_ratio")
+    if not isinstance(ratio, (int, float)):
+        problems.append(f"{tag}: missing timeout_churn.excess_timeout_ratio")
+    elif ratio > MAX_EXCESS_TIMEOUT_RATIO:
+        problems.append(
+            f"{tag}: excess timeout ratio {ratio} > {MAX_EXCESS_TIMEOUT_RATIO} "
+            "(deadline scaling regression)"
+        )
     shard_rows = report.get("shard_runs", [])
     if sorted(r.get("shards") for r in shard_rows) != sorted(SHARD_COUNTS):
         problems.append(f"expected shard runs at counts {SHARD_COUNTS}")
@@ -358,14 +344,14 @@ def main(argv=None) -> int:
 
     report = build_report(args.quick, args.seed)
     atomic_write_json(args.output, report)
-    for row in report["runs"]:
-        churn = row["timeout_churn"]
-        print(
-            f"workers={row['workers']}: {row['elapsed_seconds']:.2f}s, "
-            f"{row['questions_per_second']:.0f} questions/s, "
-            f"identical={row['msps_identical_to_serial']}, "
-            f"excess_timeouts={churn['excess_timeouts']}"
-        )
+    row = report["in_process"]
+    print(
+        f"in-process: {row['elapsed_seconds']:.2f}s "
+        f"({row['virtual_seconds']:.1f} virtual), "
+        f"{row['questions_per_second']:.0f} questions/s, "
+        f"identical={row['msps_identical_to_serial']}, "
+        f"excess_timeouts={row['timeout_churn']['excess_timeouts']}"
+    )
     for row in report["shard_runs"]:
         print(
             f"shards={row['shards']}: {row['elapsed_seconds']:.2f}s serve, "

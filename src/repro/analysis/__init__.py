@@ -1,32 +1,23 @@
-"""repro.analysis — static analysis and runtime invariant checking.
+"""repro.analysis — static analysis of this repo's own invariants.
 
-Two halves (see ``docs/ANALYSIS.md``):
-
-* **the project linter** (:mod:`repro.analysis.lint`,
-  :mod:`repro.analysis.rules`) — an AST-based pass encoding this repo's
-  own invariants: the service locking contract, version-stamp
-  discipline of the compiled caches, the observability name registry,
-  shim-free internal call sites, deterministic core modules, plus the
-  usual hygiene rules.  Run it with ``python -m repro.analysis src/``,
-  ``repro lint`` or ``make lint``; it exits non-zero on errors and
-  honors ``# repro-lint: disable=RULE`` suppressions.
-* **the lock-order checker** (:mod:`repro.analysis.lockcheck`) —
-  instrumented lock wrappers that record the per-thread acquisition
-  graph and raise on cycles (or on forbidden co-holding), switched into
-  ``repro.service`` and ``CrowdCache`` under tests.
+See ``docs/ANALYSIS.md``.  **The project linter**
+(:mod:`repro.analysis.lint`, :mod:`repro.analysis.rules`) is an
+AST-based pass encoding version-stamp discipline of the compiled
+caches, the observability name registry, shim-free internal call sites,
+deterministic core modules, plus the usual hygiene rules.  Run it with
+``python -m repro.analysis src/``, ``repro lint`` or ``make lint``; it
+exits non-zero on errors and honors ``# repro-lint: disable=RULE``
+suppressions.
 
 On top of the per-file linter sits the **whole-program pass**
 (``repro lint --deep``): :mod:`repro.analysis.callgraph` builds the
 project call graph, :mod:`repro.analysis.effects` infers transitive
-effect sets over it, and :mod:`repro.analysis.deep` runs the four deep
-rules (async-blocking-transitive, determinism-transitive,
-static-lock-order, wire-taint), each finding carrying a witness call
-chain.
+effect sets over it, and :mod:`repro.analysis.deep` runs the deep rules
+(async-blocking-transitive, determinism-transitive, wire-taint), each
+finding carrying a witness call chain.
 
-The package ``__init__`` stays import-light: the core engine imports
-:mod:`~repro.analysis.lockcheck` at module load (for the lock
-factories), so the heavier lint machinery is loaded lazily on first
-attribute access.
+The package ``__init__`` stays import-light: the lint and deep drivers
+are loaded lazily on first attribute access.
 """
 
 from __future__ import annotations
@@ -34,18 +25,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, List
 
 from .findings import Finding, Severity
-from .lockcheck import (
-    LockOrderChecker,
-    LockOrderError,
-    TrackedLock,
-    TrackedRLock,
-    checking,
-    current_checker,
-    install,
-    named_lock,
-    named_rlock,
-    uninstall,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .callgraph import CallGraph
@@ -59,22 +38,12 @@ __all__ = [
     "EffectAnalysis",
     "Finding",
     "LintResult",
-    "LockOrderChecker",
-    "LockOrderError",
     "Severity",
-    "TrackedLock",
-    "TrackedRLock",
     "build_callgraph",
-    "checking",
-    "current_checker",
     "infer_effects",
-    "install",
     "main",
-    "named_lock",
-    "named_rlock",
     "run_deep",
     "run_lint",
-    "uninstall",
 ]
 
 _LAZY_LINT_EXPORTS = frozenset({"LintResult", "main", "run_lint"})

@@ -1,7 +1,7 @@
 """The whole-program ("deep") rules: ``repro lint --deep``.
 
 Where :mod:`repro.analysis.rules` inspects one function at a time, the
-four rules here run over the project call graph
+three rules here run over the project call graph
 (:mod:`repro.analysis.callgraph`) and the inferred effect sets
 (:mod:`repro.analysis.effects`), so they see violations that are only
 visible across call boundaries.  **Every finding carries a witness call
@@ -20,16 +20,6 @@ analysis found — so a report is a debugging head start, not a puzzle.
     from the public entry points of the mining / lattice / crowd core
     (``DEEP_DETERMINISM_ENTRY_PREFIXES``): the replay and serial-MSP
     identity oracles re-execute these and compare outputs bit-for-bit.
-
-``static-lock-order``
-    Builds the role-level lock acquisition graph *statically*: role A
-    -> role B when some function acquires B (possibly transitively)
-    while holding A.  Flags same-role nesting, cycles, and the
-    forbidden pairs from ``FORBIDDEN_LOCK_PAIRS`` (manager + session
-    held together — the contract the dynamic
-    :mod:`repro.analysis.lockcheck` enforces at runtime).  The edge set
-    is exposed for cross-validation: every edge the dynamic checker
-    observes must appear here.
 
 ``wire-taint``
     Raw wire payloads (``request.json()`` results, MCP
@@ -51,7 +41,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, TextIO, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, TextIO, Tuple
 
 import ast
 
@@ -70,17 +60,14 @@ from .effects import (
     EFFECT_WALL_CLOCK,
     EffectAnalysis,
     infer_effects,
-    lock_effect,
-    lock_role_of,
 )
 from .findings import Finding, Severity
 
 #: bump when the analysis logic changes so stale caches self-invalidate
-ANALYSIS_VERSION = 1
+ANALYSIS_VERSION = 2
 
 RULE_ASYNC_BLOCKING = "async-blocking-transitive"
 RULE_DETERMINISM = "determinism-transitive"
-RULE_LOCK_ORDER = "static-lock-order"
 RULE_WIRE_TAINT = "wire-taint"
 RULE_ANNOTATION = "effect-annotation"
 
@@ -105,12 +92,6 @@ DEEP_RULES: Tuple[DeepRule, ...] = (
         Severity.ERROR,
         "no wall-clock/unseeded-random reachable from mining/lattice/crowd "
         "core entry points",
-    ),
-    DeepRule(
-        RULE_LOCK_ORDER,
-        Severity.ERROR,
-        "static lock-role graph: no cycles, no forbidden pairs "
-        "(manager+session) held together",
     ),
     DeepRule(
         RULE_WIRE_TAINT,
@@ -140,30 +121,14 @@ def _in_any(path: str, prefixes: Sequence[str]) -> bool:
     return any(_path_matches(path, prefix) for prefix in prefixes)
 
 
-@dataclass(frozen=True)
-class LockEdge:
-    """Role A held while role B is acquired, with the static witness."""
-
-    holder: str
-    acquired: str
-    witness: str
-    path: str
-    lineno: int
-
-
 @dataclass
 class DeepResult:
     """Everything one deep run produced."""
 
     findings: List[Finding] = field(default_factory=list)
-    lock_edges: List[LockEdge] = field(default_factory=list)
     analysis: Optional[EffectAnalysis] = None
     from_cache: bool = False
     stats: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def lock_pairs(self) -> Set[Tuple[str, str]]:
-        return {(edge.holder, edge.acquired) for edge in self.lock_edges}
 
 
 def discover_package_root(paths: Sequence[str]) -> Optional[Path]:
@@ -287,150 +252,6 @@ def _check_determinism(
                     ),
                 )
             )
-
-
-def compute_lock_edges(analysis: EffectAnalysis) -> List[LockEdge]:
-    """The static role-level acquisition graph, with witnesses."""
-    edges: Dict[Tuple[str, str], LockEdge] = {}
-    graph = analysis.graph
-    for qualname, acquisitions in analysis.acquisitions.items():
-        info = graph.functions.get(qualname)
-        if info is None:
-            continue
-        call_edges = graph.callees_of(qualname)
-        reentrant = analysis.reentrant_roles
-        for acquisition in acquisitions:
-            held = acquisition.role
-            # nested direct acquisitions inside this block
-            for other in acquisitions:
-                if other is acquisition:
-                    continue
-                if held == other.role and held in reentrant:
-                    continue  # rlock re-entry: not an ordering event
-                if acquisition.body_start < other.lineno <= acquisition.body_end:
-                    witness = (
-                        f"{qualname}: with <{held}> at line "
-                        f"{acquisition.lineno} -> with <{other.role}> at "
-                        f"line {other.lineno}"
-                    )
-                    edges.setdefault(
-                        (held, other.role),
-                        LockEdge(
-                            held,
-                            other.role,
-                            witness,
-                            info.path,
-                            acquisition.lineno,
-                        ),
-                    )
-            # calls made while the lock is held
-            for call in call_edges:
-                if not (
-                    acquisition.body_start
-                    < call.lineno
-                    <= acquisition.body_end
-                ):
-                    continue
-                for effect in analysis.effects_of(call.callee):
-                    role = lock_role_of(effect)
-                    if role is None:
-                        continue
-                    if role == held and held in reentrant:
-                        continue  # rlock re-entry: not an ordering event
-                    links = analysis.witness_chain(
-                        call.callee, lock_effect(role)
-                    )
-                    tail = (
-                        analysis.render_chain(links)
-                        if links is not None
-                        else call.callee
-                    )
-                    witness = (
-                        f"{qualname}: with <{held}> at line "
-                        f"{acquisition.lineno} -> {tail}"
-                    )
-                    edges.setdefault(
-                        (held, role),
-                        LockEdge(
-                            held, role, witness, info.path, acquisition.lineno
-                        ),
-                    )
-    return list(edges.values())
-
-
-def _check_lock_order(
-    analysis: EffectAnalysis,
-    lock_edges: List[LockEdge],
-    findings: List[Finding],
-) -> None:
-    by_pair = {(edge.holder, edge.acquired): edge for edge in lock_edges}
-    # same-role nesting is an immediate deadlock on a non-reentrant lock
-    for (held, acquired), edge in sorted(by_pair.items()):
-        if held == acquired:
-            findings.append(
-                Finding(
-                    path=edge.path,
-                    line=edge.lineno,
-                    col=0,
-                    rule=RULE_LOCK_ORDER,
-                    severity=Severity.ERROR,
-                    message=(
-                        f"same-role lock nesting on <{held}>; "
-                        f"witness: {edge.witness}"
-                    ),
-                )
-            )
-    # forbidden pairs, in either order
-    for first, second in project.FORBIDDEN_LOCK_PAIRS:
-        for held, acquired in ((first, second), (second, first)):
-            edge = by_pair.get((held, acquired))
-            if edge is not None:
-                findings.append(
-                    Finding(
-                        path=edge.path,
-                        line=edge.lineno,
-                        col=0,
-                        rule=RULE_LOCK_ORDER,
-                        severity=Severity.ERROR,
-                        message=(
-                            f"forbidden lock pair: <{held}> held while "
-                            f"acquiring <{acquired}>; witness: {edge.witness}"
-                        ),
-                    )
-                )
-    # cycles (beyond self-loops, reported above)
-    adjacency: Dict[str, List[str]] = {}
-    for held, acquired in by_pair:
-        if held != acquired:
-            adjacency.setdefault(held, []).append(acquired)
-    reported: Set[FrozenSet[str]] = set()
-    for start in sorted(adjacency):
-        stack = [(start, [start])]
-        while stack:
-            node, trail = stack.pop()
-            for neighbour in adjacency.get(node, []):
-                if neighbour == start and len(trail) > 1:
-                    cycle = frozenset(trail)
-                    if cycle in reported:
-                        continue
-                    reported.add(cycle)
-                    edge = by_pair[(trail[0], trail[1])]
-                    rendered = " -> ".join(trail + [start])
-                    findings.append(
-                        Finding(
-                            path=edge.path,
-                            line=edge.lineno,
-                            col=0,
-                            rule=RULE_LOCK_ORDER,
-                            severity=Severity.ERROR,
-                            message=(
-                                f"lock-order cycle: {rendered}; "
-                                f"witness for first edge: {edge.witness}"
-                            ),
-                        )
-                    )
-                elif neighbour not in trail:
-                    stack.append((neighbour, trail + [neighbour]))
 
 
 class _TaintWalker:
@@ -652,7 +473,7 @@ def _check_annotations(
                             }
                         )
                     )
-                    + ", lock-acquire[ROLE])"
+                    + ")"
                 ),
             )
         )
@@ -694,16 +515,6 @@ def _load_cache(cache_path: Path, key: str) -> Optional[DeepResult]:
             )
             for entry in payload["findings"]
         ]
-        lock_edges = [
-            LockEdge(
-                holder=str(entry["holder"]),
-                acquired=str(entry["acquired"]),
-                witness=str(entry["witness"]),
-                path=str(entry["path"]),
-                lineno=int(entry["lineno"]),
-            )
-            for entry in payload["lock_edges"]
-        ]
         stats = {
             str(name): int(value)
             for name, value in payload.get("stats", {}).items()
@@ -712,7 +523,6 @@ def _load_cache(cache_path: Path, key: str) -> Optional[DeepResult]:
         return None
     return DeepResult(
         findings=findings,
-        lock_edges=lock_edges,
         analysis=None,
         from_cache=True,
         stats=stats,
@@ -724,16 +534,6 @@ def _write_cache(cache_path: Path, key: str, result: DeepResult) -> None:
         "version": ANALYSIS_VERSION,
         "key": key,
         "findings": [finding.as_dict() for finding in result.findings],
-        "lock_edges": [
-            {
-                "holder": edge.holder,
-                "acquired": edge.acquired,
-                "witness": edge.witness,
-                "path": edge.path,
-                "lineno": edge.lineno,
-            }
-            for edge in result.lock_edges
-        ],
         "stats": result.stats,
     }
     try:
@@ -749,7 +549,7 @@ def run_deep(
     paths: Sequence[str],
     cache_path: Optional[Path] = None,
 ) -> DeepResult:
-    """Run the four deep rules for the package implied by ``paths``."""
+    """Run the deep rules for the package implied by ``paths``."""
     root = discover_package_root(paths)
     if root is None:
         raise FileNotFoundError(
@@ -763,23 +563,19 @@ def run_deep(
             return cached
     analysis = analyze(root)
     findings: List[Finding] = []
-    lock_edges = compute_lock_edges(analysis)
     _check_async_blocking(analysis, findings)
     _check_determinism(analysis, findings)
-    _check_lock_order(analysis, lock_edges, findings)
     _check_wire_taint(analysis, findings)
     _check_annotations(analysis, findings)
     findings.sort()
     result = DeepResult(
         findings=findings,
-        lock_edges=lock_edges,
         analysis=analysis,
         from_cache=False,
         stats={
             "functions": len(analysis.graph.functions),
             "edges": len(analysis.graph.edges),
             "unresolved": len(analysis.graph.unresolved),
-            "lock_edges": len(lock_edges),
         },
     )
     if cache_path is not None:

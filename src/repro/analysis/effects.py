@@ -19,10 +19,6 @@ Effects tracked:
 ``unseeded-random``
     A call into the shared global RNG (``random.random`` and friends);
     seeded ``random.Random`` instances don't count.
-``lock-acquire[ROLE]``
-    Entering a lock created by ``named_lock(ROLE)`` /
-    ``named_rlock(ROLE)`` (the :mod:`repro.analysis.lockcheck` role
-    factories) via ``with`` or ``.acquire()``.
 ``spawn``
     Creating a thread/process (``Thread(...)``, ``Process(...)``,
     executors, ``os.fork``).
@@ -41,11 +37,6 @@ that function.  The function's own direct effects are still recorded
 (``repro lint --explain`` shows both).  Unknown effect names in an
 ``allow=`` list are collected in :attr:`EffectAnalysis.annotation_errors`
 and surfaced as findings by :mod:`repro.analysis.deep`.
-
-Lock *acquisition sites* (which ``with`` block in which function covers
-which source lines) are preserved so the static lock-order pass in
-:mod:`repro.analysis.deep` can ask "which roles does this function
-acquire while already holding role A?".
 """
 
 from __future__ import annotations
@@ -75,22 +66,7 @@ PLAIN_EFFECTS: FrozenSet[str] = frozenset(
     }
 )
 
-_LOCK_EFFECT = re.compile(r"^lock-acquire\[([A-Za-z0-9_.\-]+)\]$")
-
-_ALLOW_COMMENT = re.compile(
-    r"#\s*repro-effects:\s*allow=([A-Za-z0-9_.\-\[\],]+)"
-)
-
-
-def lock_effect(role: str) -> str:
-    """The effect name for acquiring the lock role ``role``."""
-    return f"lock-acquire[{role}]"
-
-
-def lock_role_of(effect: str) -> Optional[str]:
-    """``lock-acquire[x]`` -> ``x`` (None for non-lock effects)."""
-    match = _LOCK_EFFECT.match(effect)
-    return match.group(1) if match else None
+_ALLOW_COMMENT = re.compile(r"#\s*repro-effects:\s*allow=([A-Za-z0-9_.\-,]+)")
 
 
 @dataclass(frozen=True)
@@ -104,19 +80,6 @@ class EffectSite:
 
 
 @dataclass(frozen=True)
-class Acquisition:
-    """One static lock acquisition: a ``with`` block (or ``.acquire()``)."""
-
-    qualname: str
-    role: str
-    lineno: int
-    #: source range of the block body during which the lock is held;
-    #: for bare ``.acquire()`` calls the range extends to function end
-    body_start: int
-    body_end: int
-
-
-@dataclass(frozen=True)
 class AnnotationError:
     """A malformed ``# repro-effects: allow=`` annotation."""
 
@@ -127,20 +90,13 @@ class AnnotationError:
 
 @dataclass
 class EffectAnalysis:
-    """The result bundle: graph + direct/visible effects + lock sites."""
+    """The result bundle: graph + direct/visible effects + their sites."""
 
     graph: CallGraph
     direct: Dict[str, FrozenSet[str]] = field(default_factory=dict)
     visible: Dict[str, FrozenSet[str]] = field(default_factory=dict)
     allows: Dict[str, FrozenSet[str]] = field(default_factory=dict)
     sites: Dict[Tuple[str, str], EffectSite] = field(default_factory=dict)
-    acquisitions: Dict[str, List[Acquisition]] = field(default_factory=dict)
-    #: lock attribute bindings: (class qualname, attr) -> role
-    class_lock_roles: Dict[Tuple[str, str], str] = field(default_factory=dict)
-    #: attr name -> all roles bound to that attribute anywhere
-    attr_lock_roles: Dict[str, Set[str]] = field(default_factory=dict)
-    #: roles created via ``named_rlock`` — same-role re-entry is legal
-    reentrant_roles: Set[str] = field(default_factory=set)
     annotation_errors: List[AnnotationError] = field(default_factory=list)
 
     def effects_of(self, qualname: str) -> FrozenSet[str]:
@@ -214,67 +170,15 @@ def _short(qualname: str) -> str:
 
 
 class _DirectEffectCollector:
-    """Extracts direct effects + lock acquisitions for every function."""
+    """Extracts the direct effects of every function."""
 
     def __init__(self, analysis: EffectAnalysis) -> None:
         self.analysis = analysis
         self.graph = analysis.graph
 
-    # -------------------------------------------------- lock role discovery
-
-    def collect_lock_roles(self) -> None:
-        for qualname, node in self.graph.function_asts.items():
-            info = self.graph.functions.get(qualname)
-            if info is None:
-                continue
-            for statement in ast.walk(node):
-                if not isinstance(statement, ast.Assign):
-                    continue
-                bound = self._named_lock_role(statement.value)
-                if bound is None:
-                    continue
-                role, reentrant = bound
-                if reentrant:
-                    self.analysis.reentrant_roles.add(role)
-                for target in statement.targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                        and info.class_name is not None
-                    ):
-                        key = (info.class_name, target.attr)
-                        self.analysis.class_lock_roles.setdefault(key, role)
-                        self.analysis.attr_lock_roles.setdefault(
-                            target.attr, set()
-                        ).add(role)
-                    elif isinstance(target, ast.Name):
-                        self.analysis.attr_lock_roles.setdefault(
-                            target.id, set()
-                        ).add(role)
-
-    @staticmethod
-    def _named_lock_role(value: ast.expr) -> Optional[Tuple[str, bool]]:
-        if not isinstance(value, ast.Call):
-            return None
-        func = value.func
-        name = (
-            func.id
-            if isinstance(func, ast.Name)
-            else func.attr if isinstance(func, ast.Attribute) else None
-        )
-        if name not in ("named_lock", "named_rlock"):
-            return None
-        if value.args and isinstance(value.args[0], ast.Constant):
-            role = value.args[0].value
-            if isinstance(role, str):
-                return role, name == "named_rlock"
-        return None
-
     # ----------------------------------------------------- per-function walk
 
     def collect(self) -> None:
-        self.collect_lock_roles()
         for qualname, node in self.graph.function_asts.items():
             info = self.graph.functions.get(qualname)
             if info is None:
@@ -294,75 +198,10 @@ class _DirectEffectCollector:
         # nested defs are their own graph nodes
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                role = self._lock_role_of_expr(info, item.context_expr)
-                if role is not None:
-                    self._record_acquisition(info, node, role, effects)
-                self._walk(info, item.context_expr, effects)
-            for child in node.body:
-                self._walk(info, child, effects)
-            return
         if isinstance(node, ast.Call):
             self._classify_call(info, node, effects)
         for child in ast.iter_child_nodes(node):
             self._walk(info, child, effects)
-
-    def _record_acquisition(
-        self,
-        info: FunctionInfo,
-        with_node: "ast.With | ast.AsyncWith",
-        role: str,
-        effects: Set[str],
-    ) -> None:
-        effect = lock_effect(role)
-        effects.add(effect)
-        lineno = with_node.lineno
-        self.analysis.sites.setdefault(
-            (info.qualname, effect),
-            EffectSite(info.qualname, effect, lineno, f"with <{role}>"),
-        )
-        body_end = getattr(with_node, "end_lineno", info.end_lineno)
-        self.analysis.acquisitions.setdefault(info.qualname, []).append(
-            Acquisition(info.qualname, role, lineno, lineno, body_end)
-        )
-
-    def _lock_role_of_expr(
-        self, info: FunctionInfo, expr: ast.expr
-    ) -> Optional[str]:
-        """``self._lock`` / ``session.lock`` -> a role, when resolvable."""
-        if not isinstance(expr, ast.Attribute):
-            return None
-        attr = expr.attr
-        receiver = expr.value
-        if isinstance(receiver, ast.Name) and receiver.id == "self":
-            if info.class_name is not None:
-                role = self._class_attr_role(info.class_name, attr)
-                if role is not None:
-                    return role
-        roles = self.analysis.attr_lock_roles.get(attr)
-        if roles is not None and len(roles) == 1:
-            return next(iter(roles))
-        return None
-
-    def _class_attr_role(self, class_qualname: str, attr: str) -> Optional[str]:
-        seen: Set[str] = set()
-        frontier = [class_qualname]
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            role = self.analysis.class_lock_roles.get((current, attr))
-            if role is not None:
-                return role
-            klass = self.graph.classes.get(current)
-            if klass is not None:
-                for base in klass.bases:
-                    resolved_base = f"{klass.module}.{base}"
-                    if resolved_base in self.graph.classes:
-                        frontier.append(resolved_base)
-        return None
 
     def _classify_call(
         self, info: FunctionInfo, call: ast.Call, effects: Set[str]
@@ -424,31 +263,6 @@ class _DirectEffectCollector:
                 record(EFFECT_UNSEEDED_RANDOM)
             if head == "os" and last == "fsync":
                 record(EFFECT_FSYNC)
-            if last == "acquire":
-                role = self._lock_role_of_expr(
-                    info,
-                    func.value if isinstance(func, ast.Attribute) else func,
-                )
-                if role is not None:
-                    effect = lock_effect(role)
-                    effects.add(effect)
-                    self.analysis.sites.setdefault(
-                        (info.qualname, effect),
-                        EffectSite(
-                            info.qualname, effect, call.lineno, detail
-                        ),
-                    )
-                    self.analysis.acquisitions.setdefault(
-                        info.qualname, []
-                    ).append(
-                        Acquisition(
-                            info.qualname,
-                            role,
-                            call.lineno,
-                            call.lineno,
-                            info.end_lineno,
-                        )
-                    )
         if name in project.SPAWN_FACTORIES:
             record(EFFECT_SPAWN)
 
@@ -475,7 +289,7 @@ class _DirectEffectCollector:
                 token = token.strip()
                 if not token:
                     continue
-                if token in PLAIN_EFFECTS or _LOCK_EFFECT.match(token):
+                if token in PLAIN_EFFECTS:
                     allowed.add(token)
                 else:
                     self.analysis.annotation_errors.append(

@@ -24,8 +24,8 @@ when the full rule set runs, and suppressions naming deep rules are
 only assessed under ``--deep``.
 
 ``--deep`` runs the whole-program rules from
-:mod:`repro.analysis.deep` (call-graph effect inference, static
-lock-order, wire taint) after the per-file pass; ``--explain FUNC``
+:mod:`repro.analysis.deep` (call-graph effect inference, async
+blocking, determinism, wire taint) after the per-file pass; ``--explain FUNC``
 prints a function's inferred effects and witness chains.
 ``--baseline``/``--write-baseline`` let known findings ride while new
 code is held to zero.
@@ -491,7 +491,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--deep",
         action="store_true",
         help="also run the whole-program rules (call-graph effects, "
-        "static lock-order, wire taint; docs/ANALYSIS.md)",
+        "determinism, wire taint; docs/ANALYSIS.md)",
     )
     parser.add_argument(
         "--cache",

@@ -2,9 +2,9 @@
 
 The linter in :mod:`repro.analysis.lint` is generic machinery (walk
 files, parse, dispatch rules, honor suppressions); everything that makes
-it *this repo's* linter lives here: which modules own which locks, which
-classes carry version stamps, what the deprecation shims are called, and
-which modules must stay deterministic.  Each constant is documented in
+it *this repo's* linter lives here: which classes carry version stamps,
+what the deprecation shims are called, and which modules must stay
+deterministic.  Each constant is documented in
 ``docs/ANALYSIS.md`` next to the rule that reads it.
 """
 
@@ -13,69 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, Tuple
 
-# --------------------------------------------------------------- lock roles
-
-#: module suffix that identifies the SessionManager implementation
-MANAGER_MODULE = "repro/service/manager.py"
-#: module suffix that identifies the QuerySession implementation
-SESSION_MODULE = "repro/service/session.py"
-
-#: attribute name of the manager lock (``self._lock`` in the manager)
-MANAGER_LOCK_ATTR = "_lock"
-#: attribute name of the session lock (``session.lock``)
-SESSION_LOCK_ATTR = "lock"
-
-#: public QuerySession methods that take the session lock; calling one of
-#: these while holding the manager lock violates the locking contract of
-#: ``docs/SERVICE.md``
-SESSION_LOCKED_METHODS: FrozenSet[str] = frozenset(
-    {
-        "resume_from_cache",
-        "ensure_member",
-        "complete",
-        "cancel",
-        "next_fresh",
-        "submit",
-        "prune",
-        "expire",
-        "skip",
-        "reassign",
-        "detach",
-        "has_work",
-        "msps",
-        "valid_msps",
-        "questions_asked",
-        "result",
-        "snapshot",
-    }
-)
-
-#: receiver names the lock-nesting rule treats as "a session object"
-SESSION_RECEIVER_NAMES: FrozenSet[str] = frozenset({"session", "sess", "s"})
-
-#: receiver names the lock-nesting rule treats as "the manager" when seen
-#: inside a session-lock critical section
-MANAGER_RECEIVER_NAMES: FrozenSet[str] = frozenset({"manager", "mgr"})
-
-#: SessionManager methods that take the manager lock
-MANAGER_LOCKED_METHODS: FrozenSet[str] = frozenset(
-    {
-        "create_session",
-        "cancel_session",
-        "attach_member",
-        "detach_member",
-        "next_batch",
-        "submit",
-        "submit_prune",
-        "reap_expired",
-        "in_flight",
-        "members",
-        "sessions",
-    }
-)
-
-
 # ---------------------------------------------------------- version stamps
+
 
 @dataclass(frozen=True)
 class VersionStampedClass:
@@ -205,8 +144,8 @@ SHARD_IMPORTED_MODULE_PREFIXES: Tuple[str, ...] = (
 )
 
 #: constructors whose call at *module import time* creates that state
-#: (the ``threading``/``multiprocessing`` lock family, RNG instances,
-#: thread-locals, and this repo's own named-lock factories)
+#: (the ``threading``/``multiprocessing`` lock family, RNG instances and
+#: thread-locals)
 FORK_UNSAFE_FACTORIES: FrozenSet[str] = frozenset(
     {
         "Barrier",
@@ -219,8 +158,6 @@ FORK_UNSAFE_FACTORIES: FrozenSet[str] = frozenset(
         "Semaphore",
         "SystemRandom",
         "local",
-        "named_lock",
-        "named_rlock",
     }
 )
 
@@ -415,14 +352,6 @@ DEEP_DETERMINISM_ENTRY_PREFIXES: Tuple[str, ...] = (
     "repro/mining/",
     "repro/assignments/",
     "repro/crowd/simulation.py",
-)
-
-#: lock-role pairs that must never be held together, in either order
-#: (mirrors the ``forbid_together`` contract the dynamic checker enforces
-#: on the service suite: the manager lock and a session lock held at once
-#: is the deadlock recipe documented in docs/SERVICE.md)
-FORBIDDEN_LOCK_PAIRS: Tuple[Tuple[str, str], ...] = (
-    ("service.manager", "service.session"),
 )
 
 #: transport modules whose raw payload dicts are wire-taint sources

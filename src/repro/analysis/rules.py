@@ -7,8 +7,6 @@ the project rules read their configuration from
 :mod:`repro.analysis.project` and encode invariants that are otherwise
 only documented prose:
 
-* ``lock-nesting`` — the manager lock and a session lock are never held
-  together (``docs/SERVICE.md``);
 * ``version-stamp`` — mutators of version-stamped structures bump the
   stamp (``docs/PERFORMANCE.md``);
 * ``cache-guard`` — stamp-keyed memo caches are revalidated at every
@@ -86,16 +84,6 @@ def _last_component(node: ast.expr) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def _mentions_attr(node: ast.expr, attr: str) -> bool:
-    """Does any sub-expression read ``.<attr>`` or the name ``attr``?"""
-    for child in ast.walk(node):
-        if isinstance(child, ast.Attribute) and child.attr == attr:
-            return True
-        if isinstance(child, ast.Name) and child.id == attr:
-            return True
-    return False
 
 
 def _store_names(target: ast.expr) -> Iterator[ast.Name]:
@@ -373,98 +361,6 @@ class UnreachableCodeRule(Rule):
 
 
 # ============================================================ project rules
-
-
-class LockNestingRule(Rule):
-    id = "lock-nesting"
-    severity = Severity.ERROR
-    summary = "manager and session locks held together"
-
-    def _lock_role(self, expr: ast.expr) -> Optional[str]:
-        """Classify a with-item as acquiring a manager or session lock."""
-        if isinstance(expr, ast.Call):
-            # e.g. `self._lock.acquire()` style is not a with-item we
-            # classify; only direct lock context managers
-            return None
-        name = _last_component(expr)
-        if name == project.MANAGER_LOCK_ATTR:
-            return "manager"
-        if name == project.SESSION_LOCK_ATTR:
-            return "session"
-        return None
-
-    def _session_call(self, call: ast.Call) -> bool:
-        """Is ``call`` a session-locked method on a session object?"""
-        func = call.func
-        if not isinstance(func, ast.Attribute):
-            return False
-        if func.attr not in project.SESSION_LOCKED_METHODS:
-            return False
-        receiver = func.value
-        if isinstance(receiver, ast.Name):
-            return receiver.id in project.SESSION_RECEIVER_NAMES
-        return _mentions_attr(receiver, "_sessions")
-
-    def _manager_call(self, call: ast.Call) -> bool:
-        """Is ``call`` a manager-locked method on the manager?"""
-        func = call.func
-        if not isinstance(func, ast.Attribute):
-            return False
-        if func.attr not in project.MANAGER_LOCKED_METHODS:
-            return False
-        receiver = func.value
-        if isinstance(receiver, ast.Name):
-            return receiver.id in project.MANAGER_RECEIVER_NAMES
-        return _mentions_attr(receiver, "manager")
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        if "repro/service/" not in module.posix and not module.in_any(
-            (project.MANAGER_MODULE, project.SESSION_MODULE)
-        ):
-            return
-        yield from self._visit(module, module.tree, held=None)
-
-    def _visit(
-        self, module: ModuleInfo, node: ast.AST, held: Optional[str]
-    ) -> Iterator[Finding]:
-        for child in ast.iter_child_nodes(node):
-            inner_held = held
-            if isinstance(child, (ast.With, ast.AsyncWith)):
-                for item in child.items:
-                    role = self._lock_role(item.context_expr)
-                    if role is None:
-                        continue
-                    if held is not None and role != held:
-                        yield self.finding(
-                            module,
-                            item.context_expr,
-                            f"{role} lock acquired while holding the "
-                            f"{held} lock; the locking contract "
-                            "(docs/SERVICE.md) forbids holding both",
-                        )
-                    inner_held = role
-            elif isinstance(child, ast.Call) and held == "manager":
-                if self._session_call(child):
-                    yield self.finding(
-                        module,
-                        child,
-                        f"session method `{child.func.attr}` called while "  # type: ignore[union-attr]
-                        "holding the manager lock; it takes the session "
-                        "lock, so both would be held together",
-                    )
-            elif isinstance(child, ast.Call) and held == "session":
-                if self._manager_call(child):
-                    yield self.finding(
-                        module,
-                        child,
-                        f"manager method `{child.func.attr}` called while "  # type: ignore[union-attr]
-                        "holding a session lock; it takes the manager "
-                        "lock, so both would be held together",
-                    )
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # a nested function body runs later, outside the lock
-                inner_held = None
-            yield from self._visit(module, child, inner_held)
 
 
 class VersionStampRule(Rule):
@@ -950,7 +846,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     ShadowedBuiltinRule(),
     UnusedImportRule(),
     UnreachableCodeRule(),
-    LockNestingRule(),
     VersionStampRule(),
     CacheGuardRule(),
     TracerNameRule(),

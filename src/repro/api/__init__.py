@@ -23,7 +23,7 @@ Session-style usage mirrors the gateway endpoint table::
 Batch-style usage replaces the legacy entry points::
 
     result = client.execute(query=None, members=crowd)      # engine.execute
-    report = client.simulate(sessions=4, workers=2)         # run_simulation
+    report = client.simulate(sessions=4)                    # run_simulation
     coord = client.shard_coordinator(shards=2, crowd_size=6)
 
 The old call shapes keep working through warn-once deprecation shims at

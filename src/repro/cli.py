@@ -9,8 +9,8 @@ Commands:
   (single-user mining with Algorithm 1);
 * ``domains`` — list the built-in demo domains;
 * ``serve-sim`` — run the concurrent crowd-serving simulation: many query
-  sessions, a shared crowd with injected timeouts and departures, N worker
-  threads (see :mod:`repro.service`);
+  sessions, a shared crowd with injected timeouts and departures, served
+  by one loop on a virtual clock (see :mod:`repro.service`);
 * ``chaos`` — run seeded fault-injection campaigns against the serving
   layer and check the durability invariants (see :mod:`repro.faults`);
 * ``gateway`` — start the network-facing crowd gateway on loopback HTTP
@@ -90,10 +90,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_serve.add_argument("--domain", default="demo",
                          help="simulation domain: demo, travel, culinary, health")
     p_serve.add_argument("--sessions", type=int, default=8)
-    p_serve.add_argument("--workers", type=int, default=4)
     p_serve.add_argument("--shards", type=int, default=0,
                          help="serve through N worker processes instead of "
-                              "threads (fault knobs do not apply)")
+                              "the in-process loop (fault knobs do not apply)")
     p_serve.add_argument("--crowd-size", type=int, default=6)
     p_serve.add_argument("--sample-size", type=int, default=3)
     p_serve.add_argument("--drop-every", type=int, default=5,
@@ -102,7 +101,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_serve.add_argument("--departures", type=int, default=1,
                          help="how many members depart mid-run")
     p_serve.add_argument("--question-timeout", type=float, default=0.2,
-                         help="seconds before a dispatched question is reaped")
+                         help="virtual seconds before a dispatched question "
+                              "is reaped")
     p_serve.add_argument("--max-runtime", type=float, default=120.0)
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument("--no-verify", action="store_true",
@@ -126,18 +126,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_chaos.add_argument("--domain", default="demo",
                          help="simulation domain: demo, travel, culinary, health")
     p_chaos.add_argument("--sessions", type=int, default=4)
-    p_chaos.add_argument("--workers", type=int, default=3)
     p_chaos.add_argument("--crowd-size", type=int, default=6)
     p_chaos.add_argument("--sample-size", type=int, default=3)
     p_chaos.add_argument("--shards", type=int, default=0,
                          help="run the kill-one-shard campaign against a "
                               "process-sharded fleet of N workers instead "
-                              "of the threaded runner")
+                              "of the in-process loop")
     p_chaos.add_argument("--after-nodes", type=int, default=5,
                          help="with --shards: classify this many nodes "
                               "before the victim shard is killed")
-    p_chaos.add_argument("--crashes", type=int, default=2,
-                         help="worker-thread crashes to inject per run")
     p_chaos.add_argument("--state-dir", metavar="DIR",
                          help="back each session with a WAL journal and "
                          "checkpoints under DIR (per-seed subdirectories)")
@@ -357,13 +354,13 @@ def _run_custom(args) -> int:
 #: the rest are ignored, so one file can drive both commands
 _CONFIG_DESTS = {
     "serve-sim": frozenset({
-        "domain", "sessions", "workers", "shards", "crowd_size",
+        "domain", "sessions", "shards", "crowd_size",
         "sample_size", "drop_every", "departures", "question_timeout",
         "max_runtime", "seed", "verify",
     }),
     "chaos": frozenset({
-        "domain", "sessions", "workers", "shards", "crowd_size",
-        "sample_size", "max_runtime", "seeds", "crashes", "after_nodes",
+        "domain", "sessions", "shards", "crowd_size",
+        "sample_size", "max_runtime", "seeds", "after_nodes",
         "state_dir",
     }),
 }
@@ -418,7 +415,7 @@ def _cmd_serve_sim(args) -> int:
 
     def simulate():
         if args.shards > 0:
-            # process-sharded mode: the thread-pool fault knobs
+            # process-sharded mode: the in-process fault knobs
             # (--drop-every, --departures, --question-timeout) do not
             # apply and are not forwarded
             return run_simulation(
@@ -436,7 +433,6 @@ def _cmd_serve_sim(args) -> int:
         return run_simulation(
             domain=args.domain,
             sessions=args.sessions,
-            workers=args.workers,
             crowd_size=args.crowd_size,
             sample_size=args.sample_size,
             drop_every=args.drop_every,
@@ -466,7 +462,7 @@ def _cmd_serve_sim(args) -> int:
             )
         else:
             print(
-                f"{args.sessions} session(s), {args.workers} worker(s), "
+                f"{args.sessions} session(s), in-process loop, "
                 f"crowd of {report['crowd_size']}"
             )
         for session_id, info in sorted(report["sessions"].items()):
@@ -516,10 +512,8 @@ def _cmd_chaos(args) -> int:
         domain=args.domain,
         durable_dir=args.state_dir,
         sessions=args.sessions,
-        workers=args.workers,
         crowd_size=args.crowd_size,
         sample_size=args.sample_size,
-        crashes=args.crashes,
         max_runtime=args.max_runtime,
     )
     if args.json:

@@ -11,20 +11,19 @@ threshold, only the answers the algorithm actually used.
 The paper backs this store with MySQL; we keep it in memory with optional
 JSON persistence (the durability engine is irrelevant to the algorithms).
 
-Thread-safety: mutations and snapshots take an internal lock, so one cache
-may be written from several service worker threads (see
-:mod:`repro.service`) or shared between a live session and a snapshot
-reader.  The arrival-order answer lists double as provenance — they record
+Thread-safety: mutations and snapshots take an internal lock, so a
+snapshot may be read on another thread while the serving thread (see
+:mod:`repro.service`) keeps recording.  The arrival-order answer lists double as provenance — they record
 which member said what, in which order it was collected.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from collections import defaultdict
 from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
-from ..analysis.lockcheck import named_lock
 from ..observability import count as _obs_count
 
 
@@ -34,7 +33,7 @@ class CrowdCache:
     def __init__(self) -> None:
         # assignment -> list of (member_id, support), in arrival order
         self._answers: Dict[Hashable, List[Tuple[str, float]]] = defaultdict(list)
-        self._lock = named_lock("crowd.cache")
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 

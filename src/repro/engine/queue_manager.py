@@ -21,10 +21,9 @@ The pull/push surface speaks the *session vocabulary*:
   structure when a member departs — without it the stacks and visited
   sets of members that never answer leak for the lifetime of the run.
 
-Thread-safety: a QueueManager is *not* internally synchronized.  The
-service layer guards each instance with one per-session lock (the
-documented locking contract — see ``docs/SERVICE.md``); single-threaded
-interactive use needs no lock.
+Thread-safety: a QueueManager is *not* internally synchronized.  One
+thread owns it: the serving loop that owns its session (see
+``docs/SERVICE.md``), or the caller in interactive use.
 """
 
 from __future__ import annotations
@@ -67,8 +66,8 @@ class PendingQuestion:
     """A question handed to a member, awaiting their answer.
 
     ``fact_set`` carries the instantiated assignment so answering code
-    (e.g. simulated members on service worker threads) never needs to
-    touch the shared assignment space.
+    (e.g. a simulated member, or a remote one behind the gateway) never
+    needs to touch the shared assignment space.
     """
 
     def __init__(

@@ -8,15 +8,14 @@ production:
 
 * :class:`FaultPlan` — a seedable, fully deterministic schedule of
   faults (member timeouts, departures, duplicate deliveries, malformed
-  answers, worker-thread crashes) injected at named sites wired through
-  :mod:`repro.service`;
+  answers) injected at named sites wired through :mod:`repro.service`;
 * :class:`CircuitBreaker` — the per-member error-rate breaker the
   :class:`~repro.service.manager.SessionManager` uses to quarantine
   misbehaving members (closed → open → half-open probing) instead of
   burning retry attempts on them;
 * :func:`run_chaos_campaign` — seeded chaos campaigns mixing every fault
-  kind, run under the dynamic lock-order checker, that verify the
-  engine's durability invariants (no acknowledged answer lost, no answer
+  kind, replayed identically per seed, that verify the engine's
+  durability invariants (no acknowledged answer lost, no answer
   applied twice, the planted bad member quarantined, MSPs identical to a
   serial run);
 * :func:`run_total_chaos_campaign` — the whole-stack escalation: kill
@@ -39,7 +38,6 @@ from .plan import (
     FaultKind,
     FaultPlan,
     FaultSpec,
-    InjectedCrash,
     MALFORMED_SUPPORT,
     SITES,
     chaos_plan,
@@ -59,7 +57,6 @@ __all__ = [
     "FaultKind",
     "FaultPlan",
     "FaultSpec",
-    "InjectedCrash",
     "MALFORMED_SUPPORT",
     "SITES",
     "chaos_plan",

@@ -13,15 +13,15 @@ breaker, a failure re-opens it for another cooldown.
 
 The state machine is pure and clock-injected (every transition takes an
 explicit ``now``), so tests drive it deterministically.  Transitions
-emit ``recovery.breaker.*`` counters; the caller is expected to hold its
-own registry lock — the breaker itself is not synchronized.
+emit ``recovery.breaker.*`` counters.  The breaker is not synchronized:
+its :class:`~repro.service.manager.SessionManager` owns it on one thread.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Deque
+from typing import Deque, Optional
 
 from ..observability import count as _obs_count
 
@@ -117,6 +117,11 @@ class CircuitBreaker:
         """The admitted half-open probe was never dispatched; allow another."""
         if self.state is BreakerState.HALF_OPEN:
             self._probe_outstanding = False
+
+    @property
+    def reopens_at(self) -> Optional[float]:
+        """When an open breaker admits its probe; None unless open."""
+        return self._open_until if self.state is BreakerState.OPEN else None
 
     # ------------------------------------------------------------ transitions
 

@@ -2,11 +2,10 @@
 
 A chaos run serves several concurrent sessions of one experiment domain
 while a :func:`~repro.faults.plan.chaos_plan` injects member timeouts,
-duplicate deliveries, one abrupt departure, worker-thread crashes and a
-*planted always-malformed member* — all deterministically from one seed.
-The run is instrumented with the dynamic lock-order checker and audited
-end to end; afterwards :func:`run_chaos_once` verifies the engine's
-durability invariants:
+duplicate deliveries, one abrupt departure and a *planted
+always-malformed member* — all deterministically from one seed.  The
+run is audited end to end; afterwards :func:`run_chaos_once` verifies
+the engine's durability invariants:
 
 * every session settled (no wedged dispatch state);
 * **no acknowledged answer lost** — every submission the manager
@@ -16,13 +15,13 @@ durability invariants:
   (assignment, member) in every cache, despite injected duplicates;
 * no malformed support value leaked past validation into a cache;
 * the planted bad member's circuit breaker tripped (quarantine works);
-* zero lock-order violations;
 * the MSP set of every session equals a serial run of the same query
   (identical members make this exact even under chaos — the injected
   faults may cost retries, never answers).
 
-A failing seed is a reproducible bug report: rerun ``repro chaos
---seeds N`` and the identical fault schedule replays.
+A failing seed is a reproducible bug report: the in-process loop runs
+on one thread and a virtual clock, so rerunning ``repro chaos --seeds N``
+(with the same ``PYTHONHASHSEED``) replays the identical interleaving.
 
 Imports of :mod:`repro.service` happen lazily inside the functions —
 the service layer itself imports :mod:`repro.faults` for its injection
@@ -36,9 +35,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from .plan import FaultPlan, chaos_plan
-
-#: the lock roles that must never be co-held (docs/SERVICE.md)
-FORBIDDEN_LOCK_PAIRS = (("service.manager", "service.session"),)
 
 
 @dataclass
@@ -79,10 +75,8 @@ def run_chaos_once(
     seed: int,
     domain: str = "demo",
     sessions: int = 4,
-    workers: int = 3,
     crowd_size: int = 6,
     sample_size: int = 3,
-    crashes: int = 2,
     durable_dir: Optional[str] = None,
     verify_msps: bool = True,
     max_runtime: float = 30.0,
@@ -96,7 +90,6 @@ def run_chaos_once(
     journal.  Requires ``crowd_size - 2 >= sample_size`` so quarantining
     the bad member and one departure cannot starve the aggregator.
     """
-    from ..analysis import lockcheck
     from ..crowd.journal import replay_journal
     from ..service.simulation import run_simulation
 
@@ -116,39 +109,27 @@ def run_chaos_once(
             departing_member=departing_member,
             timeout_rate=0.05,
             duplicate_rate=0.08,
-            crashes=crashes,
         )
     )
     started = time.perf_counter()
-    checker = lockcheck.current_checker()
-    own_checker = checker is None
-    if own_checker:
-        checker = lockcheck.install(
-            lockcheck.LockOrderChecker(forbid_together=FORBIDDEN_LOCK_PAIRS)
-        )
-    try:
-        report = run_simulation(
-            domain=domain,
-            sessions=sessions,
-            workers=workers,
-            crowd_size=crowd_size,
-            sample_size=sample_size,
-            question_timeout=0.2,
-            backoff_base=0.01,
-            max_runtime=max_runtime,
-            verify=verify_msps,
-            seed=seed,
-            faults=plan,
-            durable_dir=durable_dir,
-            checkpoint_every=5 if durable_dir is not None else 0,
-            breaker_window=4,
-            breaker_cooldown=0.05,
-            audit=True,
-            _keep_handles=True,
-        )
-    finally:
-        if own_checker:
-            lockcheck.uninstall()
+    report = run_simulation(
+        domain=domain,
+        sessions=sessions,
+        crowd_size=crowd_size,
+        sample_size=sample_size,
+        question_timeout=0.2,
+        backoff_base=0.01,
+        max_runtime=max_runtime,
+        verify=verify_msps,
+        seed=seed,
+        faults=plan,
+        durable_dir=durable_dir,
+        checkpoint_every=5 if durable_dir is not None else 0,
+        breaker_window=4,
+        breaker_cooldown=0.05,
+        audit=True,
+        _keep_handles=True,
+    )
     elapsed = time.perf_counter() - started
     manager = report.pop("_manager")
     runner = report.pop("_runner")
@@ -224,8 +205,6 @@ def run_chaos_once(
         violations.append(
             f"planted bad member {bad_member} was never quarantined"
         )
-    if checker is not None and checker.violations:
-        violations.extend(f"lock-order: {v}" for v in checker.violations)
 
     return ChaosReport(
         seed=seed,

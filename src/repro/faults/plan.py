@@ -5,8 +5,8 @@ layer (:data:`SITES`).  Each call to :meth:`FaultPlan.decide` either
 returns a :class:`FaultKind` to inject right now or ``None``.  Decisions
 are a pure function of ``(seed, site, member, event counter)`` — two
 plans built from the same specs and seed make identical decisions in
-identical order, across processes and regardless of thread interleaving
-for any single ``(site, member)`` stream.  That is what makes a chaos
+identical order, across processes, for any single ``(site, member)``
+stream.  That is what makes a chaos
 campaign *replayable*: a failing seed is a bug report.
 
 Determinism is achieved without Python's salted ``hash()``: each
@@ -21,10 +21,6 @@ Injection sites (the serving layer's failure surface):
     and the question must be reaped), ``DEPART`` (the member leaves),
     ``MALFORMED`` (an out-of-range support value the manager must
     reject) and ``DUPLICATE`` (the answer is delivered twice).
-``runner.worker``
-    consulted by a :class:`~repro.service.runner.ServiceRunner` worker
-    thread once per member checkout; ``CRASH`` raises
-    :class:`InjectedCrash`, killing the thread while it holds a member.
 ``manager.dispatch``
     consulted by :meth:`~repro.service.manager.SessionManager.next_batch`
     before assembling a batch; ``TIMEOUT`` stalls the dispatch (the
@@ -55,7 +51,6 @@ from ..observability import count as _obs_count
 SITES = frozenset(
     {
         "member.answer",
-        "runner.worker",
         "manager.dispatch",
         "manager.submit",
         "gateway.request",
@@ -74,16 +69,10 @@ class FaultKind(enum.Enum):
     DUPLICATE = "duplicate"
     #: an out-of-range / NaN support value (input validation probe)
     MALFORMED = "malformed"
-    #: the worker thread dies while holding a member checkout
-    CRASH = "crash"
     #: the gateway drops the connection before writing a response
     DISCONNECT = "disconnect"
     #: the gateway stalls the response past the configured delay
     SLOW_CLIENT = "slow_client"
-
-
-class InjectedCrash(RuntimeError):
-    """Raised at a crash site to kill the current worker thread."""
 
 
 class DuplicateDelivery:
@@ -195,11 +184,6 @@ class FaultPlan:
             _obs_count(f"faults.injected.{winner.value}")
         return winner
 
-    def maybe_crash(self, site: str, member: Optional[str] = None) -> None:
-        """Raise :class:`InjectedCrash` when the plan schedules one here."""
-        if self.decide(site, member) is FaultKind.CRASH:
-            raise InjectedCrash(f"injected crash at {site} (member={member!r})")
-
     def injected(self) -> Dict[str, int]:
         """How many faults of each kind have been injected so far."""
         with self._lock:
@@ -222,11 +206,9 @@ def chaos_plan(
     timeout_rate: float = 0.1,
     duplicate_rate: float = 0.08,
     depart_after: int = 6,
-    crashes: int = 0,
-    crash_every: int = 40,
 ) -> FaultPlan:
     """The standard chaos mix: timeouts + duplicates everywhere, one
-    always-malformed member, one departure, optionally worker crashes.
+    always-malformed member and one departure.
 
     Used by :mod:`repro.faults.chaos` and the ``repro chaos`` CLI; kept
     here so tests can build the same plan the campaign runs.
@@ -248,14 +230,4 @@ def chaos_plan(
         )
     specs.append(FaultSpec("member.answer", FaultKind.TIMEOUT, rate=timeout_rate))
     specs.append(FaultSpec("member.answer", FaultKind.DUPLICATE, rate=duplicate_rate))
-    if crashes > 0:
-        specs.append(
-            FaultSpec(
-                "runner.worker",
-                FaultKind.CRASH,
-                after=crash_every,
-                limit=crashes,
-                rate=0.2,
-            )
-        )
     return FaultPlan(specs, seed=seed)

@@ -13,16 +13,10 @@ Methods raise :class:`GatewayError` subclasses carrying an HTTP status;
 the transports map them to 4xx responses (never a 500 — an unhandled
 exception is the only thing that becomes a server error).
 
-Thread-safety: the HTTP server serializes calls on its event loop, but
-the MCP surface and tests may call from other threads, so the app's own
-bookkeeping (tokens, qids, sessions) is guarded by one leaf lock.  The
-underlying :class:`SessionManager` has its own documented locking; the
-two are never held together.  Journaled mutations (activate / join /
-query / mint / answer) additionally serialize on a coarse ``_mutate``
-lock so the journal's record order matches the order the state actually
-changed; ``_mutate`` is strictly outermost — it may wrap the leaf lock,
-the journal's own lock and session-manager calls, and nothing ever
-acquires it while holding any of those.
+Threading: the app is not locked.  The HTTP server calls it only from
+its event loop, and :class:`repro.api.Client` only from its caller's
+thread; one thread owns the app, its :class:`SessionManager` and the
+journal order (see ``docs/SERVICE.md``).
 
 Durability (see ``docs/RELIABILITY.md``): constructed with a
 ``journal_path``, the app write-ahead-logs every state transition
@@ -40,7 +34,6 @@ from __future__ import annotations
 
 import os
 import secrets
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -123,7 +116,6 @@ class GatewayConfig:
     in_flight_limit: int = 4
     batch_size: int = 2
     sample_size: int = 3
-    scale_deadlines: bool = True
     long_poll_max_wait: float = 10.0
     poll_interval: float = 0.005
     slow_client_delay: float = 0.05
@@ -168,8 +160,6 @@ class GatewayApp:
         self._mint = token_factory if token_factory is not None else (
             lambda: secrets.token_hex(16)
         )
-        self._lock = threading.Lock()
-        self._mutate = threading.Lock()  # serializes journaled mutations
         self._active: Optional[str] = None
         self._dataset: Optional[object] = None
         self._engine: Optional[OassisEngine] = None
@@ -227,7 +217,6 @@ class GatewayApp:
                 backoff_base=cfg.backoff_base,
                 in_flight_limit=cfg.in_flight_limit,
                 batch_size=cfg.batch_size,
-                scale_deadlines=cfg.scale_deadlines,
             )
             for member_id, token in state.members.items():
                 record = _MemberRecord(member_id=member_id, token=token)
@@ -301,28 +290,24 @@ class GatewayApp:
 
     @property
     def active_dataset(self) -> Optional[str]:
-        with self._lock:
-            return self._active
+        return self._active
 
     @property
     def engine(self) -> Optional[OassisEngine]:
         """The active dataset's engine (None before activation)."""
-        with self._lock:
-            return self._engine
+        return self._engine
 
     @property
     def dataset(self) -> Optional[object]:
         """The active dataset object (None before activation)."""
-        with self._lock:
-            return self._dataset
+        return self._dataset
 
     # -------------------------------------------------------------- datasets
 
     def list_datasets(self) -> DatasetList:
-        with self._lock:
-            return DatasetList(
-                datasets=tuple(sorted(self.datasets)), active=self._active
-            )
+        return DatasetList(
+            datasets=tuple(sorted(self.datasets)), active=self._active
+        )
 
     def activate_dataset(self, name: str) -> ActivateResponse:
         """Build the engine + session manager for ``name``.
@@ -335,47 +320,42 @@ class GatewayApp:
             raise NotFoundError(
                 f"unknown dataset {name!r}; pick from {sorted(self.datasets)}"
             )
-        with self._mutate:
-            with self._lock:
-                if self._active == name:
-                    return ActivateResponse(name=name, activated=False)
-                manager = self._manager
-            if manager is not None and any(s.open for s in manager.sessions()):
-                raise ConflictError(
-                    "cannot switch datasets while sessions are open; "
-                    "finish or cancel them first"
-                )
-            dataset = self.datasets[name]()
-            engine = OassisEngine(dataset.ontology)  # type: ignore[attr-defined]
-            cfg = self.config
-            fresh = engine.session_manager(
-                question_timeout=cfg.question_timeout,
-                max_attempts=cfg.max_attempts,
-                backoff_base=cfg.backoff_base,
-                in_flight_limit=cfg.in_flight_limit,
-                batch_size=cfg.batch_size,
-                scale_deadlines=cfg.scale_deadlines,
+        if self._active == name:
+            return ActivateResponse(name=name, activated=False)
+        manager = self._manager
+        if manager is not None and any(s.open for s in manager.sessions()):
+            raise ConflictError(
+                "cannot switch datasets while sessions are open; "
+                "finish or cancel them first"
             )
-            with self._lock:
-                self._active = name
-                self._dataset = dataset
-                self._engine = engine
-                self._manager = fresh
-                self._members_by_token.clear()
-                self._members_by_id.clear()
-                self._sessions.clear()
-                self._questions.clear()
-                self._answered.clear()
-                self._idempotency.clear()
-                self._minted.clear()
-            if self.journal is not None:
-                self.journal.log_activate(name)
+        dataset = self.datasets[name]()
+        engine = OassisEngine(dataset.ontology)  # type: ignore[attr-defined]
+        cfg = self.config
+        fresh = engine.session_manager(
+            question_timeout=cfg.question_timeout,
+            max_attempts=cfg.max_attempts,
+            backoff_base=cfg.backoff_base,
+            in_flight_limit=cfg.in_flight_limit,
+            batch_size=cfg.batch_size,
+        )
+        self._active = name
+        self._dataset = dataset
+        self._engine = engine
+        self._manager = fresh
+        self._members_by_token.clear()
+        self._members_by_id.clear()
+        self._sessions.clear()
+        self._questions.clear()
+        self._answered.clear()
+        self._idempotency.clear()
+        self._minted.clear()
+        if self.journal is not None:
+            self.journal.log_activate(name)
         _obs_count("gateway.datasets.activated")
         return ActivateResponse(name=name, activated=True)
 
     def _require_manager(self) -> SessionManager:
-        with self._lock:
-            manager = self._manager
+        manager = self._manager
         if manager is None:
             raise ConflictError(
                 "no dataset is active; POST /datasets/activate first"
@@ -395,8 +375,7 @@ class GatewayApp:
     def authenticate(self, token: Optional[str]) -> str:
         """The member id a bearer token identifies; 401 otherwise."""
         if token:
-            with self._lock:
-                record = self._members_by_token.get(token)
+            record = self._members_by_token.get(token)
             if record is not None:
                 return record.member_id
         _obs_count("gateway.auth.rejected")
@@ -412,23 +391,21 @@ class GatewayApp:
         not lock the member out of their own identity).
         """
         manager = self._require_manager()
-        with self._mutate:
-            with self._lock:
-                if member_id is not None and member_id in self._members_by_id:
-                    record = self._members_by_id[member_id]
-                    return JoinResponse(
-                        member_id=record.member_id, token=record.token
-                    )
-                if member_id is None:
-                    member_id = f"w{len(self._members_by_id) + 1}"
-                    while member_id in self._members_by_id:
-                        member_id = f"w{len(self._members_by_id) + secrets.randbelow(1000) + 2}"
-                record = _MemberRecord(member_id=member_id, token=self._mint())
-                self._members_by_token[record.token] = record
-                self._members_by_id[member_id] = record
-            manager.attach_member(member_id)
-            if self.journal is not None:
-                self.journal.log_join(record.member_id, record.token)
+        if member_id is not None and member_id in self._members_by_id:
+            record = self._members_by_id[member_id]
+            return JoinResponse(
+                member_id=record.member_id, token=record.token
+            )
+        if member_id is None:
+            member_id = f"w{len(self._members_by_id) + 1}"
+            while member_id in self._members_by_id:
+                member_id = f"w{len(self._members_by_id) + secrets.randbelow(1000) + 2}"
+        record = _MemberRecord(member_id=member_id, token=self._mint())
+        self._members_by_token[record.token] = record
+        self._members_by_id[member_id] = record
+        manager.attach_member(member_id)
+        if self.journal is not None:
+            self.journal.log_join(record.member_id, record.token)
         _obs_count("gateway.members.joined")
         return JoinResponse(member_id=record.member_id, token=record.token)
 
@@ -437,8 +414,7 @@ class GatewayApp:
     def pose_query(self, request: QueryRequest) -> QueryAccepted:
         """Open a mining session from a :class:`QueryRequest`."""
         manager = self._require_manager()
-        with self._lock:
-            dataset = self._dataset
+        dataset = self._dataset
         text = request.query
         if text is None:
             if dataset is None or not hasattr(dataset, "query"):
@@ -448,28 +424,25 @@ class GatewayApp:
                 )
             text = dataset.query(request.threshold)  # type: ignore[attr-defined]
         session_id = request.session_id
-        with self._mutate:
-            with self._lock:
-                if session_id is None:
-                    self._next_session += 1
-                    session_id = f"g{self._next_session}"
-                if session_id in self._sessions:
-                    raise ConflictError(f"session {session_id!r} already exists")
-            try:
-                manager.create_session(
-                    text, session_id=session_id, sample_size=request.sample_size
-                )
-            except ValueError as error:
-                raise ConflictError(str(error)) from error
-            except Exception as error:
-                # a query that fails to parse/validate is a client error
-                raise GatewayError(f"query rejected: {error}") from error
-            with self._lock:
-                self._sessions[session_id] = _SessionRecord(
-                    session_id=session_id, query_text=text
-                )
-            if self.journal is not None:
-                self.journal.log_query(session_id, text, request.sample_size)
+        if session_id is None:
+            self._next_session += 1
+            session_id = f"g{self._next_session}"
+        if session_id in self._sessions:
+            raise ConflictError(f"session {session_id!r} already exists")
+        try:
+            manager.create_session(
+                text, session_id=session_id, sample_size=request.sample_size
+            )
+        except ValueError as error:
+            raise ConflictError(str(error)) from error
+        except Exception as error:
+            # a query that fails to parse/validate is a client error
+            raise GatewayError(f"query rejected: {error}") from error
+        self._sessions[session_id] = _SessionRecord(
+            session_id=session_id, query_text=text
+        )
+        if self.journal is not None:
+            self.journal.log_query(session_id, text, request.sample_size)
         _obs_count("gateway.queries.posed")
         return QueryAccepted(session_id=session_id, query=text)
 
@@ -498,38 +471,36 @@ class GatewayApp:
         now = manager.clock()
         questions: List[QuestionDTO] = []
         mints: List[Tuple[str, str, str, str]] = []
-        with self._mutate:
-            with self._lock:
-                for dispatched in batch:
-                    self._next_qid += 1
-                    qid = f"q{self._next_qid}"
-                    self._questions[qid] = dispatched
-                    record = self._sessions.get(dispatched.session_id)
-                    if record is not None:
-                        record.qids.append(qid)
-                    facts: Tuple[Tuple[str, str, str], ...] = ()
-                    if dispatched.fact_set is not None:
-                        facts = facts_to_wire(dispatched.fact_set)
-                    mints.append(
-                        (
-                            qid,
-                            dispatched.session_id,
-                            repr(dispatched.assignment),
-                            dispatched.member_id,
-                        )
-                    )
-                    questions.append(
-                        QuestionDTO(
-                            qid=qid,
-                            session_id=dispatched.session_id,
-                            text=dispatched.text,
-                            facts=facts,
-                            deadline_s=max(0.0, dispatched.deadline - now),
-                            attempt=dispatched.attempt,
-                        )
-                    )
-            if self.journal is not None and mints:
-                self.journal.log_mint(mints)
+        for dispatched in batch:
+            self._next_qid += 1
+            qid = f"q{self._next_qid}"
+            self._questions[qid] = dispatched
+            record = self._sessions.get(dispatched.session_id)
+            if record is not None:
+                record.qids.append(qid)
+            facts: Tuple[Tuple[str, str, str], ...] = ()
+            if dispatched.fact_set is not None:
+                facts = facts_to_wire(dispatched.fact_set)
+            mints.append(
+                (
+                    qid,
+                    dispatched.session_id,
+                    repr(dispatched.assignment),
+                    dispatched.member_id,
+                )
+            )
+            questions.append(
+                QuestionDTO(
+                    qid=qid,
+                    session_id=dispatched.session_id,
+                    text=dispatched.text,
+                    facts=facts,
+                    deadline_s=max(0.0, dispatched.deadline - now),
+                    attempt=dispatched.attempt,
+                )
+            )
+        if self.journal is not None and mints:
+            self.journal.log_mint(mints)
         return QuestionBatch(questions=tuple(questions))
 
     # --------------------------------------------------------------- answers
@@ -558,58 +529,53 @@ class GatewayApp:
         the late answer is merely obsolete, not unknown.
         """
         manager = self._require_manager()
-        with self._mutate:
+        if idempotency_key is not None:
+            hit = self._idempotency.get(idempotency_key)
+            if hit is not None:
+                _obs_count("gateway.answers.deduped")
+                return AnswerResponse(qid=hit[0], outcome=hit[1])
+        dispatched = self._questions.get(qid)
+        already = self._answered.get(qid)
+        minted = self._minted.get(qid)
+        if dispatched is None:
+            if minted is None and already is None:
+                raise NotFoundError(f"unknown question id {qid!r}")
+            # pre-crash qid: the live dispatch died with the previous
+            # process; its node is re-dispatched by the session layer
+            name = already if already is not None else "stale"
+            _obs_count("gateway.answers.duplicate")
             if idempotency_key is not None:
-                with self._lock:
-                    hit = self._idempotency.get(idempotency_key)
-                if hit is not None:
-                    _obs_count("gateway.answers.deduped")
-                    return AnswerResponse(qid=hit[0], outcome=hit[1])
-            with self._lock:
-                dispatched = self._questions.get(qid)
-                already = self._answered.get(qid)
-                minted = self._minted.get(qid)
-            if dispatched is None:
-                if minted is None and already is None:
-                    raise NotFoundError(f"unknown question id {qid!r}")
-                # pre-crash qid: the live dispatch died with the previous
-                # process; its node is re-dispatched by the session layer
-                name = already if already is not None else "stale"
-                _obs_count("gateway.answers.duplicate")
-                with self._lock:
-                    if idempotency_key is not None:
-                        self._idempotency[idempotency_key] = (qid, name)
-                return AnswerResponse(qid=qid, outcome=name)
-            if dispatched.member_id != member_id:
-                _obs_count("gateway.auth.rejected")
-                raise ForbiddenError(
-                    f"question {qid} was dispatched to another member"
-                )
-            outcome = manager.submit(dispatched, support)
-            name = outcome.name.lower()
-            if already is not None:
-                _obs_count("gateway.answers.duplicate")
-            elif name in ("recorded", "passed"):
-                _obs_count("gateway.answers.accepted")
-            with self._lock:
-                if already is None:
-                    self._answered[qid] = name
-                if idempotency_key is not None:
-                    self._idempotency[idempotency_key] = (qid, name)
-            if (
-                self.journal is not None
-                and already is None
-                and name in ("recorded", "passed")
-            ):
-                self.journal.log_answer(
-                    qid=qid,
-                    session_id=dispatched.session_id,
-                    key=repr(dispatched.assignment),
-                    member_id=member_id,
-                    support=support,
-                    outcome=name,
-                    idempotency_key=idempotency_key,
-                )
+                self._idempotency[idempotency_key] = (qid, name)
+            return AnswerResponse(qid=qid, outcome=name)
+        if dispatched.member_id != member_id:
+            _obs_count("gateway.auth.rejected")
+            raise ForbiddenError(
+                f"question {qid} was dispatched to another member"
+            )
+        outcome = manager.submit(dispatched, support)
+        name = outcome.name.lower()
+        if already is not None:
+            _obs_count("gateway.answers.duplicate")
+        elif name in ("recorded", "passed"):
+            _obs_count("gateway.answers.accepted")
+        if already is None:
+            self._answered[qid] = name
+        if idempotency_key is not None:
+            self._idempotency[idempotency_key] = (qid, name)
+        if (
+            self.journal is not None
+            and already is None
+            and name in ("recorded", "passed")
+        ):
+            self.journal.log_answer(
+                qid=qid,
+                session_id=dispatched.session_id,
+                key=repr(dispatched.assignment),
+                member_id=member_id,
+                support=support,
+                outcome=name,
+                idempotency_key=idempotency_key,
+            )
         return AnswerResponse(qid=qid, outcome=name)
 
     # --------------------------------------------------------------- results
@@ -617,9 +583,8 @@ class GatewayApp:
     def result(self, session_id: str) -> ResultResponse:
         """The session's incremental MSP set (poll until ``done``)."""
         manager = self._require_manager()
-        with self._lock:
-            if session_id not in self._sessions:
-                raise NotFoundError(f"unknown session {session_id!r}")
+        if session_id not in self._sessions:
+            raise NotFoundError(f"unknown session {session_id!r}")
         manager.all_done()  # probe completion before reporting
         session = manager.session(session_id)
         msps = tuple(sorted(repr(a) for a in session.msps()))
@@ -635,8 +600,7 @@ class GatewayApp:
         )
 
     def session_ids(self) -> List[str]:
-        with self._lock:
-            return sorted(self._sessions)
+        return sorted(self._sessions)
 
     def all_done(self) -> bool:
         """Are all posed sessions settled?"""

@@ -520,7 +520,8 @@ def serve_in_thread(
     The tracer active in the *calling* context is re-enabled inside the
     server thread (context variables do not cross threads), so
     ``gateway.*`` counters and latency histograms land on the caller's
-    tracer — the same pattern the service runner uses for its workers.
+    tracer.  While the server runs, its event loop is the one thread
+    that calls ``app``; talk to it over HTTP, not directly.
     """
     tracer = get_tracer()
     started = threading.Event()

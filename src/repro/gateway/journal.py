@@ -20,8 +20,8 @@ Record vocabulary (the ``t`` field; one JSON object per line)::
                               "outcome": "recorded", "ik": "<idempotency key>"}
 
 Ordering discipline (who journals when is the whole durability story):
-every mutation follows **apply → journal → acknowledge**, serialized by
-the app's ``_mutate`` lock so record order matches state-change order.
+every mutation follows **apply → journal → acknowledge** on the one
+thread that drives the app, so record order matches state-change order.
 
 * ``join`` / ``query`` / ``activate`` are journaled right after the
   in-memory state mutates and before the response is sent — journal and

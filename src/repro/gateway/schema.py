@@ -487,15 +487,14 @@ class SimulationSpec:
     Every field is optional; present fields become the command's argument
     defaults (explicit command-line flags still win).  The field names
     are exactly the CLI destinations, so one JSON file can drive both
-    commands — ``chaos``-only knobs (``seeds``, ``crashes``,
-    ``after_nodes``, ``state_dir``) are simply ignored by ``serve-sim``
+    commands — ``chaos``-only knobs (``seeds``, ``after_nodes``,
+    ``state_dir``) are simply ignored by ``serve-sim``
     and vice versa (``drop_every``, ``departures``, ``question_timeout``,
     ``verify``).
     """
 
     domain: Optional[str] = None
     sessions: Optional[int] = None
-    workers: Optional[int] = None
     shards: Optional[int] = None
     crowd_size: Optional[int] = None
     sample_size: Optional[int] = None
@@ -506,7 +505,6 @@ class SimulationSpec:
     seed: Optional[int] = None
     verify: Optional[bool] = None
     seeds: Optional[Tuple[int, ...]] = None
-    crashes: Optional[int] = None
     after_nodes: Optional[int] = None
     state_dir: Optional[str] = None
 
@@ -528,11 +526,11 @@ class SimulationSpec:
             ):
                 raise SchemaError("field 'seeds' must be a list of integers")
             seeds = tuple(seeds)
-        for name in ("sessions", "workers", "crowd_size", "sample_size"):
+        for name in ("sessions", "crowd_size", "sample_size"):
             value = _take(payload, name, (int,), None)
             if value is not None and value < 1:
                 raise SchemaError(f"field {name!r} must be >= 1, got {value}")
-        for name in ("shards", "drop_every", "departures", "crashes", "after_nodes"):
+        for name in ("shards", "drop_every", "departures", "after_nodes"):
             value = _take(payload, name, (int,), None)
             if value is not None and value < 0:
                 raise SchemaError(f"field {name!r} must be >= 0, got {value}")
@@ -543,7 +541,6 @@ class SimulationSpec:
         return cls(
             domain=_take(payload, "domain", (str,), None),
             sessions=_take(payload, "sessions", (int,), None),
-            workers=_take(payload, "workers", (int,), None),
             shards=_take(payload, "shards", (int,), None),
             crowd_size=_take(payload, "crowd_size", (int,), None),
             sample_size=_take(payload, "sample_size", (int,), None),
@@ -554,7 +551,6 @@ class SimulationSpec:
             seed=_take(payload, "seed", (int,), None),
             verify=_take(payload, "verify", (bool,), None),
             seeds=seeds,
-            crashes=_take(payload, "crashes", (int,), None),
             after_nodes=_take(payload, "after_nodes", (int,), None),
             state_dir=_take(payload, "state_dir", (str,), None),
         )

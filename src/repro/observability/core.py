@@ -154,12 +154,12 @@ class Tracer:
     monotonic zero-argument callable returning seconds (the default is
     :func:`time.perf_counter`).
 
-    One tracer may be shared by several threads (the service layer's
-    worker pool installs the session tracer in every worker): counter
+    One tracer may be shared by several threads (a gateway served from
+    a background thread records onto its caller's tracer): counter
     increments and span-tree mutations are guarded by an internal lock,
-    and the open-span stack is *per thread*, so spans recorded from a
-    worker thread nest under that thread's own open spans (rooted at the
-    shared tree root) rather than corrupting another thread's stack.
+    and the open-span stack is *per thread*, so spans recorded from
+    another thread nest under that thread's own open spans (rooted at
+    the shared tree root) rather than corrupting another thread's stack.
     """
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:

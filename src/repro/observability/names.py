@@ -45,7 +45,6 @@ COUNTER_NAMES: FrozenSet[str] = frozenset(
         "crowd.questions.concrete",
         "crowd.questions.specialization",
         # injected faults, by kind (repro.faults)
-        "faults.injected.crash",
         "faults.injected.departure",
         "faults.injected.disconnect",
         "faults.injected.duplicate",
@@ -134,7 +133,6 @@ COUNTER_NAMES: FrozenSet[str] = frozenset(
         "service.sessions.created",
         "service.sessions.resumed",
         "service.timeouts",
-        "service.workers.crashed",
         # process-sharded serving (repro.service.shard)
         "shard.answers.merged",
         "shard.asks.resent",

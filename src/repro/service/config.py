@@ -15,16 +15,12 @@ class ServiceConfig:
     """
 
     #: how long a dispatched question may stay unanswered before it is
-    #: reaped, requeued and (eventually) reassigned
+    #: reaped, requeued and (eventually) reassigned.  The window scales
+    #: with the question's position in the member's in-flight queue: the
+    #: n-th simultaneously held question gets ``n * question_timeout``,
+    #: because a member answering a batch serially cannot start question
+    #: n before finishing the n-1 before it
     question_timeout: float = 30.0
-    #: scale each question's deadline by its position in the member's
-    #: in-flight queue: the n-th simultaneously held question gets
-    #: ``n * question_timeout``.  A member answering a batch serially
-    #: cannot start question n before finishing the n-1 before it, so a
-    #: fixed per-question clock times out questions the member was never
-    #: slow on (the ~20%% timeout/requeue churn of the 1-worker
-    #: benchmark).  Disable to restore the fixed-deadline behaviour.
-    scale_deadlines: bool = True
     #: how many times the *same* member is asked the same question before
     #: the node is abandoned for them and reassigned to another member
     max_attempts: int = 3

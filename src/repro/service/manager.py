@@ -20,15 +20,9 @@ multiplexes a changing pool of crowd members across them —
 * **lifecycle** — :meth:`create_session` (optionally resuming from a
   cache snapshot), :meth:`cancel_session`, :meth:`snapshot`.
 
-Locking contract (see ``docs/SERVICE.md``): the manager lock guards only
-registry and dispatch bookkeeping (sessions, members, in-flight map,
-backoff windows, attempt counts); each session's lock guards its queue
-manager and classification state.  **The two are never held together**,
-which rules out lock-order deadlocks by construction.  The cost is a
-benign race: concurrent ``next_batch`` calls for the *same* member may
-transiently overshoot ``in_flight_limit`` by the number of concurrent
-callers — the :class:`~repro.service.runner.ServiceRunner` rotation gives
-each member to one worker at a time, making the limit exact in practice.
+One thread owns all of this state (see ``docs/SERVICE.md``): the
+in-process :class:`~repro.service.runner.ServiceRunner` loop, or the
+gateway's event loop.  Nothing here is locked.
 
 Everything here emits ``service.*`` counters and spans; see
 ``docs/OBSERVABILITY.md`` and :func:`repro.observability.derive_service`.
@@ -49,7 +43,6 @@ from typing import (
     Union,
 )
 
-from ..analysis.lockcheck import named_lock
 from ..assignments.assignment import Assignment
 from ..crowd.cache import CrowdCache
 from ..engine.queue_manager import AnswerOutcome, PendingQuestion
@@ -133,7 +126,6 @@ class SessionManager:
         #: the fault-injection plan consulted at ``manager.*`` sites
         #: (None = production: the sites cost one pointer check)
         self.faults = faults
-        self._lock = named_lock("service.manager")
         self._sessions: Dict[str, QuerySession] = {}
         self._members: List[str] = []
         self._in_flight: Dict[DispatchKey, DispatchedQuestion] = {}
@@ -169,13 +161,11 @@ class SessionManager:
         queue = self.engine.queue_manager(
             parsed, sample_size=sample_size, cache=store, more_pool=more_pool
         )
-        with self._lock:
-            if session_id is None:
-                self._next_id += 1
-                session_id = f"s{self._next_id}"
-            if session_id in self._sessions:
-                raise ValueError(f"session {session_id!r} already exists")
-            members = list(self._members)
+        if session_id is None:
+            self._next_id += 1
+            session_id = f"s{self._next_id}"
+        if session_id in self._sessions:
+            raise ValueError(f"session {session_id!r} already exists")
         session = QuerySession(
             session_id,
             parsed,
@@ -190,25 +180,21 @@ class SessionManager:
             _obs_count("service.sessions.resumed")
         else:
             _obs_count("service.sessions.created")
-        for member_id in members:
+        for member_id in self._members:
             session.ensure_member(member_id)
-        with self._lock:
-            self._sessions[session_id] = session
+        self._sessions[session_id] = session
         return session
 
     def session(self, session_id: str) -> QuerySession:
-        with self._lock:
-            return self._sessions[session_id]
+        return self._sessions[session_id]
 
     def sessions(self) -> List[QuerySession]:
-        with self._lock:
-            return list(self._sessions.values())
+        return list(self._sessions.values())
 
     def cancel_session(self, session_id: str) -> bool:
         """Stop a session; its in-flight and backoff entries are dropped."""
-        with self._lock:
-            session = self._sessions.get(session_id)
-            self._drop_keys(lambda key: key[0] == session_id)
+        session = self._sessions.get(session_id)
+        self._drop_keys(lambda key: key[0] == session_id)
         if session is None or not session.cancel():
             return False
         _obs_count("service.sessions.cancelled")
@@ -222,20 +208,19 @@ class SessionManager:
 
     def attach_member(self, member_id: str) -> bool:
         """Make ``member_id`` available to every open session (idempotent)."""
-        with self._lock:
-            if member_id in self._members:
-                return False
-            self._members.append(member_id)
-            if self.config.breaker_window > 0 and member_id not in self._breakers:
-                self._breakers[member_id] = CircuitBreaker(
-                    window=self.config.breaker_window,
-                    failure_threshold=self.config.breaker_failure_threshold,
-                    cooldown=self.config.breaker_cooldown,
-                    min_events=self.config.breaker_min_events,
-                )
-            sessions = [s for s in self._sessions.values() if s.open]
-        for session in sessions:
-            session.ensure_member(member_id)
+        if member_id in self._members:
+            return False
+        self._members.append(member_id)
+        if self.config.breaker_window > 0 and member_id not in self._breakers:
+            self._breakers[member_id] = CircuitBreaker(
+                window=self.config.breaker_window,
+                failure_threshold=self.config.breaker_failure_threshold,
+                cooldown=self.config.breaker_cooldown,
+                min_events=self.config.breaker_min_events,
+            )
+        for session in self._sessions.values():
+            if session.open:
+                session.ensure_member(member_id)
         _obs_count("service.members.attached")
         return True
 
@@ -247,14 +232,13 @@ class SessionManager:
         are released in every session (the leak fix — see
         :meth:`repro.engine.queue_manager.QueueManager.detach_member`).
         """
-        with self._lock:
-            if member_id not in self._members:
-                return 0
-            self._members.remove(member_id)
-            self._cursor.pop(member_id, None)
-            self._breakers.pop(member_id, None)
-            dropped = self._drop_keys(lambda key: key[1] == member_id)
-            sessions = [s for s in self._sessions.values() if s.open]
+        if member_id not in self._members:
+            return 0
+        self._members.remove(member_id)
+        self._cursor.pop(member_id, None)
+        self._breakers.pop(member_id, None)
+        dropped = self._drop_keys(lambda key: key[1] == member_id)
+        sessions = [s for s in self._sessions.values() if s.open]
         _obs_count("service.members.departed")
         in_flight_nodes: Dict[str, List[Assignment]] = {}
         for key in dropped:
@@ -270,8 +254,7 @@ class SessionManager:
         return reassigned
 
     def members(self) -> List[str]:
-        with self._lock:
-            return list(self._members)
+        return list(self._members)
 
     # ------------------------------------------------------------- dispatch
 
@@ -292,33 +275,32 @@ class SessionManager:
         ):
             # injected dispatch stall: the member gets nothing this round
             return []
-        with self._lock:
-            if member_id not in self._members:
-                raise KeyError(f"member {member_id!r} is not attached")
-            breaker = self._breakers.get(member_id)
-            if breaker is not None and not breaker.allow(now):
-                _obs_count("recovery.breaker.short_circuited")
-                return []
-            held = sum(1 for key in self._in_flight if key[1] == member_id)
-            want = min(
-                k if k is not None else self.config.batch_size,
-                self.config.in_flight_limit - held,
-            )
-            if breaker is not None and breaker.state is BreakerState.HALF_OPEN:
-                want = min(want, 1)  # a single probe decides the next state
-            sessions = [s for s in self._sessions.values() if s.open]
-            if want <= 0 or not sessions:
-                if breaker is not None:
-                    breaker.probe_aborted()
-                return []
-            start = self._cursor.get(member_id, 0) % len(sessions)
-            self._cursor[member_id] = start + 1
-            order = sessions[start:] + sessions[:start]
-            # nodes of this member still inside a backoff window, per session
-            deferred: Dict[str, List[Assignment]] = {}
-            for key, not_before in self._backoff.items():
-                if key[1] == member_id and not_before > now:
-                    deferred.setdefault(key[0], []).append(key[2])
+        if member_id not in self._members:
+            raise KeyError(f"member {member_id!r} is not attached")
+        breaker = self._breakers.get(member_id)
+        if breaker is not None and not breaker.allow(now):
+            _obs_count("recovery.breaker.short_circuited")
+            return []
+        held = sum(1 for key in self._in_flight if key[1] == member_id)
+        want = min(
+            k if k is not None else self.config.batch_size,
+            self.config.in_flight_limit - held,
+        )
+        if breaker is not None and breaker.state is BreakerState.HALF_OPEN:
+            want = min(want, 1)  # a single probe decides the next state
+        sessions = [s for s in self._sessions.values() if s.open]
+        if want <= 0 or not sessions:
+            if breaker is not None:
+                breaker.probe_aborted()
+            return []
+        start = self._cursor.get(member_id, 0) % len(sessions)
+        self._cursor[member_id] = start + 1
+        order = sessions[start:] + sessions[:start]
+        # nodes of this member still inside a backoff window, per session
+        deferred: Dict[str, List[Assignment]] = {}
+        for key, not_before in self._backoff.items():
+            if key[1] == member_id and not_before > now:
+                deferred.setdefault(key[0], []).append(key[2])
         batch: List[DispatchedQuestion] = []
         with _obs_span("service.dispatch"):
             progress = True
@@ -338,38 +320,33 @@ class SessionManager:
         if batch:
             _obs_count("service.questions.dispatched", len(batch))
         elif breaker is not None:
-            with self._lock:
-                breaker.probe_aborted()
+            breaker.probe_aborted()
         return batch
 
     def _issue(
         self, session_id: str, question: PendingQuestion, now: float
     ) -> DispatchedQuestion:
         key = (session_id, question.member_id, question.assignment)
-        with self._lock:
-            attempt = self._attempts.get(key, 0) + 1
-            self._attempts[key] = attempt
-            self._backoff.pop(key, None)
-            window = self.config.question_timeout
-            if self.config.scale_deadlines:
-                # the n-th question a member holds cannot even be looked
-                # at before the n-1 ahead of it are answered; its clock
-                # gets n timeout windows, not one (see ServiceConfig)
-                position = 1 + sum(
-                    1 for held in self._in_flight if held[1] == question.member_id
-                )
-                window *= position
-            dispatched = DispatchedQuestion(
-                session_id,
-                question.member_id,
-                question.assignment,
-                question.text,
-                question.fact_set,
-                attempt=attempt,
-                issued_at=now,
-                deadline=now + window,
-            )
-            self._in_flight[key] = dispatched
+        attempt = self._attempts.get(key, 0) + 1
+        self._attempts[key] = attempt
+        self._backoff.pop(key, None)
+        # the n-th question a member holds cannot even be looked at
+        # before the n-1 ahead of it are answered; its clock gets n
+        # timeout windows, not one (see ServiceConfig.question_timeout)
+        position = 1 + sum(
+            1 for held in self._in_flight if held[1] == question.member_id
+        )
+        dispatched = DispatchedQuestion(
+            session_id,
+            question.member_id,
+            question.assignment,
+            question.text,
+            question.fact_set,
+            attempt=attempt,
+            issued_at=now,
+            deadline=now + position * self.config.question_timeout,
+        )
+        self._in_flight[key] = dispatched
         return dispatched
 
     # --------------------------------------------------------------- answers
@@ -392,12 +369,11 @@ class SessionManager:
         rejected = support is not None and not (
             math.isfinite(support) and 0.0 <= support <= 1.0
         )
-        with self._lock:
-            live = self._in_flight.pop(key, None) is not None
-            if live and not rejected:
-                self._attempts.pop(key, None)
-                self._backoff.pop(key, None)
-            session = self._sessions.get(question.session_id)
+        live = self._in_flight.pop(key, None) is not None
+        if live and not rejected:
+            self._attempts.pop(key, None)
+            self._backoff.pop(key, None)
+        session = self._sessions.get(question.session_id)
         if not live or session is None:
             _obs_count("service.answers.stale")
             return AnswerOutcome.STALE
@@ -444,9 +420,8 @@ class SessionManager:
             _obs_count("service.answers.rejected")
             if question.attempt >= self.config.max_attempts:
                 session.skip(question.member_id, question.assignment)
-                with self._lock:
-                    self._attempts.pop(key, None)
-                    self._backoff.pop(key, None)
+                self._attempts.pop(key, None)
+                self._backoff.pop(key, None)
                 _obs_count("service.retries.exhausted")
                 self._reassign(
                     session, question.assignment, exclude_member=question.member_id
@@ -454,8 +429,7 @@ class SessionManager:
             else:
                 session.expire(question.member_id, question.assignment)
                 delay = self.config.backoff_base * (2 ** (question.attempt - 1))
-                with self._lock:
-                    self._backoff[key] = self.clock() + delay
+                self._backoff[key] = self.clock() + delay
                 _obs_count("service.requeues")
             self._maybe_complete(session)
         self._breaker_feed(question.member_id, success=False)
@@ -466,12 +440,11 @@ class SessionManager:
     ) -> AnswerOutcome:
         """Record a user-guided pruning click on a dispatched question."""
         key = question.key
-        with self._lock:
-            live = self._in_flight.pop(key, None) is not None
-            if live:
-                self._attempts.pop(key, None)
-                self._backoff.pop(key, None)
-            session = self._sessions.get(question.session_id)
+        live = self._in_flight.pop(key, None) is not None
+        if live:
+            self._attempts.pop(key, None)
+            self._backoff.pop(key, None)
+        session = self._sessions.get(question.session_id)
         if not live or session is None:
             _obs_count("service.answers.stale")
             return AnswerOutcome.STALE
@@ -499,13 +472,12 @@ class SessionManager:
         """
         if now is None:
             now = self.clock()
-        with self._lock:
-            overdue = [q for q in self._in_flight.values() if q.deadline <= now]
-            for question in overdue:
-                del self._in_flight[question.key]
-            # elapsed backoff windows no longer defer anything — drop them
-            for key in [k for k, t in self._backoff.items() if t <= now]:
-                del self._backoff[key]
+        overdue = [q for q in self._in_flight.values() if q.deadline <= now]
+        for question in overdue:
+            del self._in_flight[question.key]
+        # elapsed backoff windows no longer defer anything — drop them
+        for key in [k for k, t in self._backoff.items() if t <= now]:
+            del self._backoff[key]
         if not overdue:
             return []
         with _obs_span("service.reap"):
@@ -513,15 +485,13 @@ class SessionManager:
             for question in overdue:
                 _obs_count("service.timeouts")
                 self._breaker_feed(question.member_id, success=False)
-                with self._lock:
-                    session = self._sessions.get(question.session_id)
+                session = self._sessions.get(question.session_id)
                 if session is None or not session.open:
                     continue
                 touched[question.session_id] = session
                 if question.attempt >= self.config.max_attempts:
                     session.skip(question.member_id, question.assignment)
-                    with self._lock:
-                        self._attempts.pop(question.key, None)
+                    self._attempts.pop(question.key, None)
                     _obs_count("service.retries.exhausted")
                     self._reassign(
                         session,
@@ -531,8 +501,7 @@ class SessionManager:
                 else:
                     session.expire(question.member_id, question.assignment)
                     delay = self.config.backoff_base * (2 ** (question.attempt - 1))
-                    with self._lock:
-                        self._backoff[question.key] = now + delay
+                    self._backoff[question.key] = now + delay
                     _obs_count("service.requeues")
             for session in touched.values():
                 self._maybe_complete(session)
@@ -542,15 +511,14 @@ class SessionManager:
         self, session: QuerySession, node: Assignment, exclude_member: str
     ) -> bool:
         """Queue an abandoned node for the least-loaded other member."""
-        with self._lock:
-            candidates = [m for m in self._members if m != exclude_member]
-            if not candidates:
-                return False
-            load = {m: 0 for m in candidates}
-            for key in self._in_flight:
-                if key[1] in load:
-                    load[key[1]] += 1
-            target = min(candidates, key=lambda m: (load[m], m))
+        candidates = [m for m in self._members if m != exclude_member]
+        if not candidates:
+            return False
+        load = {m: 0 for m in candidates}
+        for key in self._in_flight:
+            if key[1] in load:
+                load[key[1]] += 1
+        target = min(candidates, key=lambda m: (load[m], m))
         if session.reassign(target, node):
             _obs_count("service.reassigned")
             return True
@@ -562,15 +530,13 @@ class SessionManager:
         """Close the session if nothing is left to dispatch or wait for."""
         if not session.open:
             return False
-        with self._lock:
-            sid = session.session_id
-            if any(key[0] == sid for key in self._in_flight):
-                return False
-            members = list(self._members)
+        sid = session.session_id
+        if any(key[0] == sid for key in self._in_flight):
+            return False
         # no backoff check: a backed-off node sits on its member's stack, so
         # has_work() sees it; checking the backoff map instead would wedge
         # the session when the node dies (classified by others) meanwhile
-        if session.has_work(members):
+        if session.has_work(self._members):
             return False
         if session.complete():
             _obs_count("service.sessions.completed")
@@ -584,43 +550,56 @@ class SessionManager:
         return all(not s.open for s in self.sessions())
 
     def in_flight(self) -> List[DispatchedQuestion]:
-        with self._lock:
-            return list(self._in_flight.values())
+        return list(self._in_flight.values())
+
+    def next_wakeup(self) -> Optional[float]:
+        """The next instant something here changes by itself, or None.
+
+        The earliest in-flight deadline, backoff end or open-breaker
+        reopen time strictly after now.  When a whole round serves
+        nobody, the in-process loop moves its virtual clock here instead
+        of sleeping.
+        """
+        now = self.clock()
+        times = [question.deadline for question in self._in_flight.values()]
+        times.extend(self._backoff.values())
+        for breaker in self._breakers.values():
+            if breaker.reopens_at is not None:
+                times.append(breaker.reopens_at)
+        future = [when for when in times if when > now]
+        return min(future) if future else None
 
     # -------------------------------------------------------------- breakers
 
     def _breaker_feed(self, member_id: str, *, success: bool) -> None:
         """Feed one dispatch outcome to the member's breaker, if any."""
         now = self.clock()
-        with self._lock:
-            breaker = self._breakers.get(member_id)
-            if breaker is None:
-                return
-            if success:
-                breaker.record_success(now)
-            else:
-                breaker.record_failure(now)
+        breaker = self._breakers.get(member_id)
+        if breaker is None:
+            return
+        if success:
+            breaker.record_success(now)
+        else:
+            breaker.record_failure(now)
 
     def breaker_state(self, member_id: str) -> Optional[BreakerState]:
         """The member's breaker state; None when breakers are disabled."""
-        with self._lock:
-            breaker = self._breakers.get(member_id)
-            return breaker.state if breaker is not None else None
+        breaker = self._breakers.get(member_id)
+        return breaker.state if breaker is not None else None
 
     def breaker_opened_counts(self) -> Dict[str, int]:
         """How often each member's breaker has tripped (quarantine audit)."""
-        with self._lock:
-            return {
-                member: breaker.opened_count
-                for member, breaker in self._breakers.items()
-            }
+        return {
+            member: breaker.opened_count
+            for member, breaker in self._breakers.items()
+        }
 
     # --------------------------------------------------------------- helpers
 
     def _drop_keys(
         self, predicate: Callable[[DispatchKey], bool]
     ) -> List[DispatchKey]:
-        """Remove matching dispatch bookkeeping; caller holds the lock."""
+        """Remove matching dispatch bookkeeping; returns the in-flight keys."""
         dropped = [key for key in self._in_flight if predicate(key)]
         for key in dropped:
             del self._in_flight[key]

@@ -1,54 +1,58 @@
-"""ServiceRunner: worker threads driving a SessionManager to quiescence.
+"""ServiceRunner: one loop driving a SessionManager to quiescence.
 
-The proof of the locking story: N daemon workers pull member ids off a
-shared rotation queue, fetch a batch for that member, play the member's
-scripted behaviour (answer / drop / depart), submit the results and put
-the member back into rotation.  Because a member id is held by exactly
-one worker at a time, each stateful :class:`~repro.crowd.member.
-CrowdMember` is only ever touched by one thread — concurrency comes from
-*different* members being served in parallel, which is also how a real
-crowd behaves.
+OASSIS hands each crowd member the next question of one shared
+traversal (paper §4.2, §6.1), so in-process serving waits on members,
+not on CPU.  The runner therefore needs no threads: each round it serves
+every attached member in turn — fetch a batch, play the member's
+scripted behaviour (answer / drop / depart), submit the results.  When a
+whole round serves nobody (every member is dry, backed off, quarantined
+or at their in-flight cap), the only thing that can change is time, so
+the runner moves the manager's :class:`VirtualClock` straight to the
+next instant anything happens (:meth:`SessionManager.next_wakeup`: an
+in-flight deadline, a backoff end or a breaker reopen) instead of
+sleeping.  A dropped question therefore costs no wall time, and one seed
+replays the same interleaving every time (for a fixed ``PYTHONHASHSEED``;
+see ``docs/SERVICE.md``).
 
 Fault injection (see :mod:`repro.faults`): when the runner carries a
-:class:`~repro.faults.plan.FaultPlan`, two sites are consulted —
-``member.answer`` once per delivered question (timeouts, departures,
-malformed answers, duplicate deliveries override the script's behaviour)
-and ``runner.worker`` once per member checkout (an injected
-:class:`~repro.faults.plan.InjectedCrash` kills the worker thread while
-it holds a member).  A supervisor loop in :meth:`ServiceRunner.run`
-detects dead workers, returns the members they held to rotation and
-respawns replacements, so the pool heals the way a real serving fleet
-would.
-
-The observability tracer is context-local and does not propagate into
-threads, so each worker re-enables the tracer that was active when
-:meth:`ServiceRunner.run` was called; the thread-safe
-:class:`~repro.observability.Tracer` (locked counters, per-thread span
-stacks) then aggregates across workers.
+:class:`~repro.faults.plan.FaultPlan`, the ``member.answer`` site is
+consulted once per delivered question — timeouts, departures, malformed
+answers and duplicate deliveries override the script's behaviour.
 """
 
 from __future__ import annotations
 
-import queue as queue_module
-import threading
 import time
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..crowd.member import CrowdMember
 from ..crowd.questions import ConcreteQuestion
 from ..engine.queue_manager import AnswerOutcome
-from ..faults.plan import MALFORMED_SUPPORT, FaultKind, FaultPlan, InjectedCrash
-from ..observability import (
-    count as _obs_count,
-    disable as _obs_disable,
-    enable as _obs_enable,
-    get_tracer,
-)
+from ..faults.plan import MALFORMED_SUPPORT, FaultKind, FaultPlan
 from .manager import DispatchedQuestion, SessionManager
 
 #: sentinel actions a :class:`MemberScript` can take instead of answering
 DROP = "drop"
 DEPART = "depart"
+
+
+class VirtualClock:
+    """A clock that moves only when told to: the in-process loop's time.
+
+    Pass it as ``clock=`` to a :class:`SessionManager`; the
+    :class:`ServiceRunner` serving that manager advances it whenever a
+    round serves nobody.
+    """
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance_to(self, when: float) -> None:
+        """Move forward to ``when`` (never backwards)."""
+        self.now = max(self.now, when)
 
 
 class MemberScript:
@@ -99,42 +103,40 @@ class MemberScript:
 
 
 class ServiceRunner:
-    """Drives a :class:`SessionManager` with N worker threads."""
+    """Serves a :class:`SessionManager`'s members in turn on one thread.
+
+    The manager must have been built with a :class:`VirtualClock`
+    (``engine.session_manager(clock=VirtualClock(), ...)``): the runner
+    moves that clock instead of waiting on it.
+    """
 
     def __init__(
         self,
         manager: SessionManager,
         scripts: Iterable[MemberScript],
         *,
-        workers: int = 4,
         batch_size: Optional[int] = None,
-        poll_interval: float = 0.002,
         max_runtime: float = 60.0,
         faults: Optional[FaultPlan] = None,
         audit: bool = False,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
+        if not isinstance(manager.clock, VirtualClock):
+            raise TypeError(
+                "ServiceRunner needs a SessionManager built with "
+                "clock=VirtualClock()"
+            )
         self.manager = manager
+        self.clock: VirtualClock = manager.clock
         self.scripts: Dict[str, MemberScript] = {
             script.member_id: script for script in scripts
         }
-        self.workers = workers
         self.batch_size = batch_size
-        self.poll_interval = poll_interval
         self.max_runtime = max_runtime
         self.faults = faults if faults is not None else manager.faults
         self.timed_out = False
-        self.crashed_workers = 0
         #: when ``audit`` is on: one entry per submission attempt, for
-        #: durability invariant checks (see repro.faults.chaos).  Guarded
-        #: by _audit_lock — deliberately NOT named ``_lock``/``lock`` so
-        #: the static lock-nesting rule keeps tracking only the two
-        #: contract locks.
+        #: durability invariant checks (see repro.faults.chaos)
         self.audit: Optional[List[Dict[str, object]]] = [] if audit else None
-        self._audit_lock = threading.Lock()
-        # members held by workers that crashed, awaiting return to rotation
-        self._lost_members: List[str] = []
 
     # ----------------------------------------------------------------- audit
 
@@ -146,120 +148,59 @@ class ServiceRunner:
     ) -> None:
         if self.audit is None:
             return
-        entry: Dict[str, object] = {
-            "session_id": question.session_id,
-            "member_id": question.member_id,
-            "assignment": repr(question.assignment),
-            "support": support,
-            "outcome": outcome.value,
-        }
-        with self._audit_lock:
-            self.audit.append(entry)
+        self.audit.append(
+            {
+                "session_id": question.session_id,
+                "member_id": question.member_id,
+                "assignment": repr(question.assignment),
+                "support": support,
+                "outcome": outcome.value,
+            }
+        )
 
     # ------------------------------------------------------------------- run
 
     def run(self) -> Dict:
         """Serve until every session settles; returns a summary report.
 
-        Attaches the scripted members (idempotent), spins up the worker
-        pool and blocks until :meth:`SessionManager.all_done` or
-        ``max_runtime`` elapses (the deadlock guard — ``timed_out`` is set
-        in the report instead of hanging forever).  Workers killed by an
-        injected crash are respawned and the member they held is returned
-        to rotation.
+        Attaches the scripted members (idempotent), then serves rounds
+        until :meth:`SessionManager.all_done`.  ``max_runtime`` (wall
+        seconds) is the livelock guard: ``timed_out`` is set in the
+        report instead of looping forever.
         """
         for member_id in self.scripts:
             self.manager.attach_member(member_id)
-        tracer = get_tracer()
-        rotation: "queue_module.Queue[str]" = queue_module.Queue()
-        for member_id in self.scripts:
-            rotation.put(member_id)
-        stop = threading.Event()
+        rotation = list(self.scripts)
         started = time.perf_counter()
-        deadline = started + self.max_runtime
-
-        def serve() -> None:
-            if tracer is not None:
-                _obs_enable(tracer)
-            try:
-                while not stop.is_set():
-                    if time.perf_counter() >= deadline:
-                        self.timed_out = True
-                        stop.set()
-                        return
-                    try:
-                        member_id = rotation.get(timeout=self.poll_interval)
-                    except queue_module.Empty:
-                        self.manager.reap_expired()
-                        if self.manager.all_done():
-                            stop.set()
-                        continue
-                    try:
-                        self._serve_member(member_id, rotation, stop)
-                    except InjectedCrash:
-                        # the worker dies holding the member; the
-                        # supervisor respawns us and requeues them
-                        self.crashed_workers += 1
-                        _obs_count("service.workers.crashed")
-                        with self._audit_lock:
-                            self._lost_members.append(member_id)
-                        return
-            finally:
-                if tracer is not None:
-                    _obs_disable()
-
-        def spawn(index: int) -> threading.Thread:
-            thread = threading.Thread(
-                target=serve, name=f"service-worker-{index}", daemon=True
-            )
-            thread.start()
-            return thread
-
-        threads = [spawn(index) for index in range(self.workers)]
-        # Supervisor: watch for crashed workers, heal the pool, and stop
-        # the run even if every worker died at once.
-        while not stop.is_set():
-            if time.perf_counter() >= deadline:
+        while not self.manager.all_done():
+            if time.perf_counter() - started >= self.max_runtime:
                 self.timed_out = True
-                stop.set()
                 break
-            for index, thread in enumerate(threads):
-                if not thread.is_alive() and not stop.is_set():
-                    with self._audit_lock:
-                        lost = self._lost_members
-                        self._lost_members = []
-                    for member_id in lost:
-                        rotation.put(member_id)
-                    threads[index] = spawn(index)
-            self.manager.reap_expired()
-            if self.manager.all_done():
-                stop.set()
-                break
-            time.sleep(self.poll_interval)
-        for thread in threads:
-            thread.join(timeout=self.max_runtime + 5 * self.poll_interval + 1.0)
-        elapsed = time.perf_counter() - started
-        return self._report(elapsed)
+            served = False
+            for member_id in list(rotation):
+                handed, stays = self._serve_member(member_id)
+                served = served or handed
+                if not stays:
+                    rotation.remove(member_id)
+            if not served:
+                wakeup = self.manager.next_wakeup()
+                if wakeup is not None:
+                    self.clock.advance_to(wakeup)
+        return self._report(time.perf_counter() - started)
 
-    def _serve_member(
-        self,
-        member_id: str,
-        rotation: "queue_module.Queue[str]",
-        stop: threading.Event,
-    ) -> None:
-        """One rotation turn: fetch a batch, play the member, submit."""
-        if self.faults is not None:
-            self.faults.maybe_crash("runner.worker", member_id)
+    def _serve_member(self, member_id: str) -> Tuple[bool, bool]:
+        """One turn: fetch a batch, play the member, submit.
+
+        Returns ``(handed a question, stays in rotation)``.
+        """
         script = self.scripts[member_id]
-        requeue = True
         batch = self.manager.next_batch(member_id, k=self.batch_size)
         for question in batch:
             action = self._respond(script, question)
             if isinstance(action, str):
                 if action == DEPART:
                     self.manager.detach_member(member_id)
-                    requeue = False
-                    break
+                    return True, False
                 continue  # DROP — never answered: reaped at its deadline
             deliveries = 1
             if isinstance(action, tuple):
@@ -269,14 +210,7 @@ class ServiceRunner:
             for _ in range(deliveries):
                 outcome = self.manager.submit(question, support)
                 self._note_submission(question, support, outcome)
-        self.manager.reap_expired()
-        if self.manager.all_done():
-            stop.set()
-        if requeue and not stop.is_set():
-            rotation.put(member_id)
-        if not batch:
-            # dry or backed off right now; yield before retrying
-            time.sleep(self.poll_interval)
+        return bool(batch), True
 
     def _respond(
         self, script: MemberScript, question: DispatchedQuestion
@@ -314,10 +248,9 @@ class ServiceRunner:
             }
         settled = sum(1 for s in sessions.values() if s["state"] != "open")
         return {
-            "workers": self.workers,
             "elapsed_seconds": elapsed,
+            "virtual_seconds": self.clock.now,
             "timed_out": self.timed_out,
-            "crashed_workers": self.crashed_workers,
             "faults_injected": (
                 self.faults.injected() if self.faults is not None else {}
             ),

@@ -1,23 +1,17 @@
-"""One live query session: a locked QueueManager plus its crowd cache.
+"""One live query session: a QueueManager plus its crowd cache.
 
 A :class:`QuerySession` is the unit the :class:`~repro.service.manager.
 SessionManager` multiplexes members across.  It owns
 
 * the per-query :class:`~repro.engine.queue_manager.QueueManager` (the
-  traversal stacks, classification state and aggregator),
+  traversal stacks, classification state and aggregator), and
 * the session's :class:`~repro.crowd.cache.CrowdCache` (every answer paid
-  for, the source of snapshot/resume), and
-* **the session lock** — the documented locking contract: neither the
-  queue manager nor its :class:`~repro.mining.state.ClassificationState`
-  is internally synchronized (even ``status()`` mutates memos), so every
-  read and write goes through this one re-entrant lock.  All public
-  methods of this class take it; callers may also take it explicitly to
-  group several calls into one atomic step.
+  for, the source of snapshot/resume).
 
-Lock ordering (see ``docs/SERVICE.md``): the manager lock and a session
-lock are never held at the same time — manager-level bookkeeping and
-session-level traversal are separate critical sections, so sessions never
-deadlock against the manager or against each other.
+Neither the queue manager nor its :class:`~repro.mining.state.
+ClassificationState` is synchronized (even ``status()`` mutates memos);
+the thread that owns the manager owns its sessions too (see
+``docs/SERVICE.md``).
 """
 
 from __future__ import annotations
@@ -27,7 +21,6 @@ import os
 from collections import defaultdict
 from typing import Collection, Dict, Iterable, List, Optional, Tuple, Union
 
-from ..analysis.lockcheck import named_rlock
 from ..assignments.assignment import Assignment
 from ..crowd.cache import CrowdCache
 from ..engine.queue_manager import AnswerOutcome, PendingQuestion, QueueManager
@@ -49,7 +42,7 @@ class SessionState(enum.Enum):
 
 
 class QuerySession:
-    """A single query being mined by the crowd, safe to drive concurrently."""
+    """A single query being mined by the crowd."""
 
     def __init__(
         self,
@@ -70,13 +63,12 @@ class QuerySession:
         #: checkpoint/restore (the AST has no serializer)
         self.query_text = query_text
         self.sample_size = sample_size
-        self.lock = named_rlock("service.session")
         self.state = SessionState.OPEN
         self.resumed_answers = 0
         # member -> cached (assignment, support) pairs, filled on resume so
         # late-attaching members start from the cached frontier
         self._cached_by_member: Dict[str, List[Tuple[Assignment, float]]] = {}
-        # checkpointing (enable_checkpoints); guarded by the session lock
+        # checkpointing (enable_checkpoints)
         self._checkpoint_path: Optional[str] = None
         self._checkpoint_every = 0
         self._recorded_since_checkpoint = 0
@@ -94,40 +86,36 @@ class QuerySession:
         any member is attached.  Per-member answer maps are seeded later,
         at attach time (:meth:`ensure_member`), so nothing double-counts.
         """
-        with self.lock:
-            by_member: Dict[str, List[Tuple[Assignment, float]]] = defaultdict(list)
-            count = 0
-            for assignment in list(self.cache.assignments()):
-                for member_id, support in self.cache.answers_for(assignment):
-                    self.queue.preload(assignment, member_id, support)
-                    by_member[member_id].append((assignment, support))
-                    count += 1
-            self._cached_by_member = dict(by_member)
-            self.resumed_answers = count
-            return count
+        by_member: Dict[str, List[Tuple[Assignment, float]]] = defaultdict(list)
+        count = 0
+        for assignment in list(self.cache.assignments()):
+            for member_id, support in self.cache.answers_for(assignment):
+                self.queue.preload(assignment, member_id, support)
+                by_member[member_id].append((assignment, support))
+                count += 1
+        self._cached_by_member = dict(by_member)
+        self.resumed_answers = count
+        return count
 
     def ensure_member(self, member_id: str) -> None:
         """Register a member; on resumed sessions, seed their cached answers."""
-        with self.lock:
-            fresh = not self.queue.is_registered(member_id)
-            self.queue.register_member(member_id)
-            if fresh:
-                for assignment, support in self._cached_by_member.get(member_id, ()):
-                    self.queue.mark_answered(member_id, assignment, support)
+        fresh = not self.queue.is_registered(member_id)
+        self.queue.register_member(member_id)
+        if fresh:
+            for assignment, support in self._cached_by_member.get(member_id, ()):
+                self.queue.mark_answered(member_id, assignment, support)
 
     def complete(self) -> bool:
-        with self.lock:
-            if self.state is not SessionState.OPEN:
-                return False
-            self.state = SessionState.COMPLETED
-            return True
+        if self.state is not SessionState.OPEN:
+            return False
+        self.state = SessionState.COMPLETED
+        return True
 
     def cancel(self) -> bool:
-        with self.lock:
-            if self.state is not SessionState.OPEN:
-                return False
-            self.state = SessionState.CANCELLED
-            return True
+        if self.state is not SessionState.OPEN:
+            return False
+        self.state = SessionState.CANCELLED
+        return True
 
     @property
     def open(self) -> bool:
@@ -139,56 +127,49 @@ class QuerySession:
         self, member_id: str, k: int, exclude: Collection[Assignment] = ()
     ) -> List[PendingQuestion]:
         """Up to ``k`` not-yet-dispatched questions for ``member_id``."""
-        with self.lock:
-            if self.state is not SessionState.OPEN:
-                return []
-            return self.queue.next_batch(
-                member_id, k, fresh_only=True, exclude=exclude
-            )
+        if self.state is not SessionState.OPEN:
+            return []
+        return self.queue.next_batch(
+            member_id, k, fresh_only=True, exclude=exclude
+        )
 
     def submit(
         self, member_id: str, assignment: Assignment, support: float
     ) -> AnswerOutcome:
-        with self.lock:
-            if self.state is not SessionState.OPEN:
-                return AnswerOutcome.STALE
-            outcome = self.queue.submit_support(member_id, support, assignment)
-            if outcome is AnswerOutcome.RECORDED:
-                self._note_recorded()
-            return outcome
+        if self.state is not SessionState.OPEN:
+            return AnswerOutcome.STALE
+        outcome = self.queue.submit_support(member_id, support, assignment)
+        if outcome is AnswerOutcome.RECORDED:
+            self._note_recorded()
+        return outcome
 
     def prune(
         self, member_id: str, value: Term, assignment: Assignment
     ) -> AnswerOutcome:
-        with self.lock:
-            if self.state is not SessionState.OPEN:
-                return AnswerOutcome.STALE
-            outcome = self.queue.submit_prune(member_id, value, assignment)
-            if outcome is AnswerOutcome.PRUNED:
-                self._note_recorded()
-            return outcome
+        if self.state is not SessionState.OPEN:
+            return AnswerOutcome.STALE
+        outcome = self.queue.submit_prune(member_id, value, assignment)
+        if outcome is AnswerOutcome.PRUNED:
+            self._note_recorded()
+        return outcome
 
     def expire(self, member_id: str, assignment: Assignment) -> bool:
         """Return a timed-out question to the member's queue."""
-        with self.lock:
-            return bool(self.queue.expire_pending(member_id, assignment))
+        return bool(self.queue.expire_pending(member_id, assignment))
 
     def skip(self, member_id: str, assignment: Assignment) -> None:
         """Abandon the node for this member (retries exhausted / passed)."""
-        with self.lock:
-            self.queue.skip_node(member_id, assignment)
+        self.queue.skip_node(member_id, assignment)
 
     def reassign(self, member_id: str, assignment: Assignment) -> bool:
         """Queue an abandoned node for another member."""
-        with self.lock:
-            if self.state is not SessionState.OPEN:
-                return False
-            return self.queue.requeue_for(member_id, assignment)
+        if self.state is not SessionState.OPEN:
+            return False
+        return self.queue.requeue_for(member_id, assignment)
 
     def detach(self, member_id: str) -> List[Assignment]:
         """Release the member's structures; returns their abandoned nodes."""
-        with self.lock:
-            return self.queue.detach_member(member_id)
+        return self.queue.detach_member(member_id)
 
     # ------------------------------------------------------------ completion
 
@@ -198,37 +179,32 @@ class QuerySession:
         True when a question is still handed out, or any of the given
         members could still be asked something fresh.
         """
-        with self.lock:
-            if self.queue.has_pending():
-                return True
-            return any(self.queue.has_fresh_work(m) for m in member_ids)
+        if self.queue.has_pending():
+            return True
+        return any(self.queue.has_fresh_work(m) for m in member_ids)
 
     # --------------------------------------------------------------- results
 
     def msps(self) -> List[Assignment]:
         """All confirmed MSPs so far (valid and near-miss)."""
-        with self.lock:
-            return self.queue.current_msps()
+        return self.queue.current_msps()
 
     def valid_msps(self) -> List[Assignment]:
-        with self.lock:
-            return self.queue.current_valid_msps()
+        return self.queue.current_valid_msps()
 
     def questions_asked(self) -> int:
-        with self.lock:
-            return self.queue.questions_asked
+        return self.queue.questions_asked
 
     def result(self) -> QueryResult:
         """The session's answer set as a standard :class:`QueryResult`."""
-        with self.lock:
-            return build_result(
-                self.query,
-                self.queue.space,
-                self.queue.current_msps(),
-                self.queue.questions_asked,
-                support_of=self.queue.aggregator.average_support,
-                include_invalid=self.include_invalid,
-            )
+        return build_result(
+            self.query,
+            self.queue.space,
+            self.queue.current_msps(),
+            self.queue.questions_asked,
+            support_of=self.queue.aggregator.average_support,
+            include_invalid=self.include_invalid,
+        )
 
     def snapshot(self) -> CrowdCache:
         """A point-in-time copy of the session's answer cache.
@@ -237,8 +213,7 @@ class QuerySession:
         resume=True)`` later reconstructs the aggregator state without
         re-asking the crowd.
         """
-        with self.lock:
-            return self.cache.snapshot()
+        return self.cache.snapshot()
 
     # ----------------------------------------------------------- checkpoints
 
@@ -260,37 +235,34 @@ class QuerySession:
                 "checkpointing requires query_text (create the session "
                 "from an OASSIS-QL string, not a parsed Query)"
             )
-        with self.lock:
-            self._checkpoint_path = os.fspath(path)
-            self._checkpoint_every = every
+        self._checkpoint_path = os.fspath(path)
+        self._checkpoint_every = every
         self.write_checkpoint()
 
     def checkpoint_payload(self) -> Dict[str, object]:
         """The JSON-serializable restore metadata (see ``docs/RELIABILITY.md``)."""
-        with self.lock:
-            return {
-                "version": CHECKPOINT_VERSION,
-                "session_id": self.session_id,
-                "query": self.query_text,
-                "sample_size": self.sample_size,
-                "include_invalid": self.include_invalid,
-                "questions_asked": self.queue.questions_asked,
-                "state": self.state.value,
-            }
+        return {
+            "version": CHECKPOINT_VERSION,
+            "session_id": self.session_id,
+            "query": self.query_text,
+            "sample_size": self.sample_size,
+            "include_invalid": self.include_invalid,
+            "questions_asked": self.queue.questions_asked,
+            "state": self.state.value,
+        }
 
     def write_checkpoint(self) -> bool:
         """Force a checkpoint write now; False when checkpointing is off."""
-        with self.lock:
-            if self._checkpoint_path is None:
-                return False
-            payload = self.checkpoint_payload()
-            atomic_write_json(self._checkpoint_path, payload)
-            self._recorded_since_checkpoint = 0
+        if self._checkpoint_path is None:
+            return False
+        payload = self.checkpoint_payload()
+        atomic_write_json(self._checkpoint_path, payload)
+        self._recorded_since_checkpoint = 0
         _obs_count("recovery.checkpoints.written")
         return True
 
     def _note_recorded(self) -> None:
-        """Count an applied answer; periodically checkpoint.  Lock held."""
+        """Count an applied answer; periodically checkpoint."""
         if self._checkpoint_path is None:
             return
         self._recorded_since_checkpoint += 1

@@ -794,7 +794,6 @@ class ShardCoordinator:
         settled = sum(1 for s in sessions.values() if s["state"] != "open")
         elapsed = self._elapsed
         return {
-            "workers": self.shards,
             "shards": self.shards,
             "elapsed_seconds": elapsed,
             "timed_out": self.timed_out,

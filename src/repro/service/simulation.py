@@ -24,7 +24,7 @@ from ..datasets.base import DomainDataset
 from ..engine.engine import OassisEngine
 from ..faults.plan import FaultPlan
 from .manager import SessionManager
-from .runner import MemberScript, ServiceRunner
+from .runner import MemberScript, ServiceRunner, VirtualClock
 
 
 class _DemoDataset:
@@ -94,7 +94,6 @@ def run_simulation(
     *,
     domain: str = "demo",
     sessions: int = 8,
-    workers: int = 4,
     crowd_size: int = 6,
     sample_size: int = 3,
     thresholds: Sequence[float] = DEFAULT_THRESHOLDS,
@@ -120,6 +119,11 @@ def run_simulation(
 ) -> Dict:
     """Serve ``sessions`` concurrent sessions of ``domain``; report stats.
 
+    In-process serving runs the single-threaded :class:`ServiceRunner`
+    loop on a :class:`VirtualClock`: ``question_timeout``,
+    ``backoff_base`` and ``breaker_cooldown`` are virtual seconds, so a
+    dropped question costs no wall time.
+
     ``drop_every`` makes every member ignore every n-th question (injected
     timeouts); ``departures`` makes that many members (the highest ids)
     leave after ``depart_after`` answers.  Keep
@@ -141,9 +145,9 @@ def run_simulation(
     crowd; mismatches are listed in the report and flip ``verified``.
 
     ``shards > 0`` serves the campaign through that many worker
-    *processes* instead of a thread pool (PR 7,
-    :mod:`repro.service.shard`) — same report shape, same oracle.  The
-    thread-mode fault knobs (``drop_every``, ``departures``, ``faults``,
+    *processes* instead of the in-process loop
+    (:mod:`repro.service.shard`) — same report shape, same oracle.  The
+    in-process fault knobs (``drop_every``, ``departures``, ``faults``,
     ``checkpoint_every``, ``breaker_window``, ``audit``) do not apply
     there; shard chaos is injected via
     :func:`~repro.service.shard.run_sharded_simulation` directly.
@@ -162,7 +166,7 @@ def run_simulation(
         ]
         if offending:
             raise ValueError(
-                "sharded mode does not support thread-mode fault knobs: "
+                "sharded mode does not support in-process fault knobs: "
                 + ", ".join(sorted(offending))
             )
         from .shard import run_sharded_simulation
@@ -199,6 +203,7 @@ def run_simulation(
         breaker_window=breaker_window,
         breaker_cooldown=breaker_cooldown,
         faults=faults,
+        clock=VirtualClock(),
     )
     queries = {}
     caches: List[CrowdCache] = []
@@ -235,7 +240,6 @@ def run_simulation(
     runner = ServiceRunner(
         manager,
         scripts,
-        workers=workers,
         max_runtime=max_runtime,
         faults=faults,
         audit=audit,

@@ -114,85 +114,6 @@ class TestHygieneRules:
         assert result.findings[0].line == 3
 
 
-class TestLockNestingRule:
-    def test_nested_with_fires(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/service/manager.py",
-            "class SessionManager:\n"
-            "    def bad(self, session):\n"
-            "        with self._lock:\n"
-            "            with session.lock:\n"
-            "                pass\n",
-        )
-        result = lint(tmp_path, "lock-nesting")
-        assert rule_ids(result) == ["lock-nesting"]
-        assert "session lock acquired" in result.findings[0].message
-
-    def test_session_call_under_manager_lock_fires(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/service/manager.py",
-            "class SessionManager:\n"
-            "    def bad(self, session, member_id):\n"
-            "        with self._lock:\n"
-            "            return session.next_fresh(member_id, 1)\n",
-        )
-        result = lint(tmp_path, "lock-nesting")
-        assert rule_ids(result) == ["lock-nesting"]
-        assert "next_fresh" in result.findings[0].message
-
-    def test_manager_call_under_session_lock_fires(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/service/session.py",
-            "class QuerySession:\n"
-            "    def bad(self, manager, session):\n"
-            "        with session.lock:\n"
-            "            manager.reap_expired()\n",
-        )
-        result = lint(tmp_path, "lock-nesting")
-        assert rule_ids(result) == ["lock-nesting"]
-        assert "reap_expired" in result.findings[0].message
-
-    def test_sequential_sections_are_silent(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/service/manager.py",
-            "class SessionManager:\n"
-            "    def good(self, session, member_id):\n"
-            "        with self._lock:\n"
-            "            state = dict(self._dispatched)\n"
-            "        return session.next_fresh(member_id, 1)\n",
-        )
-        assert lint(tmp_path, "lock-nesting").findings == []
-
-    def test_nested_function_resets_held_lock(self, tmp_path):
-        # a closure defined under the lock runs later, outside it
-        write(
-            tmp_path,
-            "repro/service/manager.py",
-            "class SessionManager:\n"
-            "    def good(self, session):\n"
-            "        with self._lock:\n"
-            "            def later():\n"
-            "                return session.msps()\n"
-            "            self._callbacks.append(later)\n",
-        )
-        assert lint(tmp_path, "lock-nesting").findings == []
-
-    def test_other_packages_are_out_of_scope(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/mining/other.py",
-            "def f(self, session):\n"
-            "    with self._lock:\n"
-            "        with session.lock:\n"
-            "            pass\n",
-        )
-        assert lint(tmp_path, "lock-nesting").findings == []
-
-
 class TestVersionStampRule:
     HEADER = "class PartialOrder:\n"
 
@@ -542,17 +463,6 @@ class TestForkUnsafeStateRule:
         )
         result = lint(tmp_path, "fork-unsafe-state")
         assert rule_ids(result) == ["fork-unsafe-state"] * 2
-
-    def test_named_lock_factory_fires(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/engine/mod.py",
-            "from repro.analysis.lockcheck import named_lock\n"
-            "_GUARD = named_lock('engine.global')\n",
-        )
-        assert rule_ids(lint(tmp_path, "fork-unsafe-state")) == [
-            "fork-unsafe-state"
-        ]
 
     def test_annotated_assignment_fires(self, tmp_path):
         write(

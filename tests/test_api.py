@@ -96,7 +96,7 @@ class TestBatchStyle:
 
     def test_simulate_defaults_to_the_active_domain(self, client):
         report = client.simulate(
-            sessions=1, workers=2, crowd_size=4, sample_size=3,
+            sessions=1, crowd_size=4, sample_size=3,
             question_timeout=0.25, max_runtime=30.0, seed=0,
         )
         assert report["domain"] == "demo"
@@ -142,7 +142,7 @@ class TestLegacyShims:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             report = api.run_simulation(
-                domain="demo", sessions=1, workers=2, crowd_size=4,
+                domain="demo", sessions=1, crowd_size=4,
                 sample_size=3, question_timeout=0.25, max_runtime=30.0,
                 seed=0,
             )
@@ -173,7 +173,7 @@ class TestLegacyShims:
             warnings.simplefilter("always")
             api.execute(dataset.ontology, dataset.query(0.4), members)
             api.run_simulation(
-                domain="demo", sessions=1, workers=1, crowd_size=4,
+                domain="demo", sessions=1, crowd_size=4,
                 sample_size=3, question_timeout=0.25, max_runtime=30.0,
                 seed=0,
             )

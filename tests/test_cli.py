@@ -94,14 +94,14 @@ class TestRunCommand:
 
 class TestServeSimCommand:
     ARGS = [
-        "serve-sim", "--sessions", "2", "--workers", "2",
+        "serve-sim", "--sessions", "2",
         "--crowd-size", "3", "--drop-every", "0", "--departures", "0",
     ]
 
     def test_serve_sim_text_report(self, capsys):
         assert main(self.ARGS) == 0
         out = capsys.readouterr().out
-        assert "2 session(s), 2 worker(s)" in out
+        assert "2 session(s), in-process loop" in out
         assert "serial MSP check: identical" in out
 
     def test_serve_sim_json_report(self, capsys):
@@ -157,7 +157,7 @@ class TestLintCommand:
     def test_lint_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "lock-nesting" in out
+        assert "tracer-name" in out
         assert "version-stamp" in out
 
     def test_lint_missing_path_exits_two(self, tmp_path, capsys):

@@ -3,10 +3,7 @@
 Fixture tests write a miniature ``repro`` package under ``tmp_path``
 (the deep rules key on ``repro/...`` path prefixes) and assert each rule
 fires with a witness call chain — and stays silent on the sanitized
-counterpart.  The real source tree must come out clean, and the static
-lock-order graph must be a superset of what the dynamic
-:mod:`~repro.analysis.lockcheck` checker observes on a real serving run
-(the cross-validation contract of docs/ANALYSIS.md).
+counterpart.  The real source tree must come out clean.
 """
 
 import io
@@ -14,12 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import lockcheck
 from repro.analysis.deep import (
     RULE_ANNOTATION,
     RULE_ASYNC_BLOCKING,
     RULE_DETERMINISM,
-    RULE_LOCK_ORDER,
     RULE_WIRE_TAINT,
     analyze,
     explain_function,
@@ -65,28 +60,6 @@ def clean_route(app: GatewayApp, message):
     return app.submit_answer(decoded)
 """
 
-SERVICE_LOCKS = """\
-from repro.analysis import named_lock
-
-
-class Manager:
-    def __init__(self):
-        self._lock = named_lock("service.manager")
-
-    def submit(self, session):
-        with self._lock:
-            return session.poke()
-
-
-class Session:
-    def __init__(self):
-        self.lock = named_lock("service.session")
-
-    def poke(self):
-        with self.lock:
-            return 1
-"""
-
 MINING_ALGO = """\
 import time
 
@@ -120,7 +93,6 @@ def violating_tree(tmp_path):
         tmp_path,
         {
             "gateway/http.py": GATEWAY_HTTP,
-            "service/locks.py": SERVICE_LOCKS,
             "mining/algo.py": MINING_ALGO,
         },
     )
@@ -188,15 +160,6 @@ class TestEffectInference:
         (finding,) = by_rule(result, RULE_ANNOTATION)
         assert "flurble" in finding.message
 
-    def test_lock_roles_and_reentrancy_from_factories(self, violating_tree):
-        analysis = analyze(violating_tree)
-        submit = "repro.service.locks.Manager.submit"
-        assert analysis.effects_of(submit) >= {
-            "lock-acquire[service.manager]",
-            "lock-acquire[service.session]",
-        }
-        assert analysis.reentrant_roles == set()
-
     def test_fixpoint_terminates_on_recursion(self, tmp_path):
         root = write_fixture(
             tmp_path,
@@ -244,62 +207,6 @@ class TestDeepRules:
         assert "wall-clock" in finding.message
         assert "time.time@5" in finding.message
 
-    def test_lock_order_rediscovers_the_manager_session_contract(
-        self, violating_tree
-    ):
-        # nothing in the fixture names the contract: the rule must infer
-        # manager-held -> session-acquired purely from the call graph
-        result = run_deep([str(violating_tree)])
-        findings = by_rule(result, RULE_LOCK_ORDER)
-        assert any(
-            "<service.manager> held while acquiring <service.session>"
-            in f.message
-            for f in findings
-        )
-        assert ("service.manager", "service.session") in result.lock_pairs
-
-    def test_same_role_nesting_on_plain_lock_fires(self, tmp_path):
-        root = write_fixture(
-            tmp_path,
-            {
-                "service/bad.py": (
-                    "from repro.analysis import named_lock\n\n\n"
-                    "class Deadlocky:\n"
-                    "    def __init__(self):\n"
-                    "        self._lock = named_lock('service.plain')\n\n"
-                    "    def outer(self):\n"
-                    "        with self._lock:\n"
-                    "            with self._lock:\n"
-                    "                return 1\n"
-                )
-            },
-        )
-        result = run_deep([str(root)])
-        (finding,) = by_rule(result, RULE_LOCK_ORDER)
-        assert "same-role lock nesting on <service.plain>" in finding.message
-
-    def test_reentrant_role_re_entry_is_not_an_ordering_event(self, tmp_path):
-        root = write_fixture(
-            tmp_path,
-            {
-                "service/ok.py": (
-                    "from repro.analysis import named_rlock\n\n\n"
-                    "class Careful:\n"
-                    "    def __init__(self):\n"
-                    "        self._lock = named_rlock('service.careful')\n\n"
-                    "    def outer(self):\n"
-                    "        with self._lock:\n"
-                    "            return self.inner()\n\n"
-                    "    def inner(self):\n"
-                    "        with self._lock:\n"
-                    "            return 1\n"
-                )
-            },
-        )
-        result = run_deep([str(root)])
-        assert by_rule(result, RULE_LOCK_ORDER) == []
-        assert result.lock_pairs == set()
-
     def test_wire_taint_fires_only_on_the_undecoded_path(
         self, violating_tree
     ):
@@ -314,46 +221,14 @@ class TestRealTree:
     def test_real_tree_is_clean(self, real_result):
         assert real_result.findings == []
 
-    def test_static_lock_graph_is_a_superset_of_dynamic_observations(
-        self, real_result
-    ):
-        """docs/ANALYSIS.md: static-lock-order >= dynamic lockcheck.
-
-        Run a real (small) serving campaign under the dynamic checker;
-        every (held, acquired) role pair it observes at runtime must
-        already be an edge of the statically computed lock graph.
-        """
-        from repro.service import run_simulation
-
-        with lockcheck.checking() as checker:
-            report = run_simulation(
-                domain="demo",
-                sessions=2,
-                workers=2,
-                crowd_size=4,
-                seed=0,
-            )
-        assert report["verified"]
-        assert checker.observed, "campaign exercised no nested locking"
-        assert checker.observed <= real_result.lock_pairs
-
-    def test_static_graph_rediscovers_the_session_cache_edge(
-        self, real_result
-    ):
-        # the one real nested acquisition in the serving stack
-        assert ("service.session", "crowd.cache") in real_result.lock_pairs
-        # and the documented contract holds statically, both ways
-        assert ("service.manager", "service.session") not in real_result.lock_pairs
-        assert ("service.session", "service.manager") not in real_result.lock_pairs
-
     def test_explain_renders_effects_and_callers(self, real_analysis):
         stream = io.StringIO()
         code = explain_function(
-            [str(REPO_SRC / "repro")], "SessionManager.submit", stream
+            [str(REPO_SRC / "repro")], "GatewayClient.next_questions", stream
         )
         assert code == 0
         text = stream.getvalue()
-        assert "lock-acquire[service.manager]" in text
+        assert "blocking-io" in text
         assert "->" in text  # at least one witness chain rendered
 
     def test_explain_unknown_function_fails(self):
@@ -376,7 +251,6 @@ class TestResultCache:
         assert [f.message for f in second.findings] == [
             f.message for f in first.findings
         ]
-        assert second.lock_pairs == first.lock_pairs
         # any byte change to any analyzed file misses the cache
         target = violating_tree / "mining" / "algo.py"
         target.write_text(

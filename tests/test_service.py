@@ -1,52 +1,30 @@
-"""Concurrency suite for repro.service: sessions, deadlines, departures.
+"""Suite for repro.service: sessions, deadlines, departures, the loop.
 
 The unit tests drive a :class:`SessionManager` with an injectable fake
 clock, so timeout / backoff / reassignment paths are exercised without
-sleeping.  The integration tests run the threaded simulation and assert
-the service layer's correctness oracle: every session's MSP set equals a
-serial ``engine.execute`` of the same query.
+sleeping.  The integration tests run the in-process simulation and
+assert the service layer's correctness oracle: every session's MSP set
+equals a serial ``engine.execute`` of the same query.
 """
+
+import time
 
 import pytest
 
 from repro import OassisEngine
-from repro.analysis import lockcheck
 from repro.crowd.questions import ConcreteQuestion
 from repro.engine import AnswerOutcome
+from repro.faults import BreakerState
 from repro.observability import derive_service, tracing
 from repro.service import (
     MemberScript,
     ServiceConfig,
     ServiceRunner,
     SessionState,
+    VirtualClock,
     run_simulation,
 )
 from repro.service.simulation import DOMAINS, build_identical_crowd
-
-
-#: the docs/SERVICE.md contract: these locks are never held together
-_FORBIDDEN = [
-    ("service.manager", "service.session"),
-]
-
-
-@pytest.fixture(autouse=True)
-def lock_order_checker():
-    """Run every service test under the dynamic lock-order checker.
-
-    Locks created by SessionManager / QuerySession / CrowdCache while a
-    checker is installed are tracked wrappers: any manager/session
-    co-holding or acquisition-order cycle raises LockOrderError instead
-    of deadlocking, so the suite machine-checks the locking contract.
-    """
-    checker = lockcheck.install(
-        lockcheck.LockOrderChecker(forbid_together=_FORBIDDEN)
-    )
-    try:
-        yield checker
-    finally:
-        lockcheck.uninstall()
-    assert checker.violations == []
 
 
 class FakeClock:
@@ -250,23 +228,6 @@ class TestDeadlineScaling:
             batch[1].assignment
         ]
 
-    def test_fixed_deadlines_when_disabled(self, engine, demo, clock):
-        manager = make_manager(
-            engine,
-            clock,
-            question_timeout=5.0,
-            backoff_base=0.0,
-            batch_size=3,
-            scale_deadlines=False,
-        )
-        for _ in range(3):
-            manager.create_session(demo.query(0.4))
-        manager.attach_member("u0")
-        batch = manager.next_batch("u0", k=3)
-        assert [q.deadline for q in batch] == [5.0, 5.0, 5.0]
-        clock.advance(5.0)
-        assert len(manager.reap_expired()) == 3
-
     def test_position_counts_only_that_member(self, engine, demo, clock):
         manager = make_manager(engine, clock, question_timeout=5.0, batch_size=4)
         for _ in range(3):
@@ -279,6 +240,66 @@ class TestDeadlineScaling:
         # regardless of u0's queue depth
         [first] = manager.next_batch("u1", k=1)
         assert first.deadline == 5.0
+
+
+class TestNextWakeup:
+    """The instant the in-process loop jumps to when a round serves nobody."""
+
+    def test_idle_manager_has_no_wakeup(self, engine, demo, clock):
+        manager = make_manager(engine, clock)
+        manager.create_session(demo.query(0.4))
+        manager.attach_member("u0")
+        assert manager.next_wakeup() is None
+
+    def test_in_flight_deadline_sets_it(self, engine, demo, clock):
+        manager = make_manager(engine, clock, question_timeout=5.0)
+        manager.create_session(demo.query(0.4))
+        manager.attach_member("u0")
+        [question] = manager.next_batch("u0", k=1)
+        assert manager.next_wakeup() == question.deadline == 5.0
+
+    def test_backoff_window_sets_it(self, engine, demo, clock):
+        manager = make_manager(
+            engine, clock, question_timeout=5.0, backoff_base=2.0
+        )
+        manager.create_session(demo.query(0.4))
+        manager.attach_member("u0")
+        manager.next_batch("u0", k=1)
+        clock.advance(5.0)
+        assert len(manager.reap_expired()) == 1
+        # nothing in flight any more: only the backoff end is pending
+        assert manager.in_flight() == []
+        assert manager.next_wakeup() == 7.0
+
+    def test_open_breaker_sets_it(self, engine, demo, clock):
+        manager = make_manager(
+            engine,
+            clock,
+            question_timeout=5.0,
+            backoff_base=0.0,
+            breaker_window=2,
+            breaker_min_events=2,
+            breaker_failure_threshold=0.5,
+            breaker_cooldown=30.0,
+        )
+        manager.create_session(demo.query(0.4))
+        manager.attach_member("u0")
+        for _ in range(2):
+            assert manager.next_batch("u0", k=1)
+            clock.advance(5.0)
+            manager.reap_expired()
+        assert manager.breaker_state("u0") is BreakerState.OPEN
+        assert manager.in_flight() == []
+        # the breaker tripped at t=10 with a 30s cooldown
+        assert manager.next_wakeup() == 40.0
+
+    def test_past_instants_are_ignored(self, engine, demo, clock):
+        manager = make_manager(engine, clock, question_timeout=5.0)
+        manager.create_session(demo.query(0.4))
+        manager.attach_member("u0")
+        manager.next_batch("u0", k=1)
+        clock.advance(6.0)  # overdue but not yet reaped
+        assert manager.next_wakeup() is None
 
 
 class TestDepartures:
@@ -347,11 +368,10 @@ class TestLifecycle:
 
 
 class TestConcurrentService:
-    def test_eight_sessions_four_workers_match_serial(self):
+    def test_eight_sessions_match_serial(self):
         report = run_simulation(
             domain="demo",
             sessions=8,
-            workers=4,
             crowd_size=6,
             sample_size=3,
             drop_every=5,
@@ -360,25 +380,43 @@ class TestConcurrentService:
             max_runtime=120.0,
             verify=True,
         )
-        assert not report["timed_out"], "worker pool failed to settle"
+        assert not report["timed_out"], "serving loop failed to settle"
         states = {info["state"] for info in report["sessions"].values()}
         assert states == {"completed"}
         assert report["verified"], report["mismatches"]
 
     def test_runner_emits_service_counters(self, engine, demo):
-        manager = engine.session_manager(question_timeout=0.2, backoff_base=0.01)
+        manager = engine.session_manager(
+            question_timeout=0.2, backoff_base=0.01, clock=VirtualClock()
+        )
         manager.create_session(demo.query(0.4), sample_size=2)
         scripts = [
             MemberScript(member, drop_every=4 if index == 0 else 0)
             for index, member in enumerate(build_identical_crowd(demo, 3))
         ]
         with tracing() as tracer:
-            report = ServiceRunner(
-                manager, scripts, workers=2, max_runtime=60.0
-            ).run()
+            report = ServiceRunner(manager, scripts, max_runtime=60.0).run()
         assert not report["timed_out"]
         service = derive_service(tracer.report()["counters"])
         assert service is not None
         assert service["sessions"]["completed"] == 1
         assert service["questions"]["dispatched"] > 0
         assert service["questions"]["timeouts"] > 0  # the dropper forced reaps
+
+    def test_dropped_questions_cost_no_wall_time(self):
+        # every third question is ignored and would hold its member for
+        # 30s of real time; the loop jumps its virtual clock instead
+        started = time.perf_counter()
+        report = run_simulation(
+            domain="demo", sessions=2, drop_every=3, question_timeout=30.0
+        )
+        assert time.perf_counter() - started < 10.0
+        assert not report["timed_out"]
+        assert report["verified"], report["mismatches"]
+        assert report["virtual_seconds"] >= 30.0
+
+    def test_runner_needs_a_virtual_clock(self, engine, demo):
+        manager = engine.session_manager()
+        scripts = [MemberScript(m) for m in build_identical_crowd(demo, 3)]
+        with pytest.raises(TypeError):
+            ServiceRunner(manager, scripts)

@@ -269,8 +269,8 @@ class TestFacadeAndRouting:
         # construction is cheap and spawn-free; start() is what forks
         assert coordinator.shards == 2
 
-    def test_zero_shards_stays_threaded(self):
-        report = run_simulation(domain="demo", sessions=1, workers=1,
+    def test_zero_shards_stays_in_process(self):
+        report = run_simulation(domain="demo", sessions=1,
                                 shards=0, crowd_size=6, sample_size=3,
                                 verify=False, max_runtime=60.0)
         assert "shards" not in report
