@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint deep-lint doclint typecheck bench bench-suite serve-bench serve-bench-full bench-faults bench-gateway bench-gateway-full gateway-smoke chaos shard-chaos chaos-all bench-chaos bench-chaos-full examples figures stats clean
+.PHONY: install test lint deep-lint doclint typecheck bench bench-suite perfbench perfbench-test serve-bench serve-bench-full bench-faults bench-gateway bench-gateway-full gateway-smoke chaos shard-chaos chaos-all bench-chaos bench-chaos-full examples figures stats clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -41,6 +41,17 @@ bench:
 
 bench-suite:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+
+# the end-to-end benchmark declared in BENCHMARK.json (perfbench/README.md):
+# all four seeded workloads, each untraced (end-to-end metrics) and then
+# traced (per-layer metrics); about 2.5 minutes on a 2-core Xeon VM
+perfbench:
+	$(PYTHON) perfbench/run.py --workload all --seed 1
+
+# the benchmark's own tests: its oracles, the layer partition check and
+# same-seed repeatability of every workload
+perfbench-test:
+	PYTHONPATH=src $(PYTHON) -m pytest perfbench/test_perfbench.py -q
 
 # quick (<60s) serving benchmark: one in-process row (the single-threaded
 # loop on a virtual clock), the process-shard matrix at 1/2/4 shards, one

@@ -75,8 +75,9 @@ def run_figure4f(
             dag, msp_count, policy="uniform", valid_only=True, seed=seed + trial
         )
         targets = planted.valid_msps()
-        for label, specialization, pruning in configurations:
-            rng = random.Random((seed + trial) * 1000 + hash(label) % 1000)
+        for index, (label, specialization, pruning) in enumerate(configurations):
+            # seeded by position: str hashes are salted per process
+            rng = random.Random((seed + trial) * 1000 + index)
             result = vertical_mine(
                 dag,
                 planted.support,

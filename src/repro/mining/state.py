@@ -17,12 +17,16 @@ Two strategies:
   each (node, witness) pair is examined at most once over the whole run, so
   repeated progress scans over mostly-unclassified spaces stay cheap.
 
-Thread-safety (the service-layer locking contract): a
-:class:`ClassificationState` is *not* internally synchronized — even
-``status()`` mutates memo structures.  Each concurrent query session owns
-its own state, and :mod:`repro.service` performs every read and write
-under that session's lock; see ``docs/SERVICE.md``.  Do not share one
-instance across sessions or touch it off-lock.
+Significance is final in both strategies: once a node's status is
+SIGNIFICANT it stays so, even if the node is later marked insignificant
+(that mark still classifies the rest of its up-set).  The
+:class:`~repro.mining.trace.MspTracker` relies on it to drop refuted
+candidates.
+
+A :class:`ClassificationState` is *not* synchronized — even ``status()``
+mutates memo structures — and each query session owns its own.  The
+serving layer touches them from one thread only; see "One thread, one
+virtual clock" in ``docs/SERVICE.md``.
 """
 
 from __future__ import annotations
@@ -91,9 +95,11 @@ class ClassificationState(Generic[Node]):
                 if inferred:
                     _obs_count("mining.inferred.insignificant", inferred)
             return
-        if self.status(node) is Status.INSIGNIFICANT:
+        current = self.status(node)
+        if current is Status.INSIGNIFICANT:
             return
-        self._status_cache[node] = Status.INSIGNIFICANT
+        if current is Status.UNKNOWN:  # significant is final
+            self._status_cache[node] = Status.INSIGNIFICANT
         self._insig_log.append(node)
 
     # -------------------------------------------------------------- queries

@@ -91,6 +91,12 @@ class MspTracker(Generic[Node]):
     insignificant — and each refresh only re-examines that shrinking set.
     Classification is monotone, so a successor leaves the frontier at most
     once and a candidate is confirmed exactly when its frontier drains.
+
+    A candidate with a *significant* successor is refuted: significance is
+    final in :class:`ClassificationState`, so that successor never turns
+    insignificant and the candidate can never be an MSP.  A refresh drops
+    it from the pending frontiers the first time it meets such a successor,
+    so later scans only walk candidates that may still be confirmed.
     """
 
     def __init__(
@@ -139,18 +145,21 @@ class MspTracker(Generic[Node]):
             return
         status = self.state.status
         for node in list(self._pending):
-            remaining = [
-                s
-                for s in self._pending[node]
-                if status(s) is not Status.INSIGNIFICANT
-            ]
-            if remaining:
-                self._pending[node] = remaining
+            remaining: List[Node] = []
+            for successor in self._pending[node]:
+                verdict = status(successor)
+                if verdict is Status.SIGNIFICANT:
+                    break  # refuted: a significant successor stays significant
+                if verdict is Status.UNKNOWN:
+                    remaining.append(successor)
             else:
-                del self._pending[node]
+                if remaining:
+                    self._pending[node] = remaining
+                    continue
                 self._confirmed.add(node)
                 if self.space.is_valid(node):
                     self._confirmed_valid.add(node)
+            del self._pending[node]
 
     def confirmed(self) -> Set[Node]:
         return set(self._confirmed)

@@ -1,6 +1,14 @@
 """Smoke + trend tests for the experiment harnesses (small configurations)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.datasets import health
 from repro.experiments import (
@@ -93,6 +101,26 @@ class TestFigure4fHarness:
 
     def test_render(self, results):
         assert "Figure 4f" in render_figure4f(results)
+
+    def test_independent_of_hash_seed(self):
+        code = (
+            "import json; from repro.experiments import run_figure4f; "
+            "r = run_figure4f(width=120, depth=5, trials=2, milestones=(0.5, 1.0)); "
+            "print(json.dumps({k: list(v.values()) for k, v in r.items()}))"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            outputs.append(json.loads(run.stdout))
+        assert outputs[0] == outputs[1]
 
 
 class TestFigure4Harness:

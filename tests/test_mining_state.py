@@ -17,6 +17,29 @@ def chain_dag() -> ExplicitDAG:
     return dag
 
 
+def diamond_dag() -> ExplicitDAG:
+    dag = ExplicitDAG()
+    for a, b in [(0, 1), (0, 2), (1, 3), (2, 3)]:
+        dag.add_edge(a, b)
+    return dag
+
+
+class LazyView:
+    """An ExplicitDAG without ``ancestors``/``descendants``.
+
+    ClassificationState then keeps witness logs (the lazy-space strategy)
+    over the same order, so the two strategies can be compared.
+    """
+
+    def __init__(self, dag):
+        self._dag = dag
+
+    def __getattr__(self, name):
+        if name in ("ancestors", "descendants"):
+            raise AttributeError(name)
+        return getattr(self._dag, name)
+
+
 class TestFastStrategy:
     def test_significant_classifies_down_set(self, chain_dag):
         state = ClassificationState(chain_dag)
@@ -104,19 +127,31 @@ class TestWitnessStrategy:
         assert state.status(monkey) is Status.UNKNOWN
 
 
+class TestSignificantIsFinal:
+    def test_strategies_agree_after_a_late_insignificant_mark(self):
+        dag = diamond_dag()
+        # 1 stays significant; the mark still classifies the rest of its up-set
+        expected = {
+            0: Status.SIGNIFICANT,
+            1: Status.SIGNIFICANT,
+            2: Status.UNKNOWN,
+            3: Status.INSIGNIFICANT,
+        }
+        for space in (dag, LazyView(dag)):
+            state = ClassificationState(space)
+            assert state._fast is (space is dag)
+            state.mark_significant(1)
+            state.mark_insignificant(1)
+            assert {node: state.status(node) for node in dag.nodes()} == expected
+
+
 class TestIncrementalMspTracker:
     """MspTracker keeps a shrinking pending frontier per candidate."""
-
-    def _diamond(self):
-        dag = ExplicitDAG()
-        for a, b in [(0, 1), (0, 2), (1, 3), (2, 3)]:
-            dag.add_edge(a, b)
-        return dag
 
     def test_confirms_when_frontier_drains(self):
         from repro.mining.trace import MspTracker
 
-        dag = self._diamond()
+        dag = diamond_dag()
         state = ClassificationState(dag)
         tracker = MspTracker(dag, state)
         state.mark_significant(0)
@@ -136,7 +171,7 @@ class TestIncrementalMspTracker:
     def test_frontier_shrinks_monotonically(self):
         from repro.mining.trace import MspTracker
 
-        dag = self._diamond()
+        dag = diamond_dag()
         state = ClassificationState(dag)
         tracker = MspTracker(dag, state)
         state.mark_significant(0)
@@ -149,7 +184,7 @@ class TestIncrementalMspTracker:
     def test_note_new_successor_reopens_candidate(self):
         from repro.mining.trace import MspTracker
 
-        dag = self._diamond()
+        dag = diamond_dag()
         state = ClassificationState(dag)
         tracker = MspTracker(dag, state)
         state.mark_significant(0)
@@ -172,7 +207,7 @@ class TestIncrementalMspTracker:
     def test_note_new_successor_ignores_confirmed_candidates(self):
         from repro.mining.trace import MspTracker
 
-        dag = self._diamond()
+        dag = diamond_dag()
         state = ClassificationState(dag)
         tracker = MspTracker(dag, state)
         state.mark_significant(0)
@@ -186,10 +221,34 @@ class TestIncrementalMspTracker:
         tracker.refresh(force=True)
         assert tracker.confirmed() == {0}
 
+    def test_refuted_candidate_leaves_the_frontier(self):
+        from repro.mining.trace import MspTracker
+
+        dag = diamond_dag()
+        state = ClassificationState(dag)
+        tracker = MspTracker(dag, state)
+        state.mark_significant(0)
+        tracker.note_significant(0)
+        tracker.refresh(force=True)
+        assert 0 in tracker._pending
+
+        # a significant successor refutes 0 for good
+        state.mark_significant(1)
+        tracker.note_significant(1)
+        tracker.refresh(force=True)
+        assert 0 not in tracker._pending
+        assert 1 in tracker._pending
+
+        state.mark_insignificant(2)
+        state.mark_insignificant(3)
+        tracker.refresh(force=True)
+        assert tracker.confirmed() == {1}
+        assert tracker._pending == {}
+
     def test_stride_throttles_but_force_overrides(self):
         from repro.mining.trace import MspTracker
 
-        dag = self._diamond()
+        dag = diamond_dag()
         state = ClassificationState(dag)
         tracker = MspTracker(dag, state, stride=10)
         state.mark_significant(0)

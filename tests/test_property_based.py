@@ -215,6 +215,28 @@ def test_assignment_order_properties(tax, data):
         assert a == b
 
 
+class NoFastPath:
+    """Hide ancestors/descendants so the witness strategy is used."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def roots(self):
+        return self._inner.roots()
+
+    def successors(self, node):
+        return self._inner.successors(node)
+
+    def predecessors(self, node):
+        return self._inner.predecessors(node)
+
+    def leq(self, a, b):
+        return self._inner.leq(a, b)
+
+    def is_valid(self, node):
+        return self._inner.is_valid(node)
+
+
 @given(layered_dags(), st.data())
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_classification_state_matches_reference(setup, data):
@@ -222,27 +244,6 @@ def test_classification_state_matches_reference(setup, data):
     from repro.mining import ClassificationState, Status
 
     dag, significant = setup
-
-    class NoFastPath:
-        """Hide ancestors/descendants so the witness strategy is used."""
-
-        def __init__(self, inner):
-            self._inner = inner
-
-        def roots(self):
-            return self._inner.roots()
-
-        def successors(self, node):
-            return self._inner.successors(node)
-
-        def predecessors(self, node):
-            return self._inner.predecessors(node)
-
-        def leq(self, a, b):
-            return self._inner.leq(a, b)
-
-        def is_valid(self, node):
-            return self._inner.is_valid(node)
 
     wrapped = NoFastPath(dag)
     state = ClassificationState(wrapped)
@@ -268,3 +269,49 @@ def test_classification_state_matches_reference(setup, data):
         assert state.status(probe) == reference.status(probe)
     for node in nodes:
         assert state.status(node) == reference.status(node), node
+
+
+@given(layered_dags(), st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_msp_tracker_matches_brute_force(setup, data):
+    """After every forced refresh the tracker confirms exactly the noted
+    candidates whose successors are all insignificant, on both strategies."""
+    from repro.mining import ClassificationState, MspTracker, Status
+
+    dag, _ = setup
+    nodes = dag.nodes()
+    stride = data.draw(st.integers(min_value=1, max_value=3))
+    runs = []
+    for space in (dag, NoFastPath(dag)):
+        state = ClassificationState(space)
+        runs.append((state, MspTracker(space, state, stride=stride), set()))
+    marks = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(nodes), st.booleans(), st.booleans()),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    for node, significant, force in marks:
+        for state, tracker, noted in runs:
+            # the miners only ever mark unclassified nodes
+            if state.status(node) is Status.UNKNOWN:
+                if significant:
+                    state.mark_significant(node)
+                    tracker.note_significant(node)
+                    noted.add(node)
+                else:
+                    state.mark_insignificant(node)
+            tracker.refresh(force=force)
+            if force:
+                expected = {
+                    c
+                    for c in noted
+                    if all(
+                        state.status(s) is Status.INSIGNIFICANT
+                        for s in dag.successors(c)
+                    )
+                }
+                assert tracker.confirmed() == expected
+    fast, lazy = runs
+    assert fast[1].confirmed() == lazy[1].confirmed()
