@@ -33,8 +33,9 @@ doclint:
 typecheck:
 	$(PYTHON) -m mypy src/repro/analysis src/repro/service src/repro/faults src/repro/gateway src/repro/api src/repro/observability
 
-# quick perf report: micro-benches + backend A/B equivalence (fails on any
-# mining divergence), then schema/threshold validation of the JSON output
+# quick perf report: the closure and support micro-benches (fails if the
+# TID index and the scan disagree on any query), then schema/threshold
+# validation of the JSON output
 bench:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_report.py --quick --output BENCH_quick.json
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_report.py --validate BENCH_quick.json

@@ -1,22 +1,18 @@
 #!/usr/bin/env python
 """Machine-readable performance report for the bitset/TID-index hot paths.
 
-Three sections, emitted as one JSON document (``BENCH_perf.json``):
+Two sections, emitted as one JSON document (``BENCH_perf.json``):
 
 * ``closure`` — ``leq`` via the compiled bitset closures vs. the retained
   DFS reference, on a paper-scale (≥4,000-node) random taxonomy;
 * ``support`` — support counting via the TID-bitset index
   (:mod:`repro.crowd.tid_index`) vs. the per-transaction scan
-  (:meth:`PersonalDatabase.support_reference`), same taxonomy scale;
-* ``e2e`` — full engine runs per experiment domain under all three support
-  modes (:func:`repro.crowd.personal_db.set_support_backend`): forced
-  ``reference``, forced ``tid`` and the default ``adaptive`` cost model.
-  The mined MSPs and question counts must be *identical* across all three
-  and the adaptive run must land within 5% of the best forced backend; the
-  per-domain **backend-choice table** (chosen backend, cost-model features
-  and estimates, ``backend.*`` counters) is what docs/PERFORMANCE.md
-  renders.  Any divergence makes the process exit non-zero: the
-  optimization must be observationally invisible.
+  (:meth:`PersonalDatabase.support_reference`), same taxonomy scale.
+  Both paths must agree on every query of the workload.
+
+End-to-end identity of the two support paths (whole mining runs that
+ask the same questions and find the same MSPs) is a tier-1 test:
+``tests/test_bitset_equivalence.py::TestMiningEquivalence``.
 
 Usage::
 
@@ -25,8 +21,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_report.py --validate BENCH_perf.json
 
 ``--validate`` re-checks an existing report against the JSON schema and the
-acceptance thresholds (≥5× support speedup at ≥4,000 nodes, all e2e runs
-identical) without re-running anything.
+acceptance thresholds (≥5× support speedup at ≥4,000 nodes, no support
+mismatch) without re-running anything.
 """
 
 from __future__ import annotations
@@ -43,28 +39,17 @@ if __package__ in (None, ""):
     # allow `python benchmarks/bench_report.py` without PYTHONPATH fiddling
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.crowd.personal_db import PersonalDatabase, set_support_backend
-from repro.datasets import culinary, health, travel
-from repro.engine.config import EngineConfig
-from repro.engine.engine import OassisEngine
+from repro.crowd.personal_db import PersonalDatabase
 from repro.observability import atomic_write_json, tracing
 from repro.ontology.facts import Fact, FactSet
 from repro.synth.taxonomy import random_vocabulary
 from repro.vocabulary.terms import ANY_ELEMENT
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: acceptance thresholds (mirrored in --validate)
 MIN_DAG_NODES = 4000
 MIN_SUPPORT_SPEEDUP = 5.0
-#: the adaptive run may trail the best forced backend by at most this factor
-MAX_ADAPTIVE_OVERHEAD = 1.05
-
-_DOMAINS = {
-    "travel": dict(module=travel, max_values_per_var=2, max_more_facts=1),
-    "culinary": dict(module=culinary, max_values_per_var=2, max_more_facts=0),
-    "self-treatment": dict(module=health, max_values_per_var=1, max_more_facts=0),
-}
 
 
 def _best_of(repeats, fn):
@@ -184,136 +169,6 @@ def bench_support(node_count, transactions, queries, repeats, seed):
     }
 
 
-def _run_domain_once(name, backend, crowd_size, transactions, sample_size, seed):
-    """One full engine execution for ``name`` under ``backend``.
-
-    Under ``"adaptive"`` the run also captures the ``backend.*`` counters
-    and one representative member's full cost-model decision — the raw
-    material of the per-domain backend-choice table.
-    """
-    config = _DOMAINS[name]
-    dataset = config["module"].build_dataset()
-    members = dataset.build_crowd(
-        size=crowd_size, seed=seed, transactions=transactions
-    )
-    engine = OassisEngine(
-        dataset.ontology,
-        config=EngineConfig(
-            max_values_per_var=config["max_values_per_var"],
-            max_more_facts=config["max_more_facts"],
-        ),
-    )
-    previous = set_support_backend(backend)
-    try:
-        with tracing() as tracer:
-            start = time.perf_counter()
-            result = engine.execute(
-                dataset.query(threshold=0.2),
-                members,
-                sample_size=sample_size,
-                more_pool=dataset.more_pool,
-            )
-            elapsed = time.perf_counter() - start
-        run = {
-            "seconds": elapsed,
-            "questions": result.questions,
-            "msps": sorted(repr(a) for a in result.all_msps),
-        }
-        if backend == "adaptive":
-            counters = tracer.report().get("counters", {})
-            run["counters"] = {
-                key: value
-                for key, value in sorted(counters.items())
-                if key.startswith(("backend.", "support.count."))
-            }
-            decision = members[0].database.backend_decision(
-                dataset.ontology.vocabulary
-            )
-            run["decision"] = {
-                "backend": decision.backend,
-                "scan_cost": round(decision.scan_cost, 4),
-                "tid_cost": round(decision.tid_cost, 4),
-                "features": decision.features._asdict(),
-            }
-    finally:
-        set_support_backend(previous)
-    return run
-
-
-def bench_e2e(domains, crowd_size, transactions, sample_size, seed):
-    """Per-domain reference / tid / adaptive runs.
-
-    MSPs and question counts must be identical across all three modes, and
-    the adaptive run must stay within ``MAX_ADAPTIVE_OVERHEAD`` of the best
-    forced backend (re-measured once before declaring a miss, since the
-    sub-second domains are noise-sensitive).
-    """
-    report = {}
-    for name in domains:
-        runs = {
-            backend: _run_domain_once(
-                name, backend, crowd_size, transactions, sample_size, seed
-            )
-            for backend in ("reference", "tid", "adaptive")
-        }
-        ref_run, tid_run, adaptive_run = (
-            runs["reference"], runs["tid"], runs["adaptive"]
-        )
-        identical = all(
-            run["msps"] == ref_run["msps"]
-            and run["questions"] == ref_run["questions"]
-            for run in (tid_run, adaptive_run)
-        )
-        best_forced = min(ref_run["seconds"], tid_run["seconds"])
-        if adaptive_run["seconds"] > best_forced * MAX_ADAPTIVE_OVERHEAD:
-            retry = _run_domain_once(
-                name, "adaptive", crowd_size, transactions, sample_size, seed
-            )
-            if retry["seconds"] < adaptive_run["seconds"]:
-                adaptive_run = {**adaptive_run, "seconds": retry["seconds"]}
-        features = adaptive_run["decision"]["features"]
-        report[name] = {
-            "identical": identical,
-            "msp_count": len(ref_run["msps"]),
-            "questions": ref_run["questions"],
-            "reference_seconds": round(ref_run["seconds"], 4),
-            "tid_seconds": round(tid_run["seconds"], 4),
-            "adaptive_seconds": round(adaptive_run["seconds"], 4),
-            "speedup": round(
-                ref_run["seconds"] / max(tid_run["seconds"], 1e-9), 2
-            ),
-            "adaptive_vs_best": round(
-                adaptive_run["seconds"] / max(best_forced, 1e-9), 3
-            ),
-            "backend_choice": {
-                "backend": adaptive_run["decision"]["backend"],
-                "scan_cost": adaptive_run["decision"]["scan_cost"],
-                "tid_cost": adaptive_run["decision"]["tid_cost"],
-                "transactions": features["transactions"],
-                "total_facts": features["total_facts"],
-                "taxonomy_terms": features["taxonomy_terms"],
-                "taxonomy_height": features["taxonomy_height"],
-                "avg_closure": round(features["avg_closure"], 3),
-                "fan_out": round(features["fan_out"], 3),
-                "counters": adaptive_run["counters"],
-            },
-        }
-        if not identical:
-            report[name]["question_counts"] = {
-                backend: runs[backend]["questions"] for backend in runs
-            }
-            report[name]["msp_diff"] = {
-                "tid_only": sorted(set(tid_run["msps"]) - set(ref_run["msps"])),
-                "reference_only": sorted(
-                    set(ref_run["msps"]) - set(tid_run["msps"])
-                ),
-                "adaptive_only": sorted(
-                    set(adaptive_run["msps"]) - set(ref_run["msps"])
-                ),
-            }
-    return report
-
-
 # ------------------------------------------------------------------ schema
 
 
@@ -341,30 +196,6 @@ def validate_schema(report):
                 if section == "closure" else \
                 ("node_count", "speedup", "optimized_seconds", "reference_seconds"):
             need(block, key, (int, float), section)
-    e2e = need(report, "e2e", dict, "report")
-    if not e2e:
-        raise ValueError("e2e: at least one domain required")
-    for name, block in e2e.items():
-        need(block, "identical", bool, f"e2e.{name}")
-        need(block, "questions", int, f"e2e.{name}")
-        need(block, "msp_count", int, f"e2e.{name}")
-        for key in ("reference_seconds", "tid_seconds", "adaptive_seconds",
-                    "adaptive_vs_best"):
-            need(block, key, (int, float), f"e2e.{name}")
-        choice = need(block, "backend_choice", dict, f"e2e.{name}")
-        if need(choice, "backend", str, f"e2e.{name}.backend_choice") not in (
-            "tid", "reference"
-        ):
-            raise ValueError(
-                f"e2e.{name}.backend_choice.backend: "
-                f"unknown backend {choice['backend']!r}"
-            )
-        for key in ("scan_cost", "tid_cost", "avg_closure", "fan_out"):
-            need(choice, key, (int, float), f"e2e.{name}.backend_choice")
-        for key in ("transactions", "total_facts", "taxonomy_terms",
-                    "taxonomy_height"):
-            need(choice, key, int, f"e2e.{name}.backend_choice")
-        need(choice, "counters", dict, f"e2e.{name}.backend_choice")
 
 
 def check_thresholds(report):
@@ -383,14 +214,6 @@ def check_thresholds(report):
         )
     if support.get("mismatches", 0):
         failures.append(f"{support['mismatches']} support value mismatches")
-    for name, block in report["e2e"].items():
-        if not block["identical"]:
-            failures.append(f"e2e[{name}]: backends produced different results")
-        if block["adaptive_vs_best"] > MAX_ADAPTIVE_OVERHEAD:
-            failures.append(
-                f"e2e[{name}]: adaptive run {block['adaptive_vs_best']}× the "
-                f"best forced backend (cap {MAX_ADAPTIVE_OVERHEAD}×)"
-            )
     return failures
 
 
@@ -428,15 +251,9 @@ def main(argv=None):
     if args.quick:
         node_count, pairs, repeats = 4200, 2000, 2
         transactions, queries = 40, 60
-        # travel's assignment space is ~10k questions per run; the quick
-        # (CI) profile keeps the A/B check on the two fast domains
-        domains = ("culinary", "self-treatment")
-        crowd_size, tx_per_member, sample_size = 6, 20, 3
     else:
         node_count, pairs, repeats = 4700, 5000, 3
         transactions, queries = 60, 120
-        domains = tuple(_DOMAINS)
-        crowd_size, tx_per_member, sample_size = 12, 30, 5
 
     print(f"closure bench: {node_count}-node taxonomy, {pairs} leq pairs ...")
     closure = bench_closure(node_count, pairs, repeats, args.seed)
@@ -450,16 +267,6 @@ def main(argv=None):
         f"  tid-index {support['optimized_seconds']}s vs scan "
         f"{support['reference_seconds']}s -> {support['speedup']}x"
     )
-    print(f"e2e equivalence: {', '.join(domains)} ...")
-    e2e = bench_e2e(domains, crowd_size, tx_per_member, sample_size, args.seed)
-    for name, block in e2e.items():
-        status = "identical" if block["identical"] else "DIVERGED"
-        print(
-            f"  {name}: {status}, {block['msp_count']} MSPs, "
-            f"{block['questions']} questions, ref/tid {block['speedup']}x, "
-            f"adaptive chose {block['backend_choice']['backend']} "
-            f"({block['adaptive_vs_best']}x best forced)"
-        )
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -468,7 +275,6 @@ def main(argv=None):
         "seed": args.seed,
         "closure": closure,
         "support": support,
-        "e2e": e2e,
     }
     validate_schema(report)
 

@@ -3,8 +3,8 @@
 See ``docs/ANALYSIS.md``.  **The project linter**
 (:mod:`repro.analysis.lint`, :mod:`repro.analysis.rules`) is an
 AST-based pass encoding version-stamp discipline of the compiled
-caches, the observability name registry, shim-free internal call sites,
-deterministic core modules, plus the usual hygiene rules.  Run it with
+caches, the observability name registry, error logging in the serving
+layers, deterministic core modules, plus the usual hygiene rules.  Run it with
 ``python -m repro.analysis src/``, ``repro lint`` or ``make lint``; it
 exits non-zero on errors and honors ``# repro-lint: disable=RULE``
 suppressions.

@@ -3,7 +3,7 @@
 The linter in :mod:`repro.analysis.lint` is generic machinery (walk
 files, parse, dispatch rules, honor suppressions); everything that makes
 it *this repo's* linter lives here: which classes carry version stamps,
-what the deprecation shims are called, and which modules must stay
+which layers must not swallow errors, and which modules must stay
 deterministic.  Each constant is documented in
 ``docs/ANALYSIS.md`` next to the rule that reads it.
 """
@@ -78,33 +78,6 @@ STAMP_GUARDED_CLASSES: Tuple[StampGuardedClass, ...] = (
         guard_call="_check_caches",
     ),
 )
-
-
-# ------------------------------------------------------- deprecation shims
-
-#: modules allowed to reference the deprecation machinery (they define it)
-SHIM_HOME_MODULES: FrozenSet[str] = frozenset(
-    {"repro/engine/config.py", "repro/engine/engine.py", "repro/api/__init__.py"}
-)
-
-#: names of the shim helpers nobody else may import or call
-SHIM_HELPER_NAMES: FrozenSet[str] = frozenset({"warn_deprecated", "_bind_legacy"})
-
-#: deprecated constructor keywords of ``OassisEngine`` — internal callers
-#: must pass ``config=EngineConfig(...)`` instead
-LEGACY_ENGINE_KWARGS: FrozenSet[str] = frozenset(
-    {"templates", "max_values_per_var", "max_more_facts"}
-)
-
-#: engine methods with a deprecated positional tail: method name -> how
-#: many positional arguments the modern keyword-only signature accepts
-LEGACY_POSITIONAL_LIMITS = {
-    "execute": 2,
-    "execute_single_user": 2,
-    "replay": 3,
-    "screen_members": 2,
-    "queue_manager": 1,
-}
 
 
 # -------------------------------------------------------- error swallowing

@@ -13,8 +13,6 @@ only documented prose:
   public entry point;
 * ``tracer-name`` — counter/span names are registered in
   :mod:`repro.observability.names`;
-* ``shim-caller`` — internal code never calls the PR-3 deprecation
-  shims;
 * ``silent-except`` — broad excepts in the serving/fault layer must log
   a counter or re-raise (``docs/RELIABILITY.md``);
 * ``unseeded-random`` / ``wall-clock`` — core algorithm modules stay
@@ -559,69 +557,6 @@ class TracerNameRule(Rule):
                 )
 
 
-class ShimCallerRule(Rule):
-    id = "shim-caller"
-    severity = Severity.ERROR
-    summary = "internal caller uses a deprecation shim"
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        if module.in_any(sorted(project.SHIM_HOME_MODULES)):
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    if alias.name in project.SHIM_HELPER_NAMES:
-                        yield self.finding(
-                            module,
-                            node,
-                            f"importing shim helper {alias.name!r}; only "
-                            "the engine facade may use the deprecation "
-                            "machinery",
-                        )
-            elif isinstance(node, ast.Call):
-                yield from self._check_call(module, node)
-
-    def _check_call(self, module: ModuleInfo, node: ast.Call) -> Iterator[Finding]:
-        func = node.func
-        name = _last_component(func)
-        if name in project.SHIM_HELPER_NAMES:
-            yield self.finding(
-                module,
-                node,
-                f"call to shim helper {name!r}; only the engine facade "
-                "may use the deprecation machinery",
-            )
-            return
-        if name == "OassisEngine":
-            legacy = [
-                kw.arg
-                for kw in node.keywords
-                if kw.arg in project.LEGACY_ENGINE_KWARGS
-            ]
-            if legacy:
-                yield self.finding(
-                    module,
-                    node,
-                    f"OassisEngine({', '.join(sorted(legacy))}=...) uses the "
-                    "deprecated constructor shim; pass "
-                    "config=EngineConfig(...) instead",
-                )
-            return
-        if isinstance(func, ast.Attribute):
-            limit = project.LEGACY_POSITIONAL_LIMITS.get(func.attr)
-            if limit is not None and len(node.args) > limit:
-                if any(isinstance(arg, ast.Starred) for arg in node.args):
-                    return
-                yield self.finding(
-                    module,
-                    node,
-                    f"`{func.attr}` called with {len(node.args)} positional "
-                    f"arguments (the modern signature takes {limit}); the "
-                    "positional tail goes through a deprecation shim — "
-                    "pass keywords instead",
-                )
-
-
 class SilentExceptRule(Rule):
     id = "silent-except"
     severity = Severity.ERROR
@@ -849,7 +784,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     VersionStampRule(),
     CacheGuardRule(),
     TracerNameRule(),
-    ShimCallerRule(),
     SilentExceptRule(),
     UnseededRandomRule(),
     WallClockRule(),

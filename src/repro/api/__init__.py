@@ -26,11 +26,9 @@ Batch-style usage replaces the legacy entry points::
     report = client.simulate(sessions=4)                    # run_simulation
     coord = client.shard_coordinator(shards=2, crowd_size=6)
 
-The old call shapes keep working through warn-once deprecation shims at
-module level (:func:`execute`, :func:`run_simulation`,
-:func:`shard_coordinator`); ``docs/MIGRATION.md`` has the old → new
-table.  :meth:`Client.serve` lifts the same application state onto the
-network via :func:`repro.gateway.serve_in_thread`.
+``docs/MIGRATION.md`` has the old → new table.  :meth:`Client.serve`
+lifts the same application state onto the network via
+:func:`repro.gateway.serve_in_thread`.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence
 
 from ..crowd.member import CrowdMember
-from ..engine.config import warn_deprecated
 from ..engine.engine import OassisEngine
 from ..engine.results import QueryResult
 from ..gateway.app import GatewayApp, GatewayConfig
@@ -55,12 +52,7 @@ from ..gateway.schema import (
     ResultResponse,
 )
 
-__all__ = [
-    "Client",
-    "execute",
-    "run_simulation",
-    "shard_coordinator",
-]
+__all__ = ["Client"]
 
 
 class Client:
@@ -226,52 +218,3 @@ class Client:
     def mcp(self) -> McpGateway:
         """An MCP tool surface over this client's application state."""
         return McpGateway(self._app)
-
-
-# -------------------------------------------------- warn-once legacy shims
-
-
-def execute(
-    ontology: object,
-    query: object,
-    members: Sequence[CrowdMember],
-    **options: Any,
-) -> QueryResult:
-    """Deprecated: use :meth:`Client.execute`.
-
-    The old shape built an engine by hand and called
-    ``OassisEngine(ontology).execute(query, members, ...)``.
-    """
-    warn_deprecated(
-        "repro.api.execute",
-        "repro.api.execute(ontology, query, members) is deprecated; "
-        "use repro.api.Client(domain=...).execute(query=..., members=...)",
-    )
-    return OassisEngine(ontology).execute(query, members, **options)  # type: ignore[arg-type]
-
-
-def run_simulation(**options: Any) -> Dict[str, Any]:
-    """Deprecated: use :meth:`Client.simulate`."""
-    warn_deprecated(
-        "repro.api.run_simulation",
-        "repro.api.run_simulation(...) is deprecated; use "
-        "repro.api.Client().simulate(...)",
-    )
-    from ..service.simulation import run_simulation as _run
-
-    return _run(**options)
-
-
-def shard_coordinator(dataset: object, **options: Any) -> Any:
-    """Deprecated: use :meth:`Client.shard_coordinator`.
-
-    The old shape passed the dataset explicitly and left engine
-    construction to the caller's engine instance.
-    """
-    warn_deprecated(
-        "repro.api.shard_coordinator",
-        "repro.api.shard_coordinator(dataset, ...) is deprecated; use "
-        "repro.api.Client(domain=...).shard_coordinator(...)",
-    )
-    engine = OassisEngine(dataset.ontology)  # type: ignore[attr-defined]
-    return engine.shard_coordinator(dataset, **options)

@@ -1,6 +1,5 @@
 """Crowd substrate: personal DBs, questions, members, aggregation, caching."""
 
-from .backend import BackendDecision, BackendFeatures, choose_backend
 from .aggregator import (
     Aggregator,
     FixedSampleAggregator,
@@ -17,12 +16,7 @@ from .journal import (
     replay_log,
 )
 from .member import CrowdMember, OracleMember, SpammerMember
-from .personal_db import (
-    PersonalDatabase,
-    Transaction,
-    set_support_backend,
-    support_backend,
-)
+from .personal_db import PersonalDatabase, Transaction
 from .questions import (
     FREQUENCY_SCALE,
     Answer,
@@ -45,8 +39,6 @@ __all__ = [
     "FREQUENCY_SCALE",
     "Aggregator",
     "Answer",
-    "BackendDecision",
-    "BackendFeatures",
     "ConcreteQuestion",
     "CrowdCache",
     "CrowdMember",
@@ -70,15 +62,12 @@ __all__ = [
     "Transaction",
     "TrustWeightedAggregator",
     "Verdict",
-    "choose_backend",
     "consistency_violation_ratio",
     "filter_members",
     "frequency_to_support",
     "quantize_support",
     "replay_journal",
     "replay_log",
-    "set_support_backend",
-    "support_backend",
     "support_to_frequency",
     "trust_scores",
 ]

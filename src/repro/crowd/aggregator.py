@@ -26,18 +26,32 @@ class Verdict(enum.Enum):
 
 
 class Aggregator:
-    """Base class: collects per-assignment answers and renders verdicts."""
+    """Base class: collects per-assignment answers and renders verdicts.
 
-    def __init__(self, threshold: float):
+    A verdict is final: once ``sample_size`` answers decide an assignment,
+    later answers for it are dropped, so neither the verdict nor the
+    reported average can move after the decision.
+    """
+
+    def __init__(self, threshold: float, sample_size: int = 5):
         if not 0.0 < threshold <= 1.0:
             raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+        if sample_size < 1:
+            raise ValueError("sample_size must be positive")
         self.threshold = threshold
+        self.sample_size = sample_size
         # assignment -> list of (member_id, support)
         self._answers: Dict[Hashable, List[Tuple[str, float]]] = defaultdict(list)
 
     def add_answer(self, assignment: Hashable, member_id: str, support: float) -> None:
-        """Record one member's answer for ``assignment``."""
-        self._answers[assignment].append((member_id, support))
+        """Record one member's answer for ``assignment`` unless it is decided."""
+        answers = self._answers[assignment]
+        if (
+            len(answers) >= self.sample_size
+            and self.verdict(assignment) is not Verdict.UNDECIDED
+        ):
+            return
+        answers.append((member_id, support))
         _obs_count("aggregator.answers")
 
     def answers(self, assignment: Hashable) -> List[Tuple[str, float]]:
@@ -69,12 +83,6 @@ class FixedSampleAggregator(Aggregator):
     significant iff the average support meets the threshold.
     """
 
-    def __init__(self, threshold: float, sample_size: int = 5):
-        super().__init__(threshold)
-        if sample_size < 1:
-            raise ValueError("sample_size must be positive")
-        self.sample_size = sample_size
-
     def verdict(self, assignment: Hashable) -> Verdict:
         answers = self._answers.get(assignment, ())
         if len(answers) < self.sample_size:
@@ -85,12 +93,6 @@ class FixedSampleAggregator(Aggregator):
 
 class MajorityAggregator(Aggregator):
     """Significant iff a majority of ``sample_size`` answers individually pass."""
-
-    def __init__(self, threshold: float, sample_size: int = 5):
-        super().__init__(threshold)
-        if sample_size < 1:
-            raise ValueError("sample_size must be positive")
-        self.sample_size = sample_size
 
     def verdict(self, assignment: Hashable) -> Verdict:
         answers = self._answers.get(assignment, ())
@@ -105,7 +107,11 @@ class MajorityAggregator(Aggregator):
 
 
 class TrustWeightedAggregator(Aggregator):
-    """Average weighted by per-member trust scores (default trust 1.0)."""
+    """Average weighted by per-member trust scores (default trust 1.0).
+
+    A sample whose members all have zero trust decides nothing, so the
+    assignment keeps taking answers until one carries weight.
+    """
 
     def __init__(
         self,
@@ -113,10 +119,7 @@ class TrustWeightedAggregator(Aggregator):
         sample_size: int = 5,
         trust: Optional[Mapping[str, float]] = None,
     ):
-        super().__init__(threshold)
-        if sample_size < 1:
-            raise ValueError("sample_size must be positive")
-        self.sample_size = sample_size
+        super().__init__(threshold, sample_size)
         self.trust: Dict[str, float] = dict(trust) if trust else {}
 
     def set_trust(self, member_id: str, trust: float) -> None:

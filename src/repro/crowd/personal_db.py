@@ -7,58 +7,27 @@ concrete object to answer from, and the tests need Table 3's ``D_u1`` and
 ``D_u2`` to reproduce Example 2.7's support values exactly.
 
 Support counting is the hottest loop of every simulated experiment (one
-call per question per member).  Two implementations exist — the vertical
-TID-bitset index (:mod:`repro.crowd.tid_index`) and the retained
-per-transaction scan (:meth:`PersonalDatabase.support_reference`, also the
-ground truth for the equivalence suite) — and by default the process runs
-**adaptive**: each database picks the cheaper backend per query workload
-through the cost model of :mod:`repro.crowd.backend`.
-:func:`set_support_backend` still forces one backend process-wide for A/B
-benchmarks (``"tid"`` / ``"reference"``) or restores ``"adaptive"``.
+call per question per member) and always runs on the vertical TID-bitset
+index (:mod:`repro.crowd.tid_index`).  The per-transaction scan
+(:meth:`PersonalDatabase.support_reference`) is kept as the executable
+definition of Section 2's ``supp_u`` and the oracle the equivalence tests
+check the index against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from ..observability import count as _obs_count
 from ..ontology.facts import FactLike, FactSet, parse_fact_set
 from ..vocabulary.vocabulary import Vocabulary
-from .backend import BackendDecision, choose_backend
 from .tid_index import TidIndex
 
 #: Cap on memoized hit counts per database.  Long multi-query sessions ask
 #: about unboundedly many distinct fact-sets; beyond the cap the oldest
 #: entries are evicted FIFO (the TID index keeps even cold queries cheap).
 HITS_CACHE_MAX = 8192
-
-#: Active support backend: "adaptive" (per-database cost model, the
-#: default), "tid" (force the bitset index) or "reference" (force the scan).
-_BACKEND = "adaptive"
-
-
-def set_support_backend(name: str) -> str:
-    """Select the process-wide support backend; returns the previous one.
-
-    ``"adaptive"`` (the default) lets each database pick scan vs TID index
-    through :func:`repro.crowd.backend.choose_backend`; ``"tid"`` and
-    ``"reference"`` force one path everywhere — used by
-    ``benchmarks/bench_report.py`` to verify all paths produce
-    byte-identical mining results, and available to operators as an
-    explicit override (see docs/TUNING.md).
-    """
-    global _BACKEND
-    if name not in ("adaptive", "tid", "reference"):
-        raise ValueError(f"unknown support backend {name!r}")
-    previous = _BACKEND
-    _BACKEND = name
-    return previous
-
-
-def support_backend() -> str:
-    """The currently selected process-wide backend mode."""
-    return _BACKEND
 
 
 class Transaction:
@@ -90,12 +59,6 @@ class PersonalDatabase:
         # bounded by HITS_CACHE_MAX (FIFO eviction)
         self._hits_cache: dict = {}
         self._index: Optional[TidIndex] = None
-        # candidate fan-out hint for the adaptive backend, pushed by the
-        # engine from the assignment generator (None = no active workload)
-        self.fan_out_hint: Optional[float] = None
-        # memoized adaptive decision, keyed on everything it depends on
-        self._decision: Optional[BackendDecision] = None
-        self._decision_key: Optional[Tuple] = None
 
     @classmethod
     def from_fact_sets(
@@ -147,58 +110,13 @@ class PersonalDatabase:
         """Unoptimized support via the per-transaction ``leq`` scan.
 
         Ground truth for ``tests/test_bitset_equivalence.py`` and the
-        ``make bench`` reference path; no memoization, no index.
+        ``make bench`` support micro-benchmark; no memoization, no index.
         """
         if not self._transactions:
             return 0.0
         return self._hits_reference(fact_set, vocabulary) / len(self._transactions)
 
-    def set_workload_hint(self, fan_out: Optional[float]) -> None:
-        """Declare the active query's candidate fan-out (engine-pushed).
-
-        Changing the hint invalidates the memoized backend decision; the
-        next support call re-runs the cost model against the new workload
-        shape.
-        """
-        self.fan_out_hint = fan_out
-
-    def active_backend(self, vocabulary: Vocabulary) -> str:
-        """The backend this database will use: the override, or the
-        adaptive cost-model decision (memoized per shape)."""
-        if _BACKEND != "adaptive":
-            _obs_count("backend.overridden")
-            return _BACKEND
-        key = (
-            self.data_version,
-            vocabulary.element_order.version,
-            vocabulary.relation_order.version,
-            self.fan_out_hint,
-        )
-        if self._decision is not None and self._decision_key == key:
-            _obs_count("backend.decisions.cached")
-            return self._decision.backend
-        decision = choose_backend(self, vocabulary, fan_out=self.fan_out_hint)
-        self._decision = decision
-        self._decision_key = key
-        if decision.backend == "tid":
-            _obs_count("backend.choose.tid")
-        else:
-            _obs_count("backend.choose.reference")
-        return decision.backend
-
-    def backend_decision(self, vocabulary: Vocabulary) -> BackendDecision:
-        """The full cost-model decision (features + cost estimates)."""
-        self.active_backend(vocabulary)
-        if self._decision is None:  # override active; evaluate for reporting
-            self._decision = choose_backend(
-                self, vocabulary, fan_out=self.fan_out_hint
-            )
-        return self._decision
-
     def _hits(self, fact_set: FactSet, vocabulary: Vocabulary) -> int:
-        if self.active_backend(vocabulary) == "reference":
-            _obs_count("support.count.reference")
-            return self._hits_reference(fact_set, vocabulary)
         _obs_count("support.count.tid")
         cache = self._hits_cache
         key = (
@@ -229,8 +147,6 @@ class PersonalDatabase:
         self, fact_set: FactSet, vocabulary: Vocabulary
     ) -> List[Transaction]:
         """The transactions that imply ``fact_set``."""
-        if self.active_backend(vocabulary) == "reference":
-            return [t for t in self._transactions if t.implies(fact_set, vocabulary)]
         mask = self.tid_index(vocabulary).supporting_mask(fact_set)
         out: List[Transaction] = []
         transactions = self._transactions

@@ -8,7 +8,7 @@ crowd-serving layer on top lives in :mod:`repro.service`.
 """
 
 from .adapters import MemberUser
-from .config import EngineConfig, reset_deprecation_warnings
+from .config import EngineConfig
 from .engine import OassisEngine
 from .queue_manager import AnswerOutcome, PendingQuestion, QueueManager
 from .results import QueryResult, ResultRow, build_result
@@ -23,5 +23,4 @@ __all__ = [
     "QueueManager",
     "ResultRow",
     "build_result",
-    "reset_deprecation_warnings",
 ]

@@ -5,9 +5,8 @@ entry point grew its own drifting argument list (``sample_size`` here,
 ``max_more_facts`` there, ``include_invalid`` in three places).  All
 evaluation-policy knobs now live in one frozen dataclass; the engine
 methods take keyword-only per-call *overrides* that default to the
-configured values.  The old signatures keep working through thin shims
-that emit one :class:`DeprecationWarning` per usage pattern per process
-(see :func:`warn_deprecated`).
+configured values.  ``docs/MIGRATION.md`` maps the retired call shapes
+onto these.
 
     from repro import EngineConfig, OassisEngine
 
@@ -18,9 +17,8 @@ that emit one :class:`DeprecationWarning` per usage pattern per process
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional, Set
+from typing import Optional
 
 from ..nlg.templates import DEFAULT_TEMPLATES, QuestionTemplates
 
@@ -48,22 +46,3 @@ class EngineConfig:
         """A copy with non-None ``changes`` applied (None = keep current)."""
         effective = {k: v for k, v in changes.items() if v is not None}
         return replace(self, **effective) if effective else self
-
-
-# ------------------------------------------------------------- deprecation
-
-#: usage-pattern keys that already warned this process (warn once each)
-_warned: Set[str] = set()
-
-
-def warn_deprecated(key: str, message: str) -> None:
-    """Emit ``DeprecationWarning`` for ``key`` once per process."""
-    if key in _warned:
-        return
-    _warned.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-
-
-def reset_deprecation_warnings() -> None:
-    """Forget which deprecation warnings fired (test isolation hook)."""
-    _warned.clear()

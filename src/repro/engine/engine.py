@@ -15,9 +15,7 @@ concurrent crowd-serving facade of :mod:`repro.service`.
 
 Evaluation policy lives in one :class:`~repro.engine.config.EngineConfig`;
 every public method takes keyword-only per-call overrides defaulting to
-the configured values.  The pre-redesign signatures (loose constructor
-kwargs, positional ``sample_size``/``cache``/... tails) still work through
-shims that emit one :class:`DeprecationWarning` per usage pattern.
+the configured values.
 """
 
 from __future__ import annotations
@@ -41,71 +39,15 @@ from ..observability import get_tracer, span as _obs_span
 from ..ontology.facts import Fact
 from ..ontology.graph import Ontology
 from .adapters import MemberUser
-from .config import EngineConfig, warn_deprecated
+from .config import EngineConfig
 from .queue_manager import QueueManager
 from .results import QueryResult, build_result
-
-_LEGACY_INIT_KWARGS = ("templates", "max_values_per_var", "max_more_facts")
-
-
-def _bind_legacy(method: str, names: Tuple[str, ...], values: Tuple, explicit: Dict):
-    """Map deprecated positional tail args onto their keyword names.
-
-    ``explicit`` holds the keyword-only values the caller *did* pass; a
-    positional value for an already-given keyword is a genuine TypeError,
-    not something to paper over.
-    """
-    if len(values) > len(names):
-        raise TypeError(
-            f"{method}() takes at most {len(names)} legacy positional "
-            f"arguments ({len(values)} given)"
-        )
-    warn_deprecated(
-        method,
-        f"positional arguments after the required ones are deprecated for "
-        f"{method}(); pass {', '.join(names[:len(values)])} as keywords "
-        f"(see repro.engine.EngineConfig)",
-    )
-    for name, value in zip(names, values):
-        if explicit.get(name) is not None:
-            raise TypeError(f"{method}() got multiple values for {name!r}")
-        explicit[name] = value
-    return explicit
 
 
 class OassisEngine:
     """Crowd-assisted evaluation of OASSIS-QL queries over an ontology."""
 
-    def __init__(
-        self,
-        ontology: Ontology,
-        config: Optional[EngineConfig] = None,
-        **legacy,
-    ):
-        if isinstance(config, QuestionTemplates):
-            # pre-redesign second positional argument was the templates
-            warn_deprecated(
-                "OassisEngine.__init__/templates",
-                "passing templates positionally to OassisEngine is "
-                "deprecated; use OassisEngine(ontology, "
-                "config=EngineConfig(templates=...))",
-            )
-            legacy.setdefault("templates", config)
-            config = None
-        if legacy:
-            unknown = set(legacy) - set(_LEGACY_INIT_KWARGS)
-            if unknown:
-                raise TypeError(
-                    f"OassisEngine() got unexpected keyword arguments "
-                    f"{sorted(unknown)}"
-                )
-            warn_deprecated(
-                "OassisEngine.__init__",
-                "OassisEngine(ontology, templates=..., max_values_per_var=..., "
-                "max_more_facts=...) is deprecated; pass "
-                "config=EngineConfig(...) instead",
-            )
-            config = (config or EngineConfig()).override(**legacy)
+    def __init__(self, ontology: Ontology, *, config: Optional[EngineConfig] = None):
         self.ontology = ontology
         self.config = config if config is not None else EngineConfig()
 
@@ -151,31 +93,11 @@ class OassisEngine:
 
     # ------------------------------------------------------------ execution
 
-    @staticmethod
-    def _push_workload_hints(
-        space: QueryAssignmentSpace, members: Sequence[CrowdMember]
-    ) -> None:
-        """Tell each member database the query's candidate fan-out.
-
-        The adaptive support backend weighs the fan-out (successors per
-        frontier node — how many structurally-similar candidates will
-        share witness masks) in its scan-vs-index decision.  Members whose
-        databases predate the hint API are skipped.
-        """
-        roots = space.roots()
-        if not roots:
-            return
-        fan_out = sum(len(space.successors(r)) for r in roots) / len(roots)
-        for member in members:
-            database = getattr(member, "database", None)
-            if database is not None and hasattr(database, "set_workload_hint"):
-                database.set_workload_hint(fan_out)
-
     def execute(
         self,
         query: Union[str, Query],
         members: Sequence[CrowdMember],
-        *legacy,
+        *,
         sample_size: Optional[int] = None,
         cache: Optional[CrowdCache] = None,
         more_pool: Optional[Iterable[Fact]] = None,
@@ -183,30 +105,6 @@ class OassisEngine:
         max_total_questions: Optional[int] = None,
     ) -> QueryResult:
         """Evaluate with the multi-user algorithm over ``members``."""
-        if legacy:
-            bound = _bind_legacy(
-                "OassisEngine.execute",
-                (
-                    "sample_size",
-                    "cache",
-                    "more_pool",
-                    "include_invalid",
-                    "max_total_questions",
-                ),
-                legacy,
-                dict(
-                    sample_size=sample_size,
-                    cache=cache,
-                    more_pool=more_pool,
-                    include_invalid=include_invalid,
-                    max_total_questions=max_total_questions,
-                ),
-            )
-            sample_size = bound["sample_size"]
-            cache = bound["cache"]
-            more_pool = bound["more_pool"]
-            include_invalid = bound["include_invalid"]
-            max_total_questions = bound["max_total_questions"]
         run = self.config.override(
             sample_size=sample_size,
             include_invalid=include_invalid,
@@ -221,7 +119,6 @@ class OassisEngine:
             aggregator = FixedSampleAggregator(
                 parsed.threshold, sample_size=run.sample_size
             )
-            self._push_workload_hints(space, members)
             users = [MemberUser(member, space) for member in members]
             miner = MultiUserMiner(
                 space,
@@ -250,26 +147,12 @@ class OassisEngine:
         self,
         query: Union[str, Query],
         member: CrowdMember,
-        *legacy,
+        *,
         more_pool: Optional[Iterable[Fact]] = None,
         include_invalid: Optional[bool] = None,
         max_questions: Optional[int] = None,
     ) -> QueryResult:
         """Evaluate with Algorithm 1 against a single member."""
-        if legacy:
-            bound = _bind_legacy(
-                "OassisEngine.execute_single_user",
-                ("more_pool", "include_invalid", "max_questions"),
-                legacy,
-                dict(
-                    more_pool=more_pool,
-                    include_invalid=include_invalid,
-                    max_questions=max_questions,
-                ),
-            )
-            more_pool = bound["more_pool"]
-            include_invalid = bound["include_invalid"]
-            max_questions = bound["max_questions"]
         run = self.config.override(include_invalid=include_invalid)
         tracer = get_tracer()
         with _obs_span("engine.execute"):
@@ -277,7 +160,6 @@ class OassisEngine:
             space = self.build_space(
                 parsed, more_pool=more_pool if more_pool is not None else ()
             )
-            self._push_workload_hints(space, [member])
             answers: Dict[Assignment, float] = {}
 
             def oracle(node: Assignment) -> float:
@@ -307,7 +189,7 @@ class OassisEngine:
         query: Union[str, Query],
         member_ids: Sequence[str],
         cache: CrowdCache,
-        *legacy,
+        *,
         threshold: Optional[float] = None,
         sample_size: Optional[int] = None,
         include_invalid: Optional[bool] = None,
@@ -344,24 +226,6 @@ class OassisEngine:
         ``docs/LANGUAGE.md`` ("Threshold sweeps") and
         ``docs/OBSERVABILITY.md`` for the cost model behind this API.
         """
-        if legacy:
-            bound = _bind_legacy(
-                "OassisEngine.replay",
-                ("threshold", "sample_size", "include_invalid", "more_pool", "space"),
-                legacy,
-                dict(
-                    threshold=threshold,
-                    sample_size=sample_size,
-                    include_invalid=include_invalid,
-                    more_pool=more_pool,
-                    space=space,
-                ),
-            )
-            threshold = bound["threshold"]
-            sample_size = bound["sample_size"]
-            include_invalid = bound["include_invalid"]
-            more_pool = bound["more_pool"]
-            space = bound["space"]
         run = self.config.override(
             sample_size=sample_size, include_invalid=include_invalid
         )
@@ -407,7 +271,7 @@ class OassisEngine:
         self,
         query: Union[str, Query],
         members: Sequence[CrowdMember],
-        *legacy,
+        *,
         probes_per_member: int = 8,
         tolerance: float = 0.05,
         max_violation_ratio: float = 0.2,
@@ -421,19 +285,6 @@ class OassisEngine:
         """
         from ..crowd.selection import filter_members
 
-        if legacy:
-            bound = _bind_legacy(
-                "OassisEngine.screen_members",
-                ("probes_per_member", "tolerance", "max_violation_ratio"),
-                legacy,
-                dict(probes_per_member=None, tolerance=None, max_violation_ratio=None),
-            )
-            if bound["probes_per_member"] is not None:
-                probes_per_member = bound["probes_per_member"]
-            if bound["tolerance"] is not None:
-                tolerance = bound["tolerance"]
-            if bound["max_violation_ratio"] is not None:
-                max_violation_ratio = bound["max_violation_ratio"]
         parsed = self._as_query(query)
         space = self.build_space(parsed)
         probes = []
@@ -466,22 +317,12 @@ class OassisEngine:
     def queue_manager(
         self,
         query: Union[str, Query],
-        *legacy,
+        *,
         sample_size: Optional[int] = None,
         cache: Optional[CrowdCache] = None,
         more_pool: Optional[Iterable[Fact]] = None,
     ) -> QueueManager:
         """An interactive QueueManager for UI-style integration."""
-        if legacy:
-            bound = _bind_legacy(
-                "OassisEngine.queue_manager",
-                ("sample_size", "cache", "more_pool"),
-                legacy,
-                dict(sample_size=sample_size, cache=cache, more_pool=more_pool),
-            )
-            sample_size = bound["sample_size"]
-            cache = bound["cache"]
-            more_pool = bound["more_pool"]
         run = self.config.override(sample_size=sample_size)
         parsed = self._as_query(query)
         space = self.build_space(

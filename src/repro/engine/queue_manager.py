@@ -459,15 +459,19 @@ class QueueManager:
 
     def _apply_verdict(self, node: Assignment) -> None:
         verdict = self.aggregator.verdict(node)
-        if verdict is Verdict.SIGNIFICANT:
-            if self.state.status(node) is Status.UNKNOWN:
+        if verdict is Verdict.UNDECIDED:
+            return
+        status = self.state.status(node)
+        if status is Status.UNKNOWN:
+            if verdict is Verdict.SIGNIFICANT:
                 self.state.mark_significant(node)
-                _obs_count("mining.classified.by_crowd")
-            self.tracker.note_significant(node)
-        elif verdict is Verdict.INSIGNIFICANT:
-            if self.state.status(node) is Status.UNKNOWN:
+                status = Status.SIGNIFICANT
+            else:
                 self.state.mark_insignificant(node)
-                _obs_count("mining.classified.by_crowd")
+            _obs_count("mining.classified.by_crowd")
+        if status is Status.SIGNIFICANT and verdict is Verdict.SIGNIFICANT:
+            # a node the closure already made insignificant is no candidate
+            self.tracker.note_significant(node)
 
     def _push_successors(self, member_id: str, node: Assignment) -> None:
         visited = self._visited[member_id]

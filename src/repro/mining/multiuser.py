@@ -309,26 +309,6 @@ class MultiUserMiner(Generic[Node]):
             and self.questions >= self.max_total_questions
         )
 
-    def _globally_complete(self) -> bool:
-        """No reachable assignment is still globally unclassified."""
-        seen: Set[Node] = set()
-        frontier = list(self.space.roots())
-        seen.update(frontier)
-        index = 0
-        while index < len(frontier):
-            node = frontier[index]
-            index += 1
-            status = self.state.status(node)
-            if status is Status.UNKNOWN:
-                return False
-            if status is Status.INSIGNIFICANT:
-                continue
-            for successor in self.space.successors(node):
-                if successor not in seen:
-                    seen.add(successor)
-                    frontier.append(successor)
-        return True
-
     # ------------------------------------------------------------ user turn
 
     def _user_turn(self, session: _Session[Node]) -> bool:
@@ -484,17 +464,20 @@ class MultiUserMiner(Generic[Node]):
         if self.cache is not None:
             self.cache.record(node, member_id, support)
         verdict = self.aggregator.verdict(node)
-        if verdict is Verdict.SIGNIFICANT:
-            if self.state.status(node) is Status.UNKNOWN:
+        if verdict is Verdict.UNDECIDED:
+            return
+        status = self.state.status(node)
+        if status is Status.UNKNOWN:
+            if verdict is Verdict.SIGNIFICANT:
                 self.state.mark_significant(node)
-                if self._obs is not None:
-                    self._obs.count("mining.classified.by_crowd")
-            self.tracker.note_significant(node)
-        elif verdict is Verdict.INSIGNIFICANT:
-            if self.state.status(node) is Status.UNKNOWN:
+                status = Status.SIGNIFICANT
+            else:
                 self.state.mark_insignificant(node)
-                if self._obs is not None:
-                    self._obs.count("mining.classified.by_crowd")
+            if self._obs is not None:
+                self._obs.count("mining.classified.by_crowd")
+        if status is Status.SIGNIFICANT and verdict is Verdict.SIGNIFICANT:
+            # a node the closure already made insignificant is no candidate
+            self.tracker.note_significant(node)
 
     def _sample(self) -> None:
         classified_valid = self.progress.refresh() if self.progress is not None else 0

@@ -25,12 +25,7 @@ COUNTER_NAMES: FrozenSet[str] = frozenset(
     {
         # crowd answer aggregation
         "aggregator.answers",
-        # adaptive support-backend selection (repro.crowd.backend)
-        "backend.choose.reference",
-        "backend.choose.tid",
-        "backend.decisions.cached",
-        "backend.overridden",
-        "support.count.reference",
+        # support counting (repro.crowd.personal_db)
         "support.count.tid",
         # the CrowdCache answer store
         "cache.answers.recorded",

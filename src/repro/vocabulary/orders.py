@@ -83,8 +83,6 @@ class PartialOrder:
         self._depth_cache: Dict[Term, int] = {}
         self._chain_pos: Dict[Term, Tuple[int, int]] = {}
         self._chain_compiled_at = -1
-        self._closure_stats: Tuple[int, int, float] = (0, 0, 0.0)
-        self._closure_stats_at = -1
         self._sorted_children: Dict[Term, Tuple[Term, ...]] = {}
         self._sorted_parents: Dict[Term, Tuple[Term, ...]] = {}
         self._edge_count = 0
@@ -521,28 +519,6 @@ class PartialOrder:
         if not self._children:
             return 0
         return max(self.depth(t) for t in self._children)
-
-    def closure_stats(self) -> Tuple[int, int, float]:
-        """``(terms, height, average closure size)`` of the order.
-
-        The average reflexive-descendant-closure size is one popcount per
-        compiled bitset — the width/depth shape signal the adaptive
-        support backend feeds its cost model (a term's closure size is
-        exactly the union work the TID index spends on a novel query fact
-        touching it).  Memoized per version stamp.
-        """
-        if self._closure_stats_at == self.version:
-            return self._closure_stats
-        n = len(self._terms_by_id)
-        if n == 0:
-            stats = (0, 0, 0.0)
-        else:
-            self._ensure_desc_compiled()
-            mass = sum(bits.bit_count() for bits in self._desc_bits)
-            stats = (n, self.height(), mass / n)
-        self._closure_stats = stats
-        self._closure_stats_at = self.version
-        return stats
 
     def chain_partition(self) -> Dict[Term, Tuple[int, int]]:
         """Greedy chain decomposition: term -> (chain id, position).

@@ -269,68 +269,6 @@ class TestTracerNameRule:
         assert lint(tmp_path, "tracer-name").findings == []
 
 
-class TestShimCallerRule:
-    def test_importing_shim_helper_fires(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/mining/mod.py",
-            "from repro.engine.config import warn_deprecated\n"
-            "warn_deprecated('k', 'm')\n",
-        )
-        result = lint(tmp_path, "shim-caller")
-        assert rule_ids(result) == ["shim-caller"] * 2
-
-    def test_legacy_engine_kwargs_fire(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/experiments/mod.py",
-            "engine = OassisEngine(ontology, max_values_per_var=2)\n",
-        )
-        result = lint(tmp_path, "shim-caller")
-        assert rule_ids(result) == ["shim-caller"]
-        assert "EngineConfig" in result.findings[0].message
-
-    def test_legacy_positional_tail_fires(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/experiments/mod.py",
-            "manager = engine.queue_manager(query, 2)\n",
-        )
-        result = lint(tmp_path, "shim-caller")
-        assert rule_ids(result) == ["shim-caller"]
-        assert "queue_manager" in result.findings[0].message
-
-    def test_modern_calls_are_silent(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/experiments/mod.py",
-            "engine = OassisEngine(ontology, config=EngineConfig())\n"
-            "manager = engine.queue_manager(query, sample_size=2)\n"
-            "result = engine.execute(query, crowd)\n",
-        )
-        assert lint(tmp_path, "shim-caller").findings == []
-
-    def test_shim_home_modules_are_exempt(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/engine/engine.py",
-            "from .config import warn_deprecated\n"
-            "warn_deprecated('k', 'm')\n",
-        )
-        assert lint(tmp_path, "shim-caller").findings == []
-
-    def test_api_facade_is_a_shim_home(self, tmp_path):
-        # repro.api hosts the PR-8 legacy shims, so its warn_deprecated
-        # calls are legitimate
-        write(
-            tmp_path,
-            "repro/api/__init__.py",
-            "from ..engine.config import warn_deprecated\n"
-            "warn_deprecated('k', 'm')\n",
-        )
-        assert lint(tmp_path, "shim-caller").findings == []
-
-
 class TestAsyncBlockingRule:
     def test_time_sleep_in_async_gateway_fires(self, tmp_path):
         write(

@@ -1,12 +1,10 @@
-"""The repro.api facade: one Client, typed DTOs, warn-once legacy shims."""
-
-import warnings
+"""The repro.api facade: one Client with typed DTOs."""
 
 import pytest
 
 import repro.api as api
 from repro.api import Client
-from repro.engine import reset_deprecation_warnings
+from repro.engine.engine import OassisEngine
 from repro.engine.results import QueryResult
 from repro.gateway import GatewayConfig, NotFoundError
 from repro.gateway.schema import (
@@ -18,13 +16,6 @@ from repro.gateway.schema import (
     ResultResponse,
 )
 from repro.service.simulation import DOMAINS, build_identical_crowd
-
-
-@pytest.fixture(autouse=True)
-def fresh_warning_state():
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
 
 
 @pytest.fixture()
@@ -53,6 +44,9 @@ class TestSessionStyle:
         assert isinstance(result, ResultResponse)
         assert result.session_id == accepted.session_id
 
+    def test_client_is_the_only_export(self):
+        assert api.__all__ == ["Client"]
+
     def test_methods_are_keyword_only(self, client):
         with pytest.raises(TypeError):
             client.activate("demo")  # noqa: the old positional shape
@@ -67,6 +61,21 @@ class TestSessionStyle:
         with pytest.raises(NotFoundError):
             client.result(session_id="never-posed")
 
+    def test_late_answers_cannot_revive_a_decided_root(self, client):
+        """Six members hold the root; the first three answers decide it."""
+        accepted = client.pose_query(threshold=0.4, sample_size=3)
+        members = [f"m{i}" for i in range(6)]
+        held = {}
+        for member in members:
+            client.join(member_id=member)
+            (question,) = client.next_questions(member_id=member, k=1).questions
+            held[member] = question.qid
+        for member, support in zip(members, (0.0, 0.0, 0.0, 1.0, 1.0, 1.0)):
+            client.submit_answer(member_id=member, qid=held[member], support=support)
+        result = client.result(session_id=accepted.session_id)
+        assert result.done
+        assert result.msps == ()
+
     def test_engine_requires_an_active_dataset(self):
         bare = Client()
         with pytest.raises(RuntimeError, match="no dataset is active"):
@@ -78,21 +87,18 @@ class TestSessionStyle:
 
 
 class TestBatchStyle:
-    def test_execute_matches_the_legacy_entry_point(self, client):
+    def test_execute_matches_the_engine_entry_point(self, client):
         dataset = DOMAINS["demo"]()
         members = build_identical_crowd(dataset, 4, seed=0)
         modern = client.execute(query=None, members=members, threshold=0.4)
         assert isinstance(modern, QueryResult)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = api.execute(
-                dataset.ontology,
-                dataset.query(0.4),
-                build_identical_crowd(dataset, 4, seed=0),
-            )
-        assert sorted(repr(a) for a in modern.all_msps) == sorted(
-            repr(a) for a in legacy.all_msps
+        direct = OassisEngine(dataset.ontology).execute(
+            dataset.query(0.4), build_identical_crowd(dataset, 4, seed=0)
         )
+        assert sorted(repr(a) for a in modern.all_msps) == sorted(
+            repr(a) for a in direct.all_msps
+        )
+        assert modern.questions == direct.questions
 
     def test_simulate_defaults_to_the_active_domain(self, client):
         report = client.simulate(
@@ -122,62 +128,3 @@ class TestBatchStyle:
     def test_mcp_shares_the_application_state(self, client):
         mcp = client.mcp()
         assert "pose_query" in mcp.available_tools()
-
-
-class TestLegacyShims:
-    def test_each_shim_warns_exactly_once(self):
-        dataset = DOMAINS["demo"]()
-        members = build_identical_crowd(dataset, 4, seed=0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            api.execute(dataset.ontology, dataset.query(0.4), members)
-            api.execute(dataset.ontology, dataset.query(0.4), members)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "Client" in str(deprecations[0].message)
-
-    def test_run_simulation_shim_delegates_and_warns(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = api.run_simulation(
-                domain="demo", sessions=1, crowd_size=4,
-                sample_size=3, question_timeout=0.25, max_runtime=30.0,
-                seed=0,
-            )
-        assert report["verified"]
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "simulate" in str(deprecations[0].message)
-
-    def test_shard_coordinator_shim_warns(self):
-        dataset = DOMAINS["demo"]()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            coordinator = api.shard_coordinator(
-                dataset, shards=1, crowd_size=4, sample_size=3, domain="demo"
-            )
-        assert coordinator is not None
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_warned_keys_are_distinct_per_shim(self):
-        dataset = DOMAINS["demo"]()
-        members = build_identical_crowd(dataset, 2, seed=0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            api.execute(dataset.ontology, dataset.query(0.4), members)
-            api.run_simulation(
-                domain="demo", sessions=1, crowd_size=4,
-                sample_size=3, question_timeout=0.25, max_runtime=30.0,
-                seed=0,
-            )
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 2

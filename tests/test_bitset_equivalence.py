@@ -5,14 +5,20 @@ support counting of :mod:`repro.crowd.tid_index` must be *observationally
 identical* to the retained reference implementations — same ``leq``, same
 closures, same support values — on random :mod:`repro.synth` taxonomies,
 including after mutations (``add_edge`` / transaction ``add``) that must
-invalidate the compiled state.
+invalidate the compiled state.  End to end, a mining run counting support
+with the per-transaction scan must ask the same questions and find the
+same MSPs as one on the index.
 """
 
 import random
 
 import pytest
 
+from repro.crowd.member import CrowdMember
 from repro.crowd.personal_db import PersonalDatabase, Transaction
+from repro.datasets import culinary, health, running_example, travel
+from repro.engine.config import EngineConfig
+from repro.engine.engine import OassisEngine
 from repro.ontology.facts import Fact, FactSet
 from repro.synth.taxonomy import random_order, random_taxonomy, random_vocabulary
 from repro.vocabulary.terms import ANY_ELEMENT, ANY_RELATION_WILDCARD
@@ -189,3 +195,98 @@ class TestSupportEquivalence:
             assert db.support(query, vocabulary) == db.support_reference(
                 query, vocabulary
             )
+
+
+def _mine(ontology, query, members, config, **options):
+    engine = OassisEngine(ontology, config=config)
+    result = engine.execute(query, members, **options)
+    return sorted(repr(a) for a in result.all_msps), result.questions
+
+
+def _mine_both_ways(monkeypatch, build_members, ontology, query, config, **options):
+    """Mine once on the TID index and once on the scan; both must agree."""
+    on_index = _mine(ontology, query, build_members(), config, **options)
+    with monkeypatch.context() as patch:
+        patch.setattr(PersonalDatabase, "_hits", PersonalDatabase._hits_reference)
+        on_scan = _mine(ontology, query, build_members(), config, **options)
+    assert on_index == on_scan, "TID-index mining diverged from the scan"
+    return on_index
+
+
+class TestMiningEquivalence:
+    NARROW = EngineConfig(max_values_per_var=2, max_more_facts=0)
+
+    def test_tiny_member_databases(self, monkeypatch):
+        """One-fact histories: the index holds a single distinct fact."""
+        ontology = running_example.build_ontology()
+        vocabulary = ontology.vocabulary
+        histories = (
+            ["Biking doAt Central Park"],
+            ["Swimming doAt Bronx Zoo"],
+            ["Basketball doAt Central Park"],
+        )
+
+        def build_members():
+            return [
+                CrowdMember(f"tiny-{i}", PersonalDatabase.parse(h), vocabulary)
+                for i, h in enumerate(histories)
+            ]
+
+        _, questions = _mine_both_ways(
+            monkeypatch, build_members, ontology,
+            running_example.FRAGMENT_QUERY, self.NARROW, sample_size=3,
+        )
+        assert questions > 0
+
+    def test_paper_scale_wide_taxonomy(self, monkeypatch):
+        """A ≥1,000-term synthetic element order widens every closure the
+        TID index unions over."""
+        ontology = running_example.build_ontology()
+        vocabulary = ontology.vocabulary
+        random_taxonomy(
+            vocabulary, node_count=1200, depth=5, seed=9,
+            extra_edge_probability=0.1,
+        )
+        assert len(vocabulary.element_order) > 1000
+        databases = running_example.build_personal_databases()
+
+        def build_members():
+            return [
+                CrowdMember(member_id, database, vocabulary)
+                for member_id, database in sorted(databases.items())
+            ]
+
+        _, questions = _mine_both_ways(
+            monkeypatch, build_members, ontology,
+            running_example.FRAGMENT_QUERY, self.NARROW, sample_size=2,
+        )
+        assert questions > 0
+
+    def test_high_fan_out_candidates(self, monkeypatch):
+        """Travel's lattice: many sibling candidates share witness masks."""
+        dataset = travel.build_dataset()
+        _, questions = _mine_both_ways(
+            monkeypatch,
+            lambda: dataset.build_crowd(size=2, seed=5, transactions=6),
+            dataset.ontology, dataset.query(threshold=0.3), self.NARROW,
+            sample_size=2,
+        )
+        assert questions > 100  # a real lattice walk, not a trivial run
+
+    @pytest.mark.parametrize(
+        "module, max_values_per_var",
+        [(culinary, 2), (health, 1)],
+        ids=["culinary", "self-treatment"],
+    )
+    def test_domain_run_matches_the_scan(self, monkeypatch, module, max_values_per_var):
+        """The paper domains at ``make bench``'s quick sizes: crowd 6, 20
+        transactions per member, sample 3, seed 23, Θ 0.2, MORE pool on."""
+        dataset = module.build_dataset()
+        config = EngineConfig(max_values_per_var=max_values_per_var, max_more_facts=0)
+        msps, questions = _mine_both_ways(
+            monkeypatch,
+            lambda: dataset.build_crowd(size=6, seed=23, transactions=20),
+            dataset.ontology, dataset.query(threshold=0.2), config,
+            sample_size=3, more_pool=dataset.more_pool,
+        )
+        assert msps and questions > 0

@@ -209,6 +209,25 @@ class TestAggregators:
         agg.add_answer("a", "u2", 0.3)
         assert agg.verdict("a") is Verdict.INSIGNIFICANT
 
+    def test_fixed_sample_verdict_is_final(self):
+        agg = FixedSampleAggregator(0.4, sample_size=2)
+        agg.add_answer("a", "u1", 0.0)
+        agg.add_answer("a", "u2", 0.0)
+        agg.add_answer("a", "u3", 1.0)
+        agg.add_answer("a", "u4", 1.0)
+        assert agg.verdict("a") is Verdict.INSIGNIFICANT
+        assert agg.answer_count("a") == 2
+        assert agg.average_support("a") == 0.0
+
+    def test_zero_trust_sample_stays_open(self):
+        agg = TrustWeightedAggregator(0.5, sample_size=1, trust={"spam": 0.0})
+        agg.add_answer("a", "spam", 1.0)
+        assert agg.verdict("a") is Verdict.UNDECIDED
+        agg.add_answer("a", "good", 0.1)
+        assert agg.verdict("a") is Verdict.INSIGNIFICANT
+        agg.add_answer("a", "late", 1.0)
+        assert agg.answer_count("a") == 2
+
     def test_average_support(self):
         agg = FixedSampleAggregator(0.5, sample_size=2)
         assert agg.average_support("a") is None

@@ -1,24 +1,14 @@
-"""EngineConfig facade: keyword-only signatures + deprecation shims."""
-
-import warnings
+"""EngineConfig facade: one keyword-only signature per entry point."""
 
 import pytest
 
 from repro import EngineConfig, OassisEngine
 from repro.datasets import running_example
-from repro.engine import reset_deprecation_warnings
 
 
 @pytest.fixture(scope="module")
 def ontology():
     return running_example.build_ontology()
-
-
-@pytest.fixture(autouse=True)
-def fresh_warning_state():
-    reset_deprecation_warnings()
-    yield
-    reset_deprecation_warnings()
 
 
 class TestEngineConfig:
@@ -40,73 +30,14 @@ class TestEngineConfig:
         assert engine.max_values_per_var == 2
         assert engine.config.max_values_per_var == 2
 
-
-class TestDeprecationShims:
-    def test_legacy_init_kwargs_warn_exactly_once(self, ontology):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            OassisEngine(ontology, max_values_per_var=2)
-            OassisEngine(ontology, max_values_per_var=2, max_more_facts=0)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "EngineConfig" in str(deprecations[0].message)
-
-    def test_legacy_kwargs_still_apply(self, ontology):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            engine = OassisEngine(ontology, max_values_per_var=1)
-        assert engine.max_values_per_var == 1
-
-    def test_unknown_init_kwarg_raises(self, ontology):
+    def test_retired_call_shapes_raise(self, ontology):
+        """Loose constructor knobs and positional tails are gone."""
         with pytest.raises(TypeError):
-            OassisEngine(ontology, bogus=1)
-
-    def test_legacy_positional_tail_binds(self, ontology):
+            OassisEngine(ontology, max_values_per_var=2)
+        with pytest.raises(TypeError):
+            OassisEngine(ontology, EngineConfig())
         engine = OassisEngine(ontology)
         query = engine.parse(running_example.FRAGMENT_QUERY)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            manager = engine.queue_manager(query, 2)  # legacy: sample_size
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert manager.aggregator.sample_size == 2
-
-    def test_positional_and_keyword_conflict_raises(self, ontology):
-        engine = OassisEngine(ontology)
-        query = engine.parse(running_example.FRAGMENT_QUERY)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError):
-                engine.queue_manager(query, 2, sample_size=3)
-
-    def test_reset_makes_warning_fire_again(self, ontology):
-        """Regression: warn-once state must not leak across tests.
-
-        The autouse ``fresh_warning_state`` fixture resets the module-level
-        ``_warned`` set around every test; this proves the reset actually
-        re-arms the warning (if it leaked, the second engine construction
-        here would stay silent and so would the *next test module's*).
-        """
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            OassisEngine(ontology, max_values_per_var=2)
-            reset_deprecation_warnings()
-            OassisEngine(ontology, max_values_per_var=2)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 2
-
-    def test_new_style_call_does_not_warn(self, ontology):
-        engine = OassisEngine(ontology, config=EngineConfig(sample_size=3))
-        query = engine.parse(running_example.FRAGMENT_QUERY)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            engine.queue_manager(query, sample_size=2)
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
+        with pytest.raises(TypeError):
+            engine.queue_manager(query, 2)
+        assert engine.queue_manager(query, sample_size=2).aggregator.sample_size == 2

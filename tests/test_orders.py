@@ -158,28 +158,6 @@ class TestOrderQueries:
         assert (Element("Sport"), Element("Biking")) in set(order.edges())
 
 
-class TestClosureStats:
-    def test_shape_summary(self):
-        order = sport_order()
-        terms, height, avg_closure = order.closure_stats()
-        assert terms == 6
-        # Activity -> Sport -> Ball Game -> Basketball = 3 edges deep
-        assert height == 3
-        # closure sizes: Activity 6, Sport 5, Ball Game 3, leaves 1 each
-        assert avg_closure == pytest.approx((6 + 5 + 3 + 1 + 1 + 1) / 6)
-
-    def test_memoized_until_mutation(self):
-        order = sport_order()
-        first = order.closure_stats()
-        assert order.closure_stats() is first or order.closure_stats() == first
-        order.add_edge(Element("Sport"), Element("Skiing"))
-        terms, _, _ = order.closure_stats()
-        assert terms == 7
-
-    def test_empty_order(self):
-        assert PartialOrder().closure_stats() == (0, 0, 0.0)
-
-
 class TestChainPartition:
     def test_covers_every_term_exactly_once(self):
         order = sport_order()

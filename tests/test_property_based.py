@@ -315,3 +315,78 @@ def test_msp_tracker_matches_brute_force(setup, data):
                 assert tracker.confirmed() == expected
     fast, lazy = runs
     assert fast[1].confirmed() == lazy[1].confirmed()
+
+
+# ----------------------------------------------------------- served sessions
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_served_msps_are_decided_by_their_sample(data):
+    """Random supports and random dispatch/answer interleavings through
+    a demo ``QueueManager``, several questions in flight per member:
+    every reported MSP is SIGNIFICANT, significant by the first
+    ``sample_size`` answers the cache holds for it, and its successors
+    are INSIGNIFICANT.
+
+    A successor's own sample may still read significant: when the closure
+    classifies it insignificant while answers for it are in flight, those
+    answers land after the decision and cannot change it.
+    """
+    from repro.crowd import CrowdCache, FixedSampleAggregator, Verdict
+    from repro.engine import OassisEngine
+    from repro.mining import Status
+    from repro.service.simulation import DOMAINS
+
+    supports = (0.0, 0.2, 0.5, 1.0)
+    demo = DOMAINS["demo"]()
+    sample = data.draw(st.integers(min_value=2, max_value=3), label="sample")
+    crowd = data.draw(st.integers(min_value=sample, max_value=6), label="crowd")
+    threshold = data.draw(st.sampled_from((0.3, 0.4, 0.5)), label="threshold")
+    members = [f"m{i}" for i in range(crowd)]
+    # each member's answer while draining; the random phase draws each one
+    support_of = {
+        member: data.draw(st.sampled_from(supports), label=member)
+        for member in members
+    }
+    cache = CrowdCache()
+    queue = OassisEngine(demo.ontology).queue_manager(
+        demo.query(threshold), sample_size=sample, cache=cache
+    )
+    in_flight = {member: [] for member in members}
+
+    def answer(member, index, support):
+        queue.submit_support(member, support, in_flight[member].pop(index))
+
+    def dispatch(member):
+        batch = queue.next_batch(member, 1, fresh_only=True)
+        in_flight[member].extend(question.assignment for question in batch)
+        return bool(batch)
+
+    for _ in range(data.draw(st.integers(min_value=0, max_value=120), label="steps")):
+        member = data.draw(st.sampled_from(members))
+        if in_flight[member] and data.draw(st.booleans()):
+            index = data.draw(st.integers(0, len(in_flight[member]) - 1))
+            answer(member, index, data.draw(st.sampled_from(supports)))
+        else:
+            dispatch(member)
+    progressed = True
+    while progressed:  # drain: answer everything, then keep pulling
+        progressed = False
+        for member in members:
+            while in_flight[member]:
+                answer(member, 0, support_of[member])
+                progressed = True
+            progressed = dispatch(member) or progressed
+
+    def verdict(node):
+        box = FixedSampleAggregator(threshold, sample_size=sample)
+        for member, support in cache.answers_for(node)[:sample]:
+            box.add_answer(node, member, support)
+        return box.verdict(node)
+
+    for msp in queue.current_msps():
+        assert queue.state.status(msp) is Status.SIGNIFICANT, msp
+        assert verdict(msp) is Verdict.SIGNIFICANT, msp
+        for successor in queue.space.successors(msp):
+            assert queue.state.status(successor) is Status.INSIGNIFICANT, successor

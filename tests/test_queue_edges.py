@@ -4,7 +4,8 @@ Satellite coverage for the retry machinery that the fault-injection
 harness (PR 5) leans on: the exact-deadline boundary, the attempt
 counter hitting ``max_attempts`` exactly, and the timeout/answer race —
 a question that expires while its answer is in flight must yield
-``STALE`` exactly once, then be collectable again.
+``STALE`` exactly once, then be collectable again.  Answers that land
+after their node was classified must not change what the node is.
 """
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from repro import OassisEngine
 from repro.datasets import running_example
 from repro.engine import AnswerOutcome
+from repro.mining.state import Status
 from repro.service import ServiceConfig
 from repro.service.simulation import DOMAINS
 
@@ -110,6 +112,31 @@ class TestQueueExpiryRaces:
         qm.mark_answered("u", node, 0.8)
         follow_up = qm.next_question("u")
         assert follow_up is None or follow_up.assignment != node
+
+
+class TestLateAnswersOnClassifiedNodes:
+    """In-flight answers for a node the closure already classified."""
+
+    def test_answers_after_inference_do_not_make_an_msp(self, engine):
+        qm = engine.queue_manager(running_example.FRAGMENT_QUERY, sample_size=2)
+        (root,) = qm.space.roots()
+        for member in ("a", "b"):
+            assert qm.next_question(member).assignment == root
+            qm.submit_support(member, 1.0, root)
+        parent = qm.space.successors(root)[0]
+        grandchild = qm.space.successors(parent)[0]
+        for member in ("a", "b"):  # handed out while still unclassified
+            assert qm.requeue_for(member, grandchild)
+            assert qm.next_question(member).assignment == grandchild
+        for member in ("c", "d"):
+            assert qm.requeue_for(member, parent)
+            assert qm.next_question(member).assignment == parent
+            qm.submit_support(member, 0.0, parent)
+        assert qm.state.status(grandchild) is Status.INSIGNIFICANT
+        for member in ("a", "b"):
+            assert qm.submit_support(member, 1.0, grandchild) is AnswerOutcome.RECORDED
+        assert qm.state.status(grandchild) is Status.INSIGNIFICANT
+        assert grandchild not in qm.current_msps()
 
 
 class TestDeadlineBoundaries:
