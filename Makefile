@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint deep-lint doclint typecheck bench bench-suite perfbench perfbench-test serve-bench serve-bench-full bench-faults bench-gateway bench-gateway-full gateway-smoke chaos shard-chaos chaos-all bench-chaos bench-chaos-full examples figures stats clean
+.PHONY: install test lint doclint typecheck bench bench-suite perfbench perfbench-test serve-bench serve-bench-full bench-faults bench-gateway bench-gateway-full gateway-smoke chaos shard-chaos chaos-all bench-chaos bench-chaos-full examples figures stats clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -10,17 +10,13 @@ install:
 test:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 
-# project-invariant linter (rule catalogue: docs/ANALYSIS.md); exits
-# non-zero on any error-severity finding, so CI can gate on it
+# project-invariant linter (rule catalogue: docs/ANALYSIS.md): every
+# per-file rule plus the whole-program pass (call-graph effect
+# inference, async blocking, determinism, wire taint — each deep finding
+# carries a witness call chain); exits non-zero on any error-severity
+# finding, so CI can gate on it
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro.analysis src/
-
-# the whole-program pass on top of the per-file linter: call-graph
-# effect inference, async blocking, determinism, wire taint — every finding
-# carries a witness call chain (docs/ANALYSIS.md).  The cache file is
-# hash-keyed over the analyzed tree, so unchanged reruns are instant
-deep-lint:
-	PYTHONPATH=src $(PYTHON) -m repro.analysis src/ --deep --cache .deep-analysis-cache.json
+	PYTHONPATH=src $(PYTHON) -m repro.analysis src/ --deep
 
 # doc cross-link checker: fails on dangling `docs/*.md` references
 # anywhere in the repository's markdown (part of the CI lint job)

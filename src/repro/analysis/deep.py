@@ -29,42 +29,29 @@ analysis found — so a report is a debugging head start, not a puzzle.
     before reaching ``GatewayApp`` / ``SessionManager`` methods.
     Intra-procedural, per transport function, with the taint's
     source-to-sink path in the message.
-
-Results are cached (``--cache``): the key hashes every analyzed file,
-so an unchanged tree re-reports instantly and any edit invalidates.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 import ast
 
 from . import project
-from .callgraph import (
-    MODULE_BODY,
-    CallEdge,
-    FunctionInfo,
-    build_callgraph,
-    iter_source_files,
-)
+from .callgraph import MODULE_BODY, CallEdge, FunctionInfo, build_callgraph
 from .effects import (
     EFFECT_BLOCKING_IO,
     EFFECT_FSYNC,
     EFFECT_UNSEEDED_RANDOM,
     EFFECT_WALL_CLOCK,
+    PLAIN_EFFECTS,
     EffectAnalysis,
     infer_effects,
 )
 from .findings import Finding, Severity
-
-#: bump when the analysis logic changes so stale caches self-invalidate
-ANALYSIS_VERSION = 2
 
 RULE_ASYNC_BLOCKING = "async-blocking-transitive"
 RULE_DETERMINISM = "determinism-transitive"
@@ -106,8 +93,6 @@ DEEP_RULES: Tuple[DeepRule, ...] = (
     ),
 )
 
-DEEP_RULE_IDS: FrozenSet[str] = frozenset(rule.id for rule in DEEP_RULES)
-
 
 def _path_matches(path: str, prefix: str) -> bool:
     """Same semantics as ModuleInfo.matches: trailing '/' means contains."""
@@ -126,8 +111,6 @@ class DeepResult:
     """Everything one deep run produced."""
 
     findings: List[Finding] = field(default_factory=list)
-    analysis: Optional[EffectAnalysis] = None
-    from_cache: bool = False
     stats: Dict[str, int] = field(default_factory=dict)
 
 
@@ -462,18 +445,7 @@ def _check_annotations(
                 message=(
                     f"unknown effect '{error.token}' in a "
                     "'# repro-effects: allow=' annotation (known: "
-                    + ", ".join(
-                        sorted(
-                            {
-                                EFFECT_BLOCKING_IO,
-                                EFFECT_WALL_CLOCK,
-                                EFFECT_UNSEEDED_RANDOM,
-                                "spawn",
-                                "fsync",
-                            }
-                        )
-                    )
-                    + ")"
+                    f"{', '.join(sorted(PLAIN_EFFECTS))})"
                 ),
             )
         )
@@ -482,73 +454,7 @@ def _check_annotations(
 # ------------------------------------------------------------------ driver
 
 
-def _tree_key(root: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(f"analysis-version={ANALYSIS_VERSION}\n".encode())
-    for path in iter_source_files(root):
-        content = path.read_bytes()
-        digest.update(str(path).encode())
-        digest.update(b"\x00")
-        digest.update(hashlib.sha256(content).digest())
-        digest.update(b"\n")
-    return digest.hexdigest()
-
-
-def _load_cache(cache_path: Path, key: str) -> Optional[DeepResult]:
-    try:
-        payload = json.loads(cache_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    if not isinstance(payload, dict) or payload.get("key") != key:
-        return None
-    if payload.get("version") != ANALYSIS_VERSION:
-        return None
-    try:
-        findings = [
-            Finding(
-                path=str(entry["path"]),
-                line=int(entry["line"]),
-                col=int(entry["col"]),
-                rule=str(entry["rule"]),
-                severity=Severity(str(entry["severity"])),
-                message=str(entry["message"]),
-            )
-            for entry in payload["findings"]
-        ]
-        stats = {
-            str(name): int(value)
-            for name, value in payload.get("stats", {}).items()
-        }
-    except (KeyError, TypeError, ValueError):
-        return None
-    return DeepResult(
-        findings=findings,
-        analysis=None,
-        from_cache=True,
-        stats=stats,
-    )
-
-
-def _write_cache(cache_path: Path, key: str, result: DeepResult) -> None:
-    payload = {
-        "version": ANALYSIS_VERSION,
-        "key": key,
-        "findings": [finding.as_dict() for finding in result.findings],
-        "stats": result.stats,
-    }
-    try:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        cache_path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
-        )
-    except OSError:
-        pass  # a cache that cannot be written is just a cache miss next time
-
-
-def run_deep(
-    paths: Sequence[str],
-    cache_path: Optional[Path] = None,
-) -> DeepResult:
+def run_deep(paths: Sequence[str]) -> DeepResult:
     """Run the deep rules for the package implied by ``paths``."""
     root = discover_package_root(paths)
     if root is None:
@@ -556,11 +462,6 @@ def run_deep(
             "cannot locate a package root (looked for repro/__init__.py "
             f"near {list(paths)!r})"
         )
-    key = _tree_key(root) if cache_path is not None else ""
-    if cache_path is not None:
-        cached = _load_cache(cache_path, key)
-        if cached is not None:
-            return cached
     analysis = analyze(root)
     findings: List[Finding] = []
     _check_async_blocking(analysis, findings)
@@ -568,19 +469,14 @@ def run_deep(
     _check_wire_taint(analysis, findings)
     _check_annotations(analysis, findings)
     findings.sort()
-    result = DeepResult(
+    return DeepResult(
         findings=findings,
-        analysis=analysis,
-        from_cache=False,
         stats={
             "functions": len(analysis.graph.functions),
             "edges": len(analysis.graph.edges),
             "unresolved": len(analysis.graph.unresolved),
         },
     )
-    if cache_path is not None:
-        _write_cache(cache_path, key, result)
-    return result
 
 
 # ----------------------------------------------------------------- explain

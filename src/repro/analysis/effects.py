@@ -5,7 +5,8 @@ a *direct* effect set (what its own body does) and a *visible* effect
 set (direct plus everything reachable through resolved call edges),
 computed as a worklist fixpoint so recursion and cycles converge.
 
-Effects tracked:
+Effects tracked (each one is read by a rule in
+:mod:`repro.analysis.deep`):
 
 ``blocking-io``
     A call that stalls the calling thread on the outside world: the
@@ -19,9 +20,6 @@ Effects tracked:
 ``unseeded-random``
     A call into the shared global RNG (``random.random`` and friends);
     seeded ``random.Random`` instances don't count.
-``spawn``
-    Creating a thread/process (``Thread(...)``, ``Process(...)``,
-    executors, ``os.fork``).
 ``fsync``
     ``os.fsync`` — a durability barrier worth seeing across call
     chains because it is orders of magnitude slower than a write.
@@ -52,7 +50,6 @@ from .callgraph import CallGraph, FunctionInfo
 EFFECT_BLOCKING_IO = "blocking-io"
 EFFECT_WALL_CLOCK = "wall-clock"
 EFFECT_UNSEEDED_RANDOM = "unseeded-random"
-EFFECT_SPAWN = "spawn"
 EFFECT_FSYNC = "fsync"
 
 #: plain (non-parameterised) effect names accepted by ``allow=``
@@ -61,7 +58,6 @@ PLAIN_EFFECTS: FrozenSet[str] = frozenset(
         EFFECT_BLOCKING_IO,
         EFFECT_WALL_CLOCK,
         EFFECT_UNSEEDED_RANDOM,
-        EFFECT_SPAWN,
         EFFECT_FSYNC,
     }
 )
@@ -263,8 +259,6 @@ class _DirectEffectCollector:
                 record(EFFECT_UNSEEDED_RANDOM)
             if head == "os" and last == "fsync":
                 record(EFFECT_FSYNC)
-        if name in project.SPAWN_FACTORIES:
-            record(EFFECT_SPAWN)
 
     # --------------------------------------------------------- allow parsing
 

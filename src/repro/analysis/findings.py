@@ -1,8 +1,8 @@
 """Finding and Severity: what a lint rule reports.
 
 A :class:`Finding` pins one rule violation to a ``file:line:col``
-location.  Findings are plain data — rendering, suppression filtering
-and exit-code policy live in :mod:`repro.analysis.lint`.
+location.  Findings are plain data — reporting and exit-code policy
+live in :mod:`repro.analysis.lint`.
 """
 
 from __future__ import annotations

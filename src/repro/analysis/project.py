@@ -1,11 +1,12 @@
 """Project-invariant configuration consumed by the lint rules.
 
 The linter in :mod:`repro.analysis.lint` is generic machinery (walk
-files, parse, dispatch rules, honor suppressions); everything that makes
-it *this repo's* linter lives here: which classes carry version stamps,
-which layers must not swallow errors, and which modules must stay
-deterministic.  Each constant is documented in
-``docs/ANALYSIS.md`` next to the rule that reads it.
+files, parse, dispatch rules, report); everything that makes it *this
+repo's* linter lives here: which classes carry version stamps, which
+layers must not swallow errors, and which modules must stay
+deterministic.  Each constant is documented in ``docs/ANALYSIS.md``
+next to the rule that reads it.  A false positive is fixed here or in
+the rule, never silenced at the call site.
 """
 
 from __future__ import annotations
@@ -203,65 +204,6 @@ BLOCKING_CALLS_IN_ASYNC = {
 BLOCKING_BUILTINS_IN_ASYNC: FrozenSet[str] = frozenset({"open", "input"})
 
 
-# ---------------------------------------------------------------- hygiene
-
-#: builtins worth protecting from shadowing (the usual pylint W0622 set,
-#: trimmed to names that actually cause grief in this codebase)
-PROTECTED_BUILTINS: FrozenSet[str] = frozenset(
-    {
-        "all",
-        "any",
-        "bool",
-        "bytes",
-        "callable",
-        "dict",
-        "dir",
-        "enumerate",
-        "eval",
-        "filter",
-        "float",
-        "format",
-        "frozenset",
-        "getattr",
-        "hasattr",
-        "hash",
-        "id",
-        "input",
-        "int",
-        "isinstance",
-        "iter",
-        "len",
-        "list",
-        "map",
-        "max",
-        "min",
-        "next",
-        "object",
-        "open",
-        "print",
-        "property",
-        "range",
-        "repr",
-        "set",
-        "setattr",
-        "slice",
-        "sorted",
-        "str",
-        "sum",
-        "super",
-        "tuple",
-        "type",
-        "vars",
-        "zip",
-    }
-)
-
-#: factory callables whose call as a default argument is a shared-state bug
-MUTABLE_DEFAULT_FACTORIES: FrozenSet[str] = frozenset(
-    {"list", "dict", "set", "bytearray", "defaultdict", "Counter", "deque"}
-)
-
-
 # ------------------------------------------------------- deep (whole-program)
 
 #: method names the call-graph builder must NEVER resolve by uniqueness
@@ -296,22 +238,6 @@ COMMON_METHOD_NAMES: FrozenSet[str] = frozenset(
         "submit",
         "wait",
         "write",
-    }
-)
-
-#: callables whose invocation marks a function with the ``spawn`` effect
-SPAWN_FACTORIES: FrozenSet[str] = frozenset(
-    {
-        "Thread",
-        "Process",
-        "Pool",
-        "ThreadPool",
-        "ThreadPoolExecutor",
-        "ProcessPoolExecutor",
-        "Timer",
-        "start_new_thread",
-        "fork",
-        "spawn",
     }
 )
 

@@ -1,11 +1,8 @@
-"""The lint rules: generic hygiene plus this repo's own invariants.
+"""The per-file lint rules: this repo's own invariants.
 
-Every rule is a small AST pass over one module.  The generic rules
-(``bare-except``, ``mutable-default``, ``shadowed-builtin``,
-``unused-import``, ``unreachable-code``) are ordinary Python hygiene;
-the project rules read their configuration from
-:mod:`repro.analysis.project` and encode invariants that are otherwise
-only documented prose:
+Every rule is a small AST pass over one module that reads its
+configuration from :mod:`repro.analysis.project` and encodes an
+invariant that is otherwise only documented prose:
 
 * ``version-stamp`` — mutators of version-stamped structures bump the
   stamp (``docs/PERFORMANCE.md``);
@@ -17,13 +14,15 @@ only documented prose:
   a counter or re-raise (``docs/RELIABILITY.md``);
 * ``unseeded-random`` / ``wall-clock`` — core algorithm modules stay
   deterministic for replay;
+* ``async-blocking-io`` — gateway ``async def`` bodies never block the
+  event loop (``docs/GATEWAY.md``);
 * ``fork-unsafe-state`` — modules imported into shard worker processes
   hold no import-time locks/RNGs/thread-locals (``docs/SHARDING.md``):
   build such state in a factory called after spawn, or own the process
   boundary with ``__getstate__``.
 
-Rule ids double as suppression keys: ``# repro-lint: disable=RULE``.
-See ``docs/ANALYSIS.md`` for the full catalogue.
+A false positive is fixed in the rule or in ``project.py``, never
+silenced at the call site.  See ``docs/ANALYSIS.md`` for the catalogue.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Set, Tuple
 
 from . import project
 from .findings import Finding, Severity
@@ -45,7 +44,6 @@ class ModuleInfo:
     path: Path
     display: str
     tree: ast.Module
-    source: str
 
     @property
     def posix(self) -> str:
@@ -82,17 +80,6 @@ def _last_component(node: ast.expr) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def _store_names(target: ast.expr) -> Iterator[ast.Name]:
-    """All Name nodes bound by an assignment target."""
-    if isinstance(target, ast.Name):
-        yield target
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            yield from _store_names(element)
-    elif isinstance(target, ast.Starred):
-        yield from _store_names(target.value)
 
 
 _DOTTED_NAME = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
@@ -136,229 +123,6 @@ class Rule:
             severity=self.severity,
             message=message,
         )
-
-
-# ============================================================ hygiene rules
-
-
-class BareExceptRule(Rule):
-    id = "bare-except"
-    severity = Severity.ERROR
-    summary = "bare `except:` swallows SystemExit/KeyboardInterrupt"
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
-                yield self.finding(
-                    module,
-                    node,
-                    "bare `except:`; catch a specific exception "
-                    "(or `Exception` at the very least)",
-                )
-
-
-class MutableDefaultRule(Rule):
-    id = "mutable-default"
-    severity = Severity.ERROR
-    summary = "mutable default argument shared across calls"
-
-    def _is_mutable(self, default: ast.expr) -> bool:
-        if isinstance(default, (ast.List, ast.Dict, ast.Set)):
-            return True
-        if isinstance(default, ast.Call):
-            name = _last_component(default.func)
-            return name in project.MUTABLE_DEFAULT_FACTORIES
-        return False
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None
-            ]
-            for default in defaults:
-                if self._is_mutable(default):
-                    yield self.finding(
-                        module,
-                        default,
-                        f"mutable default argument in {node.name}(); "
-                        "use None and create it inside the function",
-                    )
-
-
-class ShadowedBuiltinRule(Rule):
-    id = "shadowed-builtin"
-    severity = Severity.ERROR
-    summary = "binding shadows a builtin name"
-
-    def _flag(
-        self, module: ModuleInfo, node: ast.AST, name: str, what: str
-    ) -> Finding:
-        return self.finding(
-            module, node, f"{what} {name!r} shadows the builtin; rename it"
-        )
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        builtins = project.PROTECTED_BUILTINS
-        # manual walk so method names (harmless class-namespace shadowing)
-        # can be skipped while module-level defs are still flagged
-        stack: List[Tuple[ast.AST, bool]] = [(module.tree, False)]
-        while stack:
-            node, in_class = stack.pop()
-            for child in ast.iter_child_nodes(node):
-                child_in_class = isinstance(node, ast.ClassDef)
-                stack.append((child, child_in_class))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if not in_class and node.name in builtins:
-                    yield self._flag(module, node, node.name, "function")
-                args = node.args
-                every = (
-                    list(args.posonlyargs)
-                    + list(args.args)
-                    + list(args.kwonlyargs)
-                    + ([args.vararg] if args.vararg else [])
-                    + ([args.kwarg] if args.kwarg else [])
-                )
-                for argument in every:
-                    if argument.arg in builtins:
-                        yield self._flag(
-                            module, argument, argument.arg, "parameter"
-                        )
-            elif isinstance(node, ast.ClassDef):
-                if node.name in builtins:
-                    yield self._flag(module, node, node.name, "class")
-            elif isinstance(node, ast.Assign):
-                if in_class:
-                    # class attributes live in the class namespace; an
-                    # ``id = "..."`` attribute does not shadow builtins
-                    # for any other code
-                    continue
-                for target in node.targets:
-                    for bound in _store_names(target):
-                        if bound.id in builtins:
-                            yield self._flag(module, bound, bound.id, "variable")
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                for bound in _store_names(node.target):
-                    if bound.id in builtins:
-                        yield self._flag(module, bound, bound.id, "loop variable")
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-                for comp in node.generators:
-                    for bound in _store_names(comp.target):
-                        if bound.id in builtins:
-                            yield self._flag(
-                                module, bound, bound.id, "comprehension variable"
-                            )
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    if item.optional_vars is not None:
-                        for bound in _store_names(item.optional_vars):
-                            if bound.id in builtins:
-                                yield self._flag(
-                                    module, bound, bound.id, "context variable"
-                                )
-            elif isinstance(node, ast.ExceptHandler):
-                if node.name and node.name in builtins:
-                    yield self._flag(module, node, node.name, "exception variable")
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    bound_name = alias.asname or alias.name.split(".")[0]
-                    if bound_name in builtins:
-                        yield self._flag(module, node, bound_name, "import")
-
-
-class UnusedImportRule(Rule):
-    id = "unused-import"
-    severity = Severity.ERROR
-    summary = "imported name is never used"
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        is_package_init = module.path.name == "__init__.py"
-        exported: Set[str] = set()
-        has_all = False
-        for node in module.tree.body:
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name) and target.id == "__all__":
-                        has_all = True
-                        if isinstance(node.value, (ast.List, ast.Tuple)):
-                            for element in node.value.elts:
-                                if isinstance(element, ast.Constant) and isinstance(
-                                    element.value, str
-                                ):
-                                    exported.add(element.value)
-        if is_package_init and not has_all:
-            # no __all__: every import is a potential re-export
-            return
-        used: Set[str] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-        # names referenced only inside string annotations
-        # (``engine: "OassisEngine"``) are uses too
-        for node in ast.walk(module.tree):
-            annotation = None
-            if isinstance(node, ast.arg):
-                annotation = node.annotation
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                annotation = node.returns
-            elif isinstance(node, ast.AnnAssign):
-                annotation = node.annotation
-            if annotation is None:
-                continue
-            for sub in ast.walk(annotation):
-                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                    used.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", sub.value))
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                aliases = node.names
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "__future__":
-                    continue
-                aliases = node.names
-            else:
-                continue
-            for alias in aliases:
-                if alias.name == "*":
-                    continue
-                bound = alias.asname or alias.name.split(".")[0]
-                if bound in used or bound in exported:
-                    continue
-                yield self.finding(
-                    module,
-                    node,
-                    f"{bound!r} is imported but never used",
-                )
-
-
-class UnreachableCodeRule(Rule):
-    id = "unreachable-code"
-    severity = Severity.ERROR
-    summary = "statement after return/raise/break/continue"
-
-    _TERMINAL = (ast.Return, ast.Raise, ast.Break, ast.Continue)
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            for field in ("body", "orelse", "finalbody"):
-                statements = getattr(node, field, None)
-                if not isinstance(statements, list):
-                    continue
-                terminated = False
-                for statement in statements:
-                    if terminated:
-                        yield self.finding(
-                            module,
-                            statement,
-                            "unreachable code (dead statement after "
-                            "return/raise/break/continue)",
-                        )
-                        break
-                    if isinstance(statement, self._TERMINAL):
-                        terminated = True
-
-
-# ============================================================ project rules
 
 
 class VersionStampRule(Rule):
@@ -776,11 +540,6 @@ class AsyncBlockingRule(Rule):
 # -------------------------------------------------------------- the registry
 
 ALL_RULES: Tuple[Rule, ...] = (
-    BareExceptRule(),
-    MutableDefaultRule(),
-    ShadowedBuiltinRule(),
-    UnusedImportRule(),
-    UnreachableCodeRule(),
     VersionStampRule(),
     CacheGuardRule(),
     TracerNameRule(),

@@ -45,6 +45,11 @@ _DOMAINS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        from .analysis.lint import main as lint_main
+
+        return lint_main(argv[1:])
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -184,32 +189,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_fig.add_argument("--trials", type=int, default=3)
 
-    p_lint = sub.add_parser(
+    # help-only entry: ``repro lint ...`` is handed whole to the lint
+    # parser in repro.analysis.lint before this parser runs
+    sub.add_parser(
         "lint",
         help="run the project-invariant linter (see docs/ANALYSIS.md)",
     )
-    p_lint.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to lint (default: src)")
-    p_lint.add_argument("--json", action="store_true",
-                        help="emit the machine-readable report")
-    p_lint.add_argument("--rules",
-                        help="comma-separated rule ids to run (default: all)")
-    p_lint.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalogue and exit")
-    p_lint.add_argument("--deep", action="store_true",
-                        help="also run the whole-program rules "
-                        "(call-graph effects, static lock-order, wire taint)")
-    p_lint.add_argument("--cache", metavar="PATH",
-                        help="hash-keyed cache file for --deep results")
-    p_lint.add_argument("--explain", metavar="FUNC",
-                        help="print inferred effects and witness chains "
-                        "for FUNC (qualname or suffix) and exit")
-    p_lint.add_argument("--baseline", metavar="PATH",
-                        help="suppress findings recorded in this baseline "
-                        "JSON; only new findings affect the exit code")
-    p_lint.add_argument("--write-baseline", metavar="PATH",
-                        help="record current findings as the accepted "
-                        "baseline and exit")
 
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
@@ -235,8 +220,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_gateway(args)
     if args.command == "figures":
         return _cmd_figures(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
     parser.error("unknown command")
     return 2
 
@@ -674,29 +657,6 @@ def _cmd_gateway(args) -> int:
     if report["errors"] or not report.get("verified", True):
         return 1
     return 0
-
-
-def _cmd_lint(args) -> int:
-    from .analysis.lint import main as lint_main
-
-    forwarded: List[str] = list(args.paths)
-    if args.json:
-        forwarded.append("--json")
-    if args.rules:
-        forwarded.extend(["--rules", args.rules])
-    if args.list_rules:
-        forwarded.append("--list-rules")
-    if args.deep:
-        forwarded.append("--deep")
-    if args.cache:
-        forwarded.extend(["--cache", args.cache])
-    if args.explain:
-        forwarded.extend(["--explain", args.explain])
-    if args.baseline:
-        forwarded.extend(["--baseline", args.baseline])
-    if args.write_baseline:
-        forwarded.extend(["--write-baseline", args.write_baseline])
-    return lint_main(forwarded)
 
 
 def _cmd_figures(args) -> int:

@@ -11,7 +11,9 @@ the durability layer:
   crash can lose at most an answer that was never acknowledged.
 * **replay on open** — :func:`replay_journal` reads a journal back,
   skipping a torn final line (the partial write of the crash itself)
-  and counting corrupt lines instead of failing the whole recovery.
+  and counting corrupt lines instead of failing the whole recovery.  A
+  record the live path would have rejected (a support outside [0, 1])
+  counts as corrupt too, so a damaged journal cannot decide a node.
 * **idempotent application** — records are keyed by
   ``(assignment key, member, question kind)``; duplicate deliveries
   (service retries, replay of a compacted+uncompacted pair, a crashed
@@ -92,24 +94,26 @@ def _heal_torn_tail(path: Path) -> None:
 def replay_log(path: "os.PathLike[str] | str") -> Tuple[List[Dict[str, Any]], int]:
     """Read a JSONL log back; returns ``(payloads, corrupt_lines_skipped)``.
 
-    A torn or garbled line (the typical crash artifact) is skipped and
-    counted, never fatal — exactly the tolerance :func:`replay_journal`
-    applies, made reusable for any record vocabulary.  Lines that decode
-    to something other than a JSON object count as corrupt too.
+    A line that does not decode — torn or garbled (the typical crash
+    artifact), not UTF-8, or nested past the parser's recursion limit —
+    is skipped and counted, never fatal.  This is the one decoding rule
+    for every record vocabulary (:func:`replay_journal`, the gateway
+    journal).  Lines that decode to something other than a JSON object
+    count as corrupt too.
     """
     payloads: List[Dict[str, Any]] = []
     corrupt = 0
     log = Path(path)
     if not log.exists():
         return payloads, corrupt
-    with log.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
+    with log.open("rb") as handle:
+        for raw in handle:
+            line = raw.strip()
             if not line:
                 continue
             try:
-                payload = json.loads(line)
-            except (ValueError, UnicodeDecodeError):
+                payload = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError):
                 corrupt += 1
                 continue
             if not isinstance(payload, dict):
@@ -197,6 +201,19 @@ class AppendLog:
         return f"AppendLog({str(self.path)!r})"
 
 
+def valid_support(value: Any) -> bool:
+    """Would the live path accept ``value`` as a support answer?
+
+    A finite number in [0, 1]; a bool is not a number here, and NaN and
+    the infinities fail the range check.
+    """
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 0.0 <= value <= 1.0
+    )
+
+
 class JournalRecord:
     """One journaled answer: ``(key, member, support, question kind)``."""
 
@@ -235,40 +252,34 @@ def replay_journal(path: "os.PathLike[str] | str") -> Tuple[List[JournalRecord],
     """Read a journal back; returns ``(records, corrupt_lines_skipped)``.
 
     Records are returned in arrival order with duplicates (same
-    idempotence key) dropped — replay is idempotent by construction.  A
-    torn or garbled line (the typical crash artifact) is skipped and
-    counted, never fatal: losing one unacknowledged answer beats losing
-    the whole journal.
+    idempotence key) dropped — replay is idempotent by construction.
+    Lines are decoded by :func:`replay_log`.  A line it cannot decode, or
+    a record without a key or member or whose support the live path
+    would reject, is skipped and counted, never fatal: losing one
+    unacknowledged answer beats losing the whole journal.
     """
     records: List[JournalRecord] = []
     seen: Set[Tuple[str, str, str]] = set()
-    corrupt = 0
-    journal = Path(path)
-    if not journal.exists():
-        return records, corrupt
-    with journal.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                record = JournalRecord(
-                    key=str(payload["k"]),
-                    member=str(payload["m"]),
-                    support=float(payload["s"]),
-                    kind=str(payload.get("q", "concrete")),
-                )
-            except (ValueError, KeyError, TypeError):
-                corrupt += 1
-                _obs_count("recovery.wal.corrupt_skipped")
-                continue
-            if record.identity in seen:
-                _obs_count("recovery.wal.duplicates_skipped")
-                continue
-            seen.add(record.identity)
-            records.append(record)
-            _obs_count("recovery.wal.replayed")
+    payloads, corrupt = replay_log(path)
+    for payload in payloads:
+        support = payload.get("s")
+        if "k" not in payload or "m" not in payload or not valid_support(support):
+            corrupt += 1
+            continue
+        record = JournalRecord(
+            key=str(payload["k"]),
+            member=str(payload["m"]),
+            support=float(support),
+            kind=str(payload.get("q", "concrete")),
+        )
+        if record.identity in seen:
+            _obs_count("recovery.wal.duplicates_skipped")
+            continue
+        seen.add(record.identity)
+        records.append(record)
+        _obs_count("recovery.wal.replayed")
+    if corrupt:
+        _obs_count("recovery.wal.corrupt_skipped", corrupt)
     return records, corrupt
 
 

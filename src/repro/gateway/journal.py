@@ -53,7 +53,7 @@ import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..crowd.journal import AppendLog, replay_log
+from ..crowd.journal import AppendLog, replay_log, valid_support
 from ..observability import count as _obs_count
 
 #: gateway journal record schema version (bump on breaking changes)
@@ -96,7 +96,13 @@ class GatewayLogState:
     # ------------------------------------------------------------- folding
 
     def fold(self, record: Dict[str, Any]) -> bool:
-        """Apply one journal record; False when the record is malformed."""
+        """Apply one journal record; False when the record is malformed.
+
+        A malformed record changes nothing.  Malformed includes a value
+        the live path would have rejected: a ``sample_size`` that is not
+        a positive int, or an answer whose support is neither ``None``
+        (a pass) nor a number in [0, 1].
+        """
         kind = record.get("t")
         try:
             if kind == "activate":
@@ -105,14 +111,23 @@ class GatewayLogState:
             elif kind == "join":
                 self.members[str(record["member"])] = str(record["token"])
             elif kind == "query":
+                sample_size = record["sample_size"]
+                if (
+                    isinstance(sample_size, bool)
+                    or not isinstance(sample_size, int)
+                    or sample_size < 1
+                ):
+                    return False
                 self.sessions[str(record["session"])] = (
                     str(record["query"]),
-                    int(record["sample_size"]),
+                    sample_size,
                 )
             elif kind == "mint":
+                minted: Dict[str, Tuple[str, str, str]] = {}
                 for entry in record["qids"]:
                     qid, session, key, member = (str(part) for part in entry)
-                    self.mints[qid] = (session, key, member)
+                    minted[qid] = (session, key, member)
+                self.mints.update(minted)
             elif kind == "answer":
                 self._fold_answer(record)
             else:
@@ -122,6 +137,9 @@ class GatewayLogState:
         return True
 
     def _fold_answer(self, record: Dict[str, Any]) -> None:
+        support = record.get("support")
+        if support is not None and not valid_support(support):
+            raise ValueError(f"support {support!r} is not in [0, 1]")
         qid = str(record["qid"])
         session = str(record["session"])
         key = str(record["key"])
@@ -135,7 +153,6 @@ class GatewayLogState:
         if identity in self._answer_identities:
             return
         self._answer_identities.add(identity)
-        support = record.get("support")
         self.answers.append(
             {
                 "qid": qid,
@@ -175,9 +192,13 @@ class GatewayLogState:
 
 
 def _ordinal(identifier: str, prefix: str) -> int:
-    if identifier.startswith(prefix) and identifier[len(prefix):].isdigit():
-        return int(identifier[len(prefix):])
-    return 0
+    digits = identifier[len(prefix):]
+    if not identifier.startswith(prefix) or not digits.isdecimal():
+        return 0
+    try:
+        return int(digits)
+    except ValueError:  # longer than int() parses from a string
+        return 0
 
 
 def replay_gateway_journal(

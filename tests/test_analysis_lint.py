@@ -16,6 +16,9 @@ from repro.analysis.rules import ALL_RULES, RULES_BY_ID
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
+#: a one-finding "dirty file" once written under ``repro/mining/``
+WALL_CLOCK = "import time\nt = time.time()\n"
+
 
 def write(tmp_path, rel, source):
     path = tmp_path / rel
@@ -30,88 +33,6 @@ def lint(tmp_path, *rules):
 
 def rule_ids(result):
     return [finding.rule for finding in result.findings]
-
-
-class TestHygieneRules:
-    def test_bare_except_fires(self, tmp_path):
-        write(tmp_path, "mod.py", "try:\n    pass\nexcept:\n    pass\n")
-        result = lint(tmp_path, "bare-except")
-        assert rule_ids(result) == ["bare-except"]
-        assert result.findings[0].line == 3
-
-    def test_typed_except_is_silent(self, tmp_path):
-        write(tmp_path, "mod.py", "try:\n    pass\nexcept ValueError:\n    pass\n")
-        assert lint(tmp_path, "bare-except").findings == []
-
-    def test_mutable_default_literal_and_factory(self, tmp_path):
-        write(
-            tmp_path,
-            "mod.py",
-            "from collections import defaultdict\n"
-            "def f(a=[]):\n    return a\n"
-            "def g(b=defaultdict(list)):\n    return b\n"
-            "def h(c=None, *, d=()):\n    return c, d\n",
-        )
-        result = lint(tmp_path, "mutable-default")
-        assert rule_ids(result) == ["mutable-default"] * 2
-
-    def test_shadowed_builtin_variants(self, tmp_path):
-        write(
-            tmp_path,
-            "mod.py",
-            "def f(id):\n    return id\n"
-            "list = [1]\n"
-            "for type in (1, 2):\n    pass\n",
-        )
-        result = lint(tmp_path, "shadowed-builtin")
-        assert rule_ids(result) == ["shadowed-builtin"] * 3
-
-    def test_class_attribute_does_not_shadow(self, tmp_path):
-        # class-namespace bindings (like the rule classes' own `id`
-        # attribute) are not shadowing
-        write(tmp_path, "mod.py", "class Rule:\n    id = 'x'\n    def len(self):\n        return 0\n")
-        assert lint(tmp_path, "shadowed-builtin").findings == []
-
-    def test_unused_import_fires(self, tmp_path):
-        write(tmp_path, "mod.py", "import json\nimport sys\nprint(sys.argv)\n")
-        result = lint(tmp_path, "unused-import")
-        assert rule_ids(result) == ["unused-import"]
-        assert "json" in result.findings[0].message
-
-    def test_string_annotation_counts_as_use(self, tmp_path):
-        write(
-            tmp_path,
-            "mod.py",
-            "from typing import TYPE_CHECKING\n"
-            "if TYPE_CHECKING:\n"
-            "    from decimal import Decimal\n"
-            "def f(x: \"Decimal\") -> None:\n    return None\n",
-        )
-        assert lint(tmp_path, "unused-import").findings == []
-
-    def test_package_init_without_all_is_exempt(self, tmp_path):
-        write(tmp_path, "pkg/__init__.py", "import json\n")
-        assert lint(tmp_path, "unused-import").findings == []
-
-    def test_package_init_with_all_is_checked(self, tmp_path):
-        write(
-            tmp_path,
-            "pkg/__init__.py",
-            "import json\nimport sys\n__all__ = [\"json\"]\n",
-        )
-        result = lint(tmp_path, "unused-import")
-        assert rule_ids(result) == ["unused-import"]
-        assert "sys" in result.findings[0].message
-
-    def test_unreachable_code_fires(self, tmp_path):
-        write(
-            tmp_path,
-            "mod.py",
-            "def f():\n    return 1\n    print('dead')\n",
-        )
-        result = lint(tmp_path, "unreachable-code")
-        assert rule_ids(result) == ["unreachable-code"]
-        assert result.findings[0].line == 3
 
 
 class TestVersionStampRule:
@@ -466,53 +387,11 @@ class TestForkUnsafeStateRule:
         assert lint(tmp_path, "fork-unsafe-state").findings == []
 
 
-class TestSuppressions:
-    def test_line_suppression(self, tmp_path):
-        write(
-            tmp_path,
-            "mod.py",
-            "try:\n    pass\nexcept:  # repro-lint: disable=bare-except\n    pass\n",
-        )
-        result = lint(tmp_path, "bare-except")
-        assert result.findings == []
-        assert result.suppressed == 1
-
-    def test_line_suppression_of_other_rule_does_not_apply(self, tmp_path):
-        write(
-            tmp_path,
-            "mod.py",
-            "try:\n    pass\nexcept:  # repro-lint: disable=wall-clock\n    pass\n",
-        )
-        result = lint(tmp_path, "bare-except")
-        assert rule_ids(result) == ["bare-except"]
-
-    def test_disable_all_on_line(self, tmp_path):
-        write(
-            tmp_path,
-            "mod.py",
-            "import json  # repro-lint: disable=all\n",
-        )
-        result = lint(tmp_path, "unused-import")
-        assert result.findings == []
-        assert result.suppressed == 1
-
-    def test_file_level_suppression(self, tmp_path):
-        write(
-            tmp_path,
-            "mod.py",
-            "# repro-lint: disable-file=unused-import\nimport json\nimport sys\n",
-        )
-        result = lint(tmp_path, "unused-import")
-        assert result.findings == []
-        assert result.suppressed == 2
-
-
 class TestDriver:
     def test_parse_error_is_reported_not_raised(self, tmp_path):
         path = write(tmp_path, "mod.py", "def broken(:\n")
-        findings, suppressed = lint_file(path, ALL_RULES)
+        findings = lint_file(path, ALL_RULES)
         assert [f.rule for f in findings] == ["parse-error"]
-        assert suppressed == 0
 
     def test_unknown_rule_id_raises(self, tmp_path):
         write(tmp_path, "mod.py", "x = 1\n")
@@ -537,10 +416,10 @@ class TestMainExitCodes:
         assert "0 error(s)" in out
 
     def test_errors_exit_one(self, tmp_path, capsys):
-        write(tmp_path, "mod.py", "import json\n")
+        write(tmp_path, "repro/mining/mod.py", WALL_CLOCK)
         assert main([str(tmp_path)]) == 1
         out = capsys.readouterr().out
-        assert "unused-import" in out
+        assert "wall-clock" in out
 
     def test_missing_path_exits_two(self, tmp_path, capsys):
         assert main([str(tmp_path / "absent")]) == 2
@@ -551,23 +430,12 @@ class TestMainExitCodes:
         assert main([str(tmp_path), "--rules", "bogus"]) == 2
 
     def test_json_report(self, tmp_path, capsys):
-        write(tmp_path, "mod.py", "import json\n")
+        write(tmp_path, "repro/mining/mod.py", WALL_CLOCK)
         assert main([str(tmp_path), "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == 1
         assert payload["errors"] == 1
-        assert payload["findings"][0]["rule"] == "unused-import"
-
-    def test_suppressions_honored_end_to_end(self, tmp_path, capsys):
-        write(
-            tmp_path,
-            "mod.py",
-            "import json  # repro-lint: disable=unused-import\n",
-        )
-        assert main([str(tmp_path), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["errors"] == 0
-        assert payload["suppressed"] == 1
+        assert payload["findings"][0]["rule"] == "wall-clock"
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
@@ -575,9 +443,19 @@ class TestMainExitCodes:
         for rule in ALL_RULES:
             assert rule.id in out
 
-    def test_rule_selection(self, tmp_path, capsys):
-        write(tmp_path, "mod.py", "import json\ntry:\n    pass\nexcept:\n    pass\n")
-        assert main([str(tmp_path), "--rules", "bare-except"]) == 1
+    def test_list_rules_includes_the_deep_catalogue(self, capsys):
+        assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "bare-except" in out
-        assert "unused-import" not in out
+        assert "async-blocking-transitive" in out
+        assert "(deep)" in out
+
+    def test_rule_selection(self, tmp_path, capsys):
+        write(
+            tmp_path,
+            "repro/mining/mod.py",
+            WALL_CLOCK + "import random\nx = random.random()\n",
+        )
+        assert main([str(tmp_path), "--rules", "unseeded-random"]) == 1
+        out = capsys.readouterr().out
+        assert "unseeded-random" in out
+        assert "wall-clock" not in out

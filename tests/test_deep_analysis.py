@@ -1,4 +1,4 @@
-"""The whole-program pass: effect inference, deep rules, cache, explain.
+"""The whole-program pass: effect inference, deep rules, explain.
 
 Fixture tests write a miniature ``repro`` package under ``tmp_path``
 (the deep rules key on ``repro/...`` path prefixes) and assert each rule
@@ -239,31 +239,3 @@ class TestRealTree:
             )
             == 2
         )
-
-
-class TestResultCache:
-    def test_cache_roundtrip_and_invalidation(self, violating_tree, tmp_path):
-        cache = tmp_path / "cache.json"
-        first = run_deep([str(violating_tree)], cache_path=cache)
-        assert not first.from_cache
-        second = run_deep([str(violating_tree)], cache_path=cache)
-        assert second.from_cache
-        assert [f.message for f in second.findings] == [
-            f.message for f in first.findings
-        ]
-        # any byte change to any analyzed file misses the cache
-        target = violating_tree / "mining" / "algo.py"
-        target.write_text(
-            target.read_text(encoding="utf-8") + "\n# touched\n",
-            encoding="utf-8",
-        )
-        third = run_deep([str(violating_tree)], cache_path=cache)
-        assert not third.from_cache
-
-    def test_corrupt_cache_is_a_silent_miss(self, violating_tree, tmp_path):
-        cache = tmp_path / "cache.json"
-        run_deep([str(violating_tree)], cache_path=cache)
-        cache.write_text("{not json", encoding="utf-8")
-        result = run_deep([str(violating_tree)], cache_path=cache)
-        assert not result.from_cache
-        assert result.findings  # re-analysis actually happened
