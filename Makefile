@@ -117,15 +117,15 @@ bench-chaos-full:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_chaos.py --validate BENCH_chaos.json
 
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/culinary_menu.py
-	$(PYTHON) examples/self_treatment_survey.py
-	$(PYTHON) examples/interactive_demo.py --auto --max-questions 20
+	PYTHONPATH=src $(PYTHON) examples/quickstart.py
+	PYTHONPATH=src $(PYTHON) examples/culinary_menu.py
+	PYTHONPATH=src $(PYTHON) examples/self_treatment_survey.py
+	PYTHONPATH=src $(PYTHON) examples/interactive_demo.py --auto --max-questions 20
 
 figures:
-	$(PYTHON) -m repro figures fig5
-	$(PYTHON) -m repro figures fig4f
-	$(PYTHON) -m repro figures multiplicities
+	PYTHONPATH=src $(PYTHON) -m repro figures fig5
+	PYTHONPATH=src $(PYTHON) -m repro figures fig4f
+	PYTHONPATH=src $(PYTHON) -m repro figures multiplicities
 
 stats:
 	PYTHONPATH=src $(PYTHON) examples/quickstart.py --stats --stats-json stats_report.json

@@ -433,10 +433,8 @@ class GatewayApp:
             manager.create_session(
                 text, session_id=session_id, sample_size=request.sample_size
             )
-        except ValueError as error:
-            raise ConflictError(str(error)) from error
         except Exception as error:
-            # a query that fails to parse/validate is a client error
+            # a query that fails to lex, parse or validate is a client error
             raise GatewayError(f"query rejected: {error}") from error
         self._sessions[session_id] = _SessionRecord(
             session_id=session_id, query_text=text

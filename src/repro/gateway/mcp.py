@@ -191,8 +191,12 @@ class McpGateway:
             )
         try:
             payload = self._handlers[name](arguments)
-        except (GatewayError, SchemaError) as error:
-            return self._tool_error(request_id, str(error))
+        except GatewayError as error:
+            # the HTTP error name leads, so an agent can tell a rejected
+            # query (bad_request) from a taken session id (conflict)
+            return self._tool_error(request_id, f"{error.error}: {error}")
+        except SchemaError as error:
+            return self._tool_error(request_id, f"schema_error: {error}")
         return self._rpc_result(
             request_id,
             {

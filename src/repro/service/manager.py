@@ -156,16 +156,16 @@ class SessionManager:
         attached members continue from the cached frontier instead of
         re-answering.
         """
-        store = cache if cache is not None else CrowdCache()
-        parsed = self.engine._as_query(query)
-        queue = self.engine.queue_manager(
-            parsed, sample_size=sample_size, cache=store, more_pool=more_pool
-        )
         if session_id is None:
             self._next_id += 1
             session_id = f"s{self._next_id}"
         if session_id in self._sessions:
             raise ValueError(f"session {session_id!r} already exists")
+        store = cache if cache is not None else CrowdCache()
+        parsed = self.engine._as_query(query)
+        queue = self.engine.queue_manager(
+            parsed, sample_size=sample_size, cache=store, more_pool=more_pool
+        )
         session = QuerySession(
             session_id,
             parsed,

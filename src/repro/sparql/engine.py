@@ -1,21 +1,37 @@
 """BGP evaluation over an :class:`~repro.ontology.graph.Ontology`.
 
-The evaluator performs a backtracking join over the triple patterns with a
-greedy selectivity heuristic: at each step it picks the not-yet-evaluated
-pattern with the most bound positions under the current partial binding
-(label patterns and fully-concrete patterns first).
+A BGP is planned before it is searched: its patterns are grouped into
+*components*, the parts that share variables (blanks and relation
+variables count; a pattern without variables is a component of its
+own).  Each component is searched once, its rows are projected to its
+named variables without duplicates, and the BGP's rows are the cross
+product of the components' rows; :meth:`SparqlEngine.ask` stops at the
+first component with no row.  One nested loop over all patterns would
+search each component again for every row of the components before it
+(the travel query's ``$y subClassOf* Activity`` shares no variable with
+its other six patterns).
+
+A component is searched by a backtracking join with a greedy selectivity
+heuristic: at each step it picks the not-yet-evaluated pattern with the
+most bound positions under the current partial binding (label patterns
+and fully-concrete patterns first).  A pattern never rebinds a variable:
+a bound position keeps its value, and an extension that disagrees with a
+binding already made (``$a hasLabel $a``) is dropped, so the rows do not
+depend on the order in which patterns are searched.
 
 Relation patterns match *semantically*: a pattern naming relation ``r``
 matches asserted edges labeled with any ``r' ≥R r`` (see
 :func:`repro.sparql.paths.matching_relations`), which is how Figure 1's
-``nearBy ≤ inside`` makes ``$z nearBy $x`` see ``inside`` edges.  Element
-positions match syntactically, mirroring the paper's use of a stock SPARQL
-engine for the WHERE clause.
+``nearBy ≤ inside`` makes ``$z nearBy $x`` see ``inside`` edges.  A
+relation variable, bound or not, matches the asserted relation exactly.
+Element positions match syntactically, mirroring the paper's use of a
+stock SPARQL engine for the WHERE clause.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Union
+import itertools
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..observability import get_tracer
 from ..ontology.graph import HAS_LABEL, Ontology
@@ -71,15 +87,19 @@ class SparqlEngine:
         self._obs = get_tracer()
         self._check_caches()
         try:
-            named = {v.name for v in bgp.variables()}
-            seen: Set[Binding] = set()
-            for env in self._search(list(bgp.patterns), {}):
-                projected = Binding({k: v for k, v in env.items() if k in named})
-                if projected not in seen:
-                    seen.add(projected)
-                    if self._obs is not None:
-                        self._obs.count("sparql.solutions")
-                    yield projected
+            parts: List[List[Binding]] = []
+            for component in _components(bgp.patterns):
+                rows = self._component_rows(component)
+                if not rows:
+                    return
+                parts.append(rows)
+            for combination in itertools.product(*parts):
+                row: Dict[str, BindingValue] = {}
+                for part in combination:
+                    row.update(part.as_dict())
+                if self._obs is not None:
+                    self._obs.count("sparql.solutions")
+                yield Binding(row)
         finally:
             self._obs = None
 
@@ -88,9 +108,10 @@ class SparqlEngine:
         self._obs = get_tracer()
         self._check_caches()
         try:
-            for _ in self._search(list(bgp.patterns), {}):
-                return True
-            return False
+            return all(
+                next(self._search(component, {}), None) is not None
+                for component in _components(bgp.patterns)
+            )
         finally:
             self._obs = None
 
@@ -127,19 +148,32 @@ class SparqlEngine:
 
     # --------------------------------------------------------------- search
 
+    def _component_rows(self, patterns: List[TriplePattern]) -> List[Binding]:
+        """One component's distinct rows, projected to its named variables."""
+        named = {v.name for v in BGP(patterns).variables()}
+        seen: Set[Binding] = set()
+        rows: List[Binding] = []
+        for env in self._search(patterns, {}):
+            projected = Binding({k: v for k, v in env.items() if k in named})
+            if projected not in seen:
+                seen.add(projected)
+                rows.append(projected)
+        return rows
+
     def _search(
         self, remaining: List[TriplePattern], env: Dict[str, BindingValue]
     ) -> Iterator[Dict[str, BindingValue]]:
         if not remaining:
-            yield dict(env)
+            yield env
             return
         index = self._pick_pattern(remaining, env)
         pattern = remaining[index]
         rest = remaining[:index] + remaining[index + 1:]
         for extension in self._match_pattern(pattern, env):
             merged = dict(env)
-            merged.update(extension)
-            yield from self._search(rest, merged)
+            # a variable named twice in one pattern is bound twice
+            if all(merged.setdefault(name, value) == value for name, value in extension):
+                yield from self._search(rest, merged)
 
     def _pick_pattern(
         self, patterns: List[TriplePattern], env: Dict[str, BindingValue]
@@ -169,7 +203,7 @@ class SparqlEngine:
 
     def _match_pattern(
         self, pattern: TriplePattern, env: Dict[str, BindingValue]
-    ) -> Iterator[Dict[str, BindingValue]]:
+    ) -> Iterator[Extension]:
         if self._obs is not None:
             self._obs.count("sparql.patterns.matched")
         rel_term = pattern.relation.term
@@ -180,13 +214,17 @@ class SparqlEngine:
 
     def _match_label(
         self, pattern: TriplePattern, env: Dict[str, BindingValue]
-    ) -> Iterator[Dict[str, BindingValue]]:
+    ) -> Iterator[Extension]:
         subject = self._resolve_node(pattern.subject, env)
         obj = self._resolve_node(pattern.obj, env)
-        if isinstance(obj, str):
-            if isinstance(subject, Element):
+        if subject is not None and not isinstance(subject, Element):
+            return
+        if obj is not None and not isinstance(obj, str):
+            return  # labels are strings
+        if obj is not None:
+            if subject is not None:
                 if self.ontology.has_label(subject, obj):
-                    yield {}
+                    yield ()
                 return
             candidates = self._cached(
                 self._label_candidates,
@@ -196,12 +234,12 @@ class SparqlEngine:
                 ),
             )
             for element in candidates:
-                yield self._bind_node(pattern.subject, element)
+                yield _bind(pattern.subject, element)
             return
         # object is an unbound var/blank: enumerate labels of the subject(s)
-        if isinstance(subject, Element):
+        if subject is not None:
             for label in self._labels_of(subject):
-                yield self._bind_node(pattern.obj, label)
+                yield _bind(pattern.obj, label)
             return
         if self._labeled_elements is None:
             self._labeled_elements = sorted(
@@ -214,9 +252,7 @@ class SparqlEngine:
             )
         for element in self._labeled_elements:
             for label in self._labels_of(element):
-                extension = self._bind_node(pattern.subject, element)
-                extension.update(self._bind_node(pattern.obj, label))
-                yield extension
+                yield _bind(pattern.subject, element) + _bind(pattern.obj, label)
 
     def _labels_of(self, element: Element) -> List[str]:
         return self._cached(
@@ -227,9 +263,11 @@ class SparqlEngine:
 
     def _match_edge(
         self, pattern: TriplePattern, env: Dict[str, BindingValue]
-    ) -> Iterator[Dict[str, BindingValue]]:
+    ) -> Iterator[Extension]:
         subject = self._resolve_node(pattern.subject, env)
         obj = self._resolve_node(pattern.obj, env)
+        if any(v is not None and not isinstance(v, Element) for v in (subject, obj)):
+            return  # only elements sit at the ends of an edge
         rel_term = pattern.relation.term
         mod = pattern.relation.mod
 
@@ -238,12 +276,16 @@ class SparqlEngine:
             yield from self._match_known_relation(pattern, relation, mod, subject, obj)
             return
 
-        # variable/blank relation: iterate the asserted relations
-        if isinstance(rel_term, Var) and rel_term.name in env:
-            bound = env[rel_term.name]
+        # variable/blank relation: the asserted relation itself, never its
+        # ≤R-specializations, whether bound by an earlier pattern or not
+        rel_name = _var_name(rel_term)
+        if rel_name in env:
+            bound = env[rel_name]
             if not isinstance(bound, Relation):
                 return
-            yield from self._match_known_relation(pattern, bound, PathMod.NONE, subject, obj)
+            yield from self._match_known_relation(
+                pattern, bound, PathMod.NONE, subject, obj, exact_relation=True
+            )
             return
         if self._sorted_relations is None:
             self._sorted_relations = sorted(
@@ -253,51 +295,37 @@ class SparqlEngine:
             for extension in self._match_known_relation(
                 pattern, relation, PathMod.NONE, subject, obj, exact_relation=True
             ):
-                full = self._bind_node_rel(rel_term, relation)
-                full.update(extension)
-                yield full
+                yield ((rel_name, relation),) + extension
 
     def _match_known_relation(
         self,
         pattern: TriplePattern,
         relation: Relation,
         mod: PathMod,
-        subject: Optional[Union[Element, str]],
-        obj: Optional[Union[Element, str]],
+        subject: Optional[Element],
+        obj: Optional[Element],
         exact_relation: bool = False,
-    ) -> Iterator[Dict[str, BindingValue]]:
-        if isinstance(subject, str) or isinstance(obj, str):
-            return  # strings only participate in hasLabel patterns
+    ) -> Iterator[Extension]:
         if mod is PathMod.NONE and exact_relation:
             relations = frozenset({relation})
         else:
             relations = matching_relations(self.ontology, relation)
 
-        if isinstance(subject, Element) and isinstance(obj, Element):
+        if subject is not None and obj is not None:
             if self._pair_matches(subject, obj, relation, mod, relations):
-                yield {}
+                yield ()
             return
-        if isinstance(subject, Element):
+        if subject is not None:
             for target in self._forward_targets(subject, relation, mod, exact_relation):
-                yield self._bind_node(pattern.obj, target)
+                yield _bind(pattern.obj, target)
             return
-        if isinstance(obj, Element):
+        if obj is not None:
             for source in self._backward_sources(obj, relation, mod, exact_relation):
-                yield self._bind_node(pattern.subject, source)
+                yield _bind(pattern.subject, source)
             return
         # both ends free
-        for start, end in self._all_pairs(relation, mod):
-            extension = self._bind_node(pattern.subject, start)
-            obj_ext = self._bind_node(pattern.obj, end)
-            # consistency when subject and object share a variable
-            conflict = any(
-                key in extension and extension[key] != value
-                for key, value in obj_ext.items()
-            )
-            if conflict:
-                continue
-            extension.update(obj_ext)
-            yield extension
+        for start, end in self._all_pairs(relation, mod, exact_relation):
+            yield _bind(pattern.subject, start) + _bind(pattern.obj, end)
 
     def _forward_targets(
         self, subject: Element, relation: Relation, mod: PathMod, exact: bool
@@ -341,16 +369,20 @@ class SparqlEngine:
 
         return self._cached(self._bwd_cache, (obj, relation, mod, exact), compute)
 
-    def _all_pairs(self, relation: Relation, mod: PathMod) -> List:
+    def _all_pairs(self, relation: Relation, mod: PathMod, exact: bool) -> List:
         """Sorted (subject, obj) pairs for a both-ends-free pattern (cached)."""
 
         def compute() -> List:
-            return sorted(
-                set(path_pairs(self.ontology, relation, mod)),
-                key=lambda pair: (pair[0].name, pair[1].name),
-            )
+            if exact:
+                pairs = {
+                    (fact.subject, fact.obj)
+                    for fact in self.ontology.match(relation=relation)
+                }
+            else:
+                pairs = set(path_pairs(self.ontology, relation, mod))
+            return sorted(pairs, key=lambda pair: (pair[0].name, pair[1].name))
 
-        return self._cached(self._pair_cache, (relation, mod), compute)
+        return self._cached(self._pair_cache, (relation, mod, exact), compute)
 
     def _pair_matches(
         self,
@@ -368,29 +400,58 @@ class SparqlEngine:
 
     def _resolve_node(
         self, node: NodePattern, env: Dict[str, BindingValue]
-    ) -> Optional[Union[Element, str]]:
-        """Concrete value of ``node`` under ``env``, or None if unbound."""
+    ) -> Optional[BindingValue]:
+        """Value of ``node`` under ``env`` (of any kind), or None if unbound."""
         if isinstance(node, Concrete):
             return Element(node.name)
         if isinstance(node, StringLiteral):
             return node.value
-        if isinstance(node, Var) and node.name in env:
-            value = env[node.name]
-            if isinstance(value, (Element, str)):
-                return value
-            return None
-        return None
+        return env.get(_var_name(node))
 
-    def _bind_node(self, node: NodePattern, value: BindingValue) -> Dict[str, BindingValue]:
-        if isinstance(node, Var):
-            return {node.name: value}
-        if isinstance(node, Blank):
-            return {node.as_var().name: value}
-        return {}
 
-    def _bind_node_rel(self, node, relation: Relation) -> Dict[str, BindingValue]:
-        if isinstance(node, Var):
-            return {node.name: relation}
-        if isinstance(node, Blank):
-            return {node.as_var().name: relation}
-        return {}
+#: the bindings one pattern match adds, as ``(variable, value)`` pairs; a
+#: variable named twice in the pattern appears twice
+Extension = Tuple[Tuple[str, BindingValue], ...]
+
+
+def _var_name(node) -> Optional[str]:
+    """The variable a ``Var`` or ``[]`` stands for; None for a fixed term."""
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Blank):
+        return node.as_var().name
+    return None
+
+
+def _bind(node, value: BindingValue) -> Extension:
+    name = _var_name(node)
+    return () if name is None else ((name, value),)
+
+
+def _components(patterns: List[TriplePattern]) -> List[List[TriplePattern]]:
+    """``patterns`` grouped into variable-connected components.
+
+    Blanks and relation variables count as variables; a pattern with none
+    is a component of its own.  Components keep the patterns' order and
+    come in the order of their first pattern.
+    """
+    parent: Dict[str, str] = {}
+
+    def find(name: str) -> str:
+        while parent.setdefault(name, name) != name:
+            name = parent[name]
+        return name
+
+    pattern_names: List[List[str]] = []
+    for pattern in patterns:
+        parts = (pattern.subject, pattern.relation.term, pattern.obj)
+        names = [name for name in map(_var_name, parts) if name is not None]
+        roots = [find(name) for name in names]
+        for root in roots[1:]:
+            parent[root] = roots[0]
+        pattern_names.append(names)
+    groups: Dict[object, List[TriplePattern]] = {}
+    for index, (pattern, names) in enumerate(zip(patterns, pattern_names)):
+        key = find(names[0]) if names else index
+        groups.setdefault(key, []).append(pattern)
+    return list(groups.values())

@@ -4,7 +4,8 @@ A quantified relation pattern ``r*`` matches a pair ``(a, b)`` when ``b`` is
 reachable from ``a`` via zero or more asserted edges labeled with ``r`` *or
 any specialization of r* in ``≤R`` (matching the semantic-implication
 reading of relation patterns used throughout the engine).  ``r+`` requires
-at least one edge, ``r?`` at most one.
+at least one edge, ``r?`` at most one.  A zero-edge path joins an element
+to itself, whether or not any edge touches it.
 """
 
 from __future__ import annotations
@@ -129,21 +130,20 @@ def path_pairs(
 ) -> Iterator[Tuple[Element, Element]]:
     """Enumerate all pairs matching ``relation{mod}`` (both ends free).
 
-    For quantified paths the candidate universe is every element incident to
-    a matching edge (plus, for ``*``/``?``, the zero-step identity pairs on
-    those elements).
+    Under ``*`` and ``?`` every vocabulary element is paired with itself,
+    edges or not, just as :func:`forward_closure` pairs a bound start with
+    itself; the longer paths start at elements with a matching edge.
     """
     relations = matching_relations(ontology, relation)
-    nodes: Set[Element] = set()
-    for rel in relations:
-        for fact in ontology.match(relation=rel):
-            nodes.add(fact.subject)
-            nodes.add(fact.obj)
     if mod is PathMod.NONE:
         for rel in relations:
             for fact in ontology.match(relation=rel):
                 yield (fact.subject, fact.obj)
         return
-    for start in nodes:
+    if mod is not PathMod.PLUS:
+        for element in ontology.vocabulary.elements:
+            yield (element, element)
+    starts = {fact.subject for rel in relations for fact in ontology.match(relation=rel)}
+    for start in starts:
         for end in forward_closure(ontology, start, relation, mod):
             yield (start, end)

@@ -147,6 +147,21 @@ class TestEndpointContracts:
             admin.pose_query()
         assert failure.value.status == 409
 
+    def test_malformed_query_is_a_bad_request(self, admin):
+        admin.activate("demo")
+        text = admin.pose_query(threshold=0.4, session_id="s-ok").query
+        for malformed in (
+            "garbage ((",
+            text.replace("doAt", "flysTo"),
+            text.replace("WITH SUPPORT = 0.4", "WITH SUPPORT = 0"),
+        ):
+            with pytest.raises(GatewayClientError) as failure:
+                admin.pose_query(query=malformed)
+            assert (failure.value.status, failure.value.error) == (400, "bad_request")
+        with pytest.raises(GatewayClientError) as failure:
+            admin.pose_query(query=text, session_id="s-ok")
+        assert (failure.value.status, failure.value.error) == (409, "conflict")
+
     def test_result_for_unknown_session_is_404(self, admin):
         admin.activate("demo")
         with pytest.raises(GatewayClientError) as failure:
@@ -333,6 +348,28 @@ class TestMcpSurface:
                   "arguments": {"session_id": session_id}})
         )
         assert result["session_id"] == session_id
+
+    def test_pose_query_tool_tells_a_bad_query_from_a_taken_id(self):
+        app = GatewayApp()
+        app.activate_dataset("demo")
+        mcp = McpGateway(app)
+
+        def pose(arguments):
+            response = mcp.handle(
+                {
+                    "jsonrpc": "2.0",
+                    "id": 3,
+                    "method": "tools/call",
+                    "params": {"name": "pose_query", "arguments": arguments},
+                }
+            )
+            return response["result"]["isError"], response["result"]["content"][0]["text"]
+
+        assert pose({"session_id": "m1"})[0] is False
+        is_error, text = pose({"query": "garbage ((", "session_id": "m2"})
+        assert is_error and text.startswith("bad_request: query rejected")
+        is_error, text = pose({"session_id": "m1"})
+        assert is_error and text.startswith("conflict: ")
 
     def test_unknown_tool_lists_the_known_ones(self):
         mcp = McpGateway(GatewayApp())

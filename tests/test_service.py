@@ -343,6 +343,16 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             manager.create_session(demo.query(0.4), session_id="dup")
 
+    def test_duplicate_session_id_rejected_before_compiling(self, engine, demo, clock):
+        manager = make_manager(engine, clock)
+        manager.create_session(demo.query(0.4), session_id="dup")
+        with tracing() as tracer:
+            with pytest.raises(ValueError, match="already exists"):
+                manager.create_session("garbage ((", session_id="dup")
+            with pytest.raises(ValueError, match="already exists"):
+                manager.create_session(demo.query(0.5), session_id="dup")
+        assert tracer.value("sparql.patterns.matched") == 0
+
     def test_snapshot_resume_answers_for_free(self, engine, demo, clock):
         manager = make_manager(engine, clock)
         first = manager.create_session(demo.query(0.4), sample_size=2)

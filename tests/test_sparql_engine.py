@@ -1,5 +1,7 @@
 """Unit tests for BGP evaluation against the Figure 1 ontology."""
 
+from itertools import permutations
+
 import pytest
 
 from repro.datasets import running_example
@@ -146,3 +148,44 @@ class TestLabelEnumeration:
         # $x r $x: no self-loops exist in Figure 1
         bgp = parse_bgp("$x inside $x")
         assert list(engine.solutions(bgp)) == []
+
+
+class TestPatternOrder:
+    """A conjunctive BGP has the same rows whatever order its patterns are in."""
+
+    @staticmethod
+    def rows_per_order(engine, patterns):
+        return [
+            {frozenset(s.items()) for s in engine.solutions(parse_bgp(" . ".join(order)))}
+            for order in permutations(patterns)
+        ]
+
+    def test_zero_length_path_pairs_every_element_with_itself(self, engine):
+        # Central Park has labels but no subClassOf edge: a zero-step path
+        # still joins it to itself, with both ends free or one bound
+        for patterns in (
+            ["$x subClassOf* $y", "$y hasLabel $l"],
+            ["$x doAt? $y", "$y hasLabel $l"],
+        ):
+            first, *others = self.rows_per_order(engine, patterns)
+            assert all(rows == first for rows in others)
+            assert {str(dict(row)["x"]) for row in first} == {"Bronx Zoo", "Central Park"}
+
+    def test_a_bound_variable_is_never_rebound(self, engine):
+        # $b cannot be both an element (inside) and a label string
+        assert self.rows_per_order(engine, ["$c inside $b", "$a hasLabel $b"]) == [set(), set()]
+        assert list(engine.solutions(parse_bgp("$a hasLabel $a"))) == []
+
+    def test_relation_variable_matches_only_the_asserted_relation(self, engine):
+        # [] $p $c and [] $p $b need one asserted relation into both ends;
+        # a bound $p must not match its ≤R-specializations either
+        rows = self.rows_per_order(engine, ["[] $p $c", "[] $p $b", "$b nearBy $c"])
+        assert rows == [set()] * 6
+        # nor a free one with both ends free: Central Park is inside NYC,
+        # not asserted nearBy it
+        triples = {
+            (str(s["s"]), str(s["p"]), str(s["o"]))
+            for s in engine.solutions(parse_bgp("$s $p $o"))
+        }
+        assert ("Central Park", "inside", "NYC") in triples
+        assert ("Central Park", "nearBy", "NYC") not in triples
