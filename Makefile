@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint doclint typecheck bench bench-suite perfbench perfbench-test serve-bench serve-bench-full bench-faults bench-gateway bench-gateway-full gateway-smoke chaos shard-chaos chaos-all bench-chaos bench-chaos-full examples figures stats clean
+.PHONY: install test lint doclint typecheck bench bench-suite perfbench perfbench-test serve-bench serve-bench-full bench-faults bench-gateway bench-gateway-full gateway-smoke chaos bench-chaos bench-chaos-full examples figures stats clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -51,8 +51,8 @@ perfbench-test:
 	PYTHONPATH=src $(PYTHON) -m pytest perfbench/test_perfbench.py -q
 
 # quick (<60s) serving benchmark: one in-process row (the single-threaded
-# loop on a virtual clock), the process-shard matrix at 1/2/4 shards, one
-# kill-one-shard chaos run, serial MSP-identity everywhere; then schema
+# loop on a virtual clock), the process-shard matrix at 1/2/4 shards, the
+# chaos harness's shard scenario, serial MSP-identity everywhere; then schema
 # validation of the output
 serve-bench:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_service.py --quick --output BENCH_service_quick.json
@@ -88,25 +88,14 @@ bench-gateway-full:
 gateway-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro gateway --domain demo --sessions 2 --crowd-size 4 --seed 0
 
-# seeded chaos campaigns (docs/RELIABILITY.md): every durability
-# invariant checked across three fixed seeds; a failing seed replays
-# exactly (one serving thread, virtual clock)
+# the seeded chaos campaign (docs/RELIABILITY.md): per seed, the session,
+# gateway, client, shard and coordinator scenarios, every invariant
+# checked across three fixed seeds; session, gateway and client replay a
+# failing seed bit for bit (one thread)
 chaos:
 	PYTHONPATH=src $(PYTHON) -m repro chaos --seeds 0,1,2
 
-# kill-one-shard -> WAL-restore -> identical-MSP campaign against the
-# process-sharded fleet (docs/SHARDING.md), three fixed seeds
-shard-chaos:
-	PYTHONPATH=src $(PYTHON) -m repro chaos --shards 3 --seeds 0,1,2
-
-# the whole-stack kill-anything campaign (docs/RELIABILITY.md): gateway
-# restart from its journal, supervised shard auto-restart, coordinator
-# rebuild from shard WALs, client disconnect/duplicate faults — all
-# gated on serial MSP identity and exactly-once answers
-chaos-all:
-	PYTHONPATH=src $(PYTHON) -m repro chaos --total --seeds 0,1,2
-
-# CI-size whole-stack chaos report with per-component MTTR
+# CI-size chaos report with per-component MTTR
 bench-chaos:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_chaos.py --quick --output BENCH_chaos_quick.json
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_chaos.py --validate BENCH_chaos_quick.json

@@ -1,20 +1,23 @@
 #!/usr/bin/env python
-"""Whole-stack chaos report: kill anything, measure recovery (PR 10).
+"""Chaos report: break every serving layer, measure recovery.
 
-Sweeps :func:`repro.faults.total_chaos.run_total_chaos_campaign` over
-seeds × domains and emits one JSON document (``BENCH_chaos.json``) with
-three gates:
+Runs :func:`repro.faults.chaos.run_chaos_campaign` — the five scenarios
+of :data:`repro.faults.chaos.SCENARIOS` per seed — over seeds × domains
+and emits one JSON document (``BENCH_chaos.json``) with three gates:
 
-* **identity** — every campaign, whatever was killed mid-flight
-  (gateway process, shard worker, the coordinator itself, client
-  connections), must finish with MSP sets identical to an
-  uninterrupted serial ``engine.execute``;
+* **invariants** — every scenario of every run is ``ok``: sessions
+  settle, MSP sets are identical to an uninterrupted serial
+  ``engine.execute``, no acknowledged answer is lost, re-asked or
+  applied twice, and each kill or crash actually hit something;
 * **exactly-once** — zero re-asks of acknowledged answers and zero
-  double-charged session-cache entries across every scenario (the
-  idempotency-key + WAL-resume guarantee, audited end to end);
-* **MTTR** — each killed component must have recorded a detect→serving
-  MTTR sample, and the supervisor's shard-restart p95 must stay under
-  ``MAX_SUPERVISOR_RESTART_P95_SECONDS``.
+  double-charged session-cache entries across the ``gateway`` and
+  ``client`` scenarios (the idempotency-key + journal-resume guarantee,
+  audited end to end);
+* **MTTR** — each component that goes down (gateway, shard,
+  coordinator) must have recorded a time-to-recover sample, and the
+  supervisor's shard-restart p95 must stay under
+  ``MAX_SUPERVISOR_RESTART_P95_SECONDS``.  The gateway sample times the
+  journal restore of a fresh ``GatewayApp``.
 
 Usage::
 
@@ -35,10 +38,10 @@ if __package__ in (None, ""):
     # allow `python benchmarks/bench_chaos.py` without PYTHONPATH fiddling
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.faults.total_chaos import COMPONENTS, run_total_chaos_campaign
+from repro.faults.chaos import SCENARIOS, run_chaos_campaign, summarize_runs
 from repro.observability import atomic_write_json
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: the supervisor must bring a killed shard back within this p95 budget
 MAX_SUPERVISOR_RESTART_P95_SECONDS = 1.0
@@ -47,40 +50,44 @@ MAX_SUPERVISOR_RESTART_P95_SECONDS = 1.0
 FULL_SWEEP = ((0, 1, 2), ("demo", "travel"))
 QUICK_SWEEP = ((0,), ("demo",))
 
-#: components whose kill must produce an MTTR sample (client faults
-#: never take a component down, so no MTTR is expected there)
+#: components whose kill must produce an MTTR sample (member and
+#: client faults never take a component down, so no MTTR is expected)
 KILLED_COMPONENTS = ("gateway", "shard", "coordinator")
 
 
 def build_report(quick: bool) -> dict:
     seeds, domains = QUICK_SWEEP if quick else FULL_SWEEP
-    campaign = run_total_chaos_campaign(seeds=seeds, domains=domains)
-    runs = campaign["runs"]
+    runs = [
+        run
+        for domain in domains
+        for run in run_chaos_campaign(seeds, domain=domain)["runs"]
+    ]
+    summary = summarize_runs(runs)
     return {
         "schema_version": SCHEMA_VERSION,
         "benchmark": "chaos",
         "quick": quick,
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "seeds": campaign["seeds"],
-        "domains": campaign["domains"],
+        "seeds": list(seeds),
+        "domains": list(domains),
         "runs": runs,
-        "all_ok": campaign["ok"],
+        "all_ok": summary["ok"],
         "violations": [v for run in runs for v in run["violations"]],
-        "mttr": campaign["mttr"],
-        "supervisor_restart_p95_seconds": campaign[
+        "mttr": summary["mttr"],
+        "supervisor_restart_p95_seconds": summary[
             "supervisor_restart_p95_seconds"
         ],
         "supervisor_restart_p95_budget_seconds": (
             MAX_SUPERVISOR_RESTART_P95_SECONDS
         ),
         "total_reasks": sum(
-            run["scenarios"][name].get("reasks", 0)
+            run["scenarios"][name]["reasks"]
             for run in runs
             for name in ("gateway", "client")
         ),
         "total_double_charges": sum(
-            run["scenarios"][name].get("double_charges", 0)
+            run["scenarios"][name]["double_charges"]
             for run in runs
             for name in ("gateway", "client")
         ),
@@ -108,9 +115,9 @@ def validate(report: dict) -> list:
         if not run.get("ok"):
             problems.append(f"{tag}: {run.get('violations')}")
         scenarios = run.get("scenarios", {})
-        if set(scenarios) != set(COMPONENTS):
+        if set(scenarios) != set(SCENARIOS):
             problems.append(
-                f"{tag}: scenarios {sorted(scenarios)} != {sorted(COMPONENTS)}"
+                f"{tag}: scenarios {sorted(scenarios)} != {sorted(SCENARIOS)}"
             )
     if not report.get("all_ok"):
         problems.append("all_ok is false")

@@ -18,8 +18,9 @@ Schema v3 covers both serving backends:
   1-shard questions/s; on smaller runners the gate reports
   ``applicable: false`` with the reason instead of lying about scaling
   physics;
-* **chaos** — one kill-one-shard -> WAL-restore -> identical-MSP run
-  (:func:`repro.service.shard.run_shard_chaos_once`), gated on ``ok``.
+* **chaos** — one kill-one-shard -> supervised WAL-restore ->
+  identical-MSP run (the ``shard`` scenario of
+  :func:`repro.faults.run_scenario`), gated on ``ok``.
 
 Every configuration's MSP set must equal the serial ``engine.execute``
 run of the same query (the serving layers must be observationally
@@ -164,7 +165,7 @@ def run_shard_config(
 
 
 def build_report(quick: bool, seed: int) -> dict:
-    from repro.service.shard import run_shard_chaos_once
+    from repro.faults import run_scenario
 
     sessions = 4 if quick else 8
     in_process = run_config(sessions=sessions, domain="demo", seed=seed)
@@ -220,15 +221,7 @@ def build_report(quick: bool, seed: int) -> dict:
             "speedup_at_4_shards": efficiency["4"]["speedup_vs_1_shard"],
         }
 
-    chaos = run_shard_chaos_once(
-        seed=seed,
-        domain="demo",
-        shards=3,
-        sessions=4,
-        crowd_size=6,
-        sample_size=3,
-        after_nodes=5,
-    )
+    chaos = run_scenario("shard", seed=seed, max_runtime=120.0)
 
     return {
         "schema_version": SCHEMA_VERSION,

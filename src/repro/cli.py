@@ -11,8 +11,9 @@ Commands:
 * ``serve-sim`` — run the concurrent crowd-serving simulation: many query
   sessions, a shared crowd with injected timeouts and departures, served
   by one loop on a virtual clock (see :mod:`repro.service`);
-* ``chaos`` — run seeded fault-injection campaigns against the serving
-  layer and check the durability invariants (see :mod:`repro.faults`);
+* ``chaos`` — run the seeded chaos campaign (five scenarios per seed)
+  against the serving layers and check the durability invariants (see
+  :mod:`repro.faults`);
 * ``gateway`` — start the network-facing crowd gateway on loopback HTTP
   and replay a simulated-member campaign through it, checking the MSP
   sets against serial execution (see :mod:`repro.gateway` and
@@ -120,7 +121,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_chaos = sub.add_parser(
         "chaos",
-        help="run seeded fault-injection campaigns (repro.faults)",
+        help="run the seeded chaos campaign: session, gateway, client, "
+             "shard and coordinator scenarios per seed (repro.faults)",
     )
     p_chaos.add_argument("--config", metavar="PATH",
                          help="JSON file of argument defaults, validated "
@@ -133,22 +135,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_chaos.add_argument("--sessions", type=int, default=4)
     p_chaos.add_argument("--crowd-size", type=int, default=6)
     p_chaos.add_argument("--sample-size", type=int, default=3)
-    p_chaos.add_argument("--shards", type=int, default=0,
-                         help="run the kill-one-shard campaign against a "
-                              "process-sharded fleet of N workers instead "
-                              "of the in-process loop")
-    p_chaos.add_argument("--after-nodes", type=int, default=5,
-                         help="with --shards: classify this many nodes "
-                              "before the victim shard is killed")
     p_chaos.add_argument("--state-dir", metavar="DIR",
-                         help="back each session with a WAL journal and "
-                         "checkpoints under DIR (per-seed subdirectories)")
+                         help="back each session of the session scenario "
+                         "with a WAL journal and checkpoints under DIR "
+                         "(per-seed subdirectories)")
     p_chaos.add_argument("--max-runtime", type=float, default=30.0)
-    p_chaos.add_argument("--total", action="store_true",
-                         help="run the whole-stack kill-anything campaign "
-                              "(gateway, shard, coordinator, client) with "
-                              "per-component MTTR instead of the "
-                              "single-layer campaigns")
     p_chaos.add_argument("--json", action="store_true",
                          help="emit the campaign report as JSON")
 
@@ -342,9 +333,8 @@ _CONFIG_DESTS = {
         "max_runtime", "seed", "verify",
     }),
     "chaos": frozenset({
-        "domain", "sessions", "shards", "crowd_size",
-        "sample_size", "max_runtime", "seeds", "after_nodes",
-        "state_dir",
+        "domain", "sessions", "crowd_size", "sample_size",
+        "max_runtime", "seeds", "state_dir",
     }),
 }
 
@@ -475,7 +465,7 @@ def _cmd_serve_sim(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from .faults import run_chaos_campaign
+    from .faults import SCENARIOS, run_chaos_campaign
 
     try:
         seeds = [int(part) for part in args.seeds.split(",") if part.strip()]
@@ -486,10 +476,6 @@ def _cmd_chaos(args) -> int:
     if not seeds:
         print("--seeds named no seeds", file=sys.stderr)
         return 2
-    if args.total:
-        return _cmd_total_chaos(args, seeds)
-    if args.shards > 0:
-        return _cmd_shard_chaos(args, seeds)
     campaign = run_chaos_campaign(
         seeds,
         domain=args.domain,
@@ -504,92 +490,23 @@ def _cmd_chaos(args) -> int:
 
         print(json.dumps(campaign, indent=2, sort_keys=True))
     else:
-        for report in campaign["reports"]:
-            injected = sum(report["faults_injected"].values())
-            verdict = "ok" if report["ok"] else "VIOLATIONS"
-            print(
-                f"seed {report['seed']}: {verdict}, "
-                f"{report['completed_sessions']}/{report['sessions']} "
-                f"sessions, {report['answers_recorded']} answers, "
-                f"{injected} faults injected, "
-                f"{report['elapsed_seconds']:.2f}s"
-            )
-            for violation in report["violations"]:
+        for run in campaign["runs"]:
+            print(f"seed {run['seed']}: {'ok' if run['ok'] else 'VIOLATIONS'}")
+            for name in SCENARIOS:
+                report = run["scenarios"][name]
+                mttr = report["mttr_seconds"]
+                print(
+                    f"  {name:12} {'ok' if report['ok'] else 'VIOLATIONS':10} "
+                    f"{report['elapsed_seconds']:.2f}s"
+                    + (f"  mttr {mttr}s" if mttr is not None else "")
+                )
+            for violation in run["violations"]:
                 print(f"  violation: {violation}", file=sys.stderr)
         verdict = "ok" if campaign["ok"] else "FAILED"
         print(
             f"campaign over seeds {campaign['seeds']} "
-            f"({campaign['domain']}): {verdict}"
-        )
-    return 0 if campaign["ok"] else 1
-
-
-def _cmd_total_chaos(args, seeds) -> int:
-    from .faults import run_total_chaos_campaign
-
-    campaign = run_total_chaos_campaign(
-        seeds,
-        domains=(args.domain,),
-        max_runtime=args.max_runtime,
-    )
-    if args.json:
-        import json
-
-        print(json.dumps(campaign, indent=2, sort_keys=True))
-    else:
-        for report in campaign["runs"]:
-            verdict = "ok" if report["ok"] else "VIOLATIONS"
-            mttrs = " ".join(
-                f"{name}={report['mttr_seconds'][name]}s"
-                for name in ("gateway", "shard", "coordinator")
-            )
-            print(f"seed {report['seed']}: {verdict}, mttr {mttrs}")
-            for violation in report["violations"]:
-                print(f"  violation: {violation}", file=sys.stderr)
-        verdict = "ok" if campaign["ok"] else "FAILED"
-        print(
-            f"total chaos campaign over seeds {campaign['seeds']} "
-            f"({args.domain}): {verdict}; supervisor restart p95 "
+            f"({campaign['domain']}): {verdict}; supervisor restart p95 "
             f"{campaign['supervisor_restart_p95_seconds']}s"
-        )
-    return 0 if campaign["ok"] else 1
-
-
-def _cmd_shard_chaos(args, seeds) -> int:
-    from .service.shard import run_shard_chaos_campaign
-
-    campaign = run_shard_chaos_campaign(
-        seeds,
-        domain=args.domain,
-        durable_dir=args.state_dir,
-        shards=args.shards,
-        sessions=args.sessions,
-        crowd_size=args.crowd_size,
-        sample_size=args.sample_size,
-        after_nodes=args.after_nodes,
-        max_runtime=args.max_runtime,
-    )
-    if args.json:
-        import json
-
-        print(json.dumps(campaign, indent=2, sort_keys=True))
-    else:
-        for report in campaign["reports"]:
-            verdict = "ok" if report["ok"] else "VIOLATIONS"
-            print(
-                f"seed {report['seed']}: {verdict}, killed shard "
-                f"{report['killed_shard']}/{report['shards']}, "
-                f"{report['reasks']} reask(s), "
-                f"{report['wal_replayed']} WAL answer(s) replayed, "
-                f"{report['completed_sessions']}/{report['sessions']} "
-                f"sessions, {report['elapsed_seconds']:.2f}s"
-            )
-            for violation in report["violations"]:
-                print(f"  violation: {violation}", file=sys.stderr)
-        verdict = "ok" if campaign["ok"] else "FAILED"
-        print(
-            f"shard chaos campaign over seeds {campaign['seeds']} "
-            f"({campaign['domain']}): {verdict}"
         )
     return 0 if campaign["ok"] else 1
 

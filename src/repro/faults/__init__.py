@@ -13,16 +13,14 @@ production:
   :class:`~repro.service.manager.SessionManager` uses to quarantine
   misbehaving members (closed → open → half-open probing) instead of
   burning retry attempts on them;
-* :func:`run_chaos_campaign` — seeded chaos campaigns mixing every fault
-  kind, replayed identically per seed, that verify the engine's
-  durability invariants (no acknowledged answer lost, no answer
-  applied twice, the planted bad member quarantined, MSPs identical to a
-  serial run);
-* :func:`run_total_chaos_campaign` — the whole-stack escalation: kill
-  *any* component (gateway process, shard worker, the coordinator
-  itself, client connections) at seeded points and prove the same
-  serial-MSP-identity plus zero-reask / zero-double-charge gates, with
-  per-component MTTR in the report (``benchmarks/bench_chaos.py``).
+* :func:`run_chaos_campaign` — the one chaos harness: per seed it breaks
+  every serving layer in turn (:data:`SCENARIOS`: the in-process
+  session loop under every fault kind, a gateway crash, dropped and
+  duplicated client requests, a SIGKILLed shard, a crashed coordinator)
+  and checks the durability invariants (no acknowledged answer lost or
+  re-asked, no answer applied twice, the planted bad member
+  quarantined, MSPs identical to a serial run), with per-component
+  MTTR in the report (``benchmarks/bench_chaos.py``).
 
 Every injection and breaker transition emits a ``faults.*`` /
 ``recovery.*`` counter registered in :mod:`repro.observability.names`.
@@ -32,7 +30,13 @@ documented in ``docs/RELIABILITY.md``; the CLI entry point is
 """
 
 from .breaker import BreakerState, CircuitBreaker
-from .chaos import ChaosReport, run_chaos_campaign, run_chaos_once
+from .chaos import (
+    SCENARIOS,
+    ChaosReport,
+    run_chaos_campaign,
+    run_chaos_once,
+    run_scenario,
+)
 from .plan import (
     DuplicateDelivery,
     FaultKind,
@@ -42,15 +46,9 @@ from .plan import (
     SITES,
     chaos_plan,
 )
-from .total_chaos import (
-    COMPONENTS,
-    run_total_chaos_campaign,
-    run_total_chaos_once,
-)
 
 __all__ = [
     "BreakerState",
-    "COMPONENTS",
     "ChaosReport",
     "CircuitBreaker",
     "DuplicateDelivery",
@@ -58,10 +56,10 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "MALFORMED_SUPPORT",
+    "SCENARIOS",
     "SITES",
     "chaos_plan",
     "run_chaos_campaign",
     "run_chaos_once",
-    "run_total_chaos_campaign",
-    "run_total_chaos_once",
+    "run_scenario",
 ]

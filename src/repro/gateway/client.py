@@ -373,8 +373,11 @@ def replay_campaign(
     sets, question counts, elapsed wall time and — with ``verify=True``
     — the serial ``engine.execute`` comparison.
     """
-    from ..engine.engine import OassisEngine
-    from ..service.simulation import DOMAINS, build_identical_crowd
+    from ..service.simulation import (
+        DOMAINS,
+        build_identical_crowd,
+        serial_mismatches,
+    )
 
     if domain not in DOMAINS:
         raise ValueError(f"unknown domain {domain!r}; pick from {sorted(DOMAINS)}")
@@ -459,22 +462,16 @@ def replay_campaign(
         "errors": errors,
     }
     if verify:
-        engine = OassisEngine(dataset.ontology)  # type: ignore[attr-defined]
-        mismatches: List[Dict[str, Any]] = []
-        serial_cache: Dict[str, List[str]] = {}
-        for sid in session_ids:
-            query = queries[sid]
-            if query not in serial_cache:
-                baseline = build_identical_crowd(
-                    dataset, crowd_size, seed=seed, prefix="serial-m"
-                )
-                serial = engine.execute(query, baseline, sample_size=sample_size)
-                serial_cache[query] = sorted(repr(a) for a in serial.all_msps)
-            got = list(results[sid].msps) if sid in results else []
-            if got != serial_cache[query]:
-                mismatches.append(
-                    {"session": sid, "expected": serial_cache[query], "got": got}
-                )
+        mismatches = serial_mismatches(
+            domain,
+            {
+                sid: (queries[sid], results[sid].msps if sid in results else ())
+                for sid in session_ids
+            },
+            crowd_size=crowd_size,
+            sample_size=sample_size,
+            seed=seed,
+        )
         report["verified"] = not mismatches and not errors and not timed_out
         report["mismatches"] = mismatches
     return report

@@ -487,10 +487,11 @@ class SimulationSpec:
     Every field is optional; present fields become the command's argument
     defaults (explicit command-line flags still win).  The field names
     are exactly the CLI destinations, so one JSON file can drive both
-    commands — ``chaos``-only knobs (``seeds``, ``after_nodes``,
-    ``state_dir``) are simply ignored by ``serve-sim``
-    and vice versa (``drop_every``, ``departures``, ``question_timeout``,
-    ``verify``).
+    commands — ``chaos``-only knobs (``seeds``, ``state_dir``) are
+    simply ignored by ``serve-sim`` and vice versa (``shards``,
+    ``drop_every``, ``departures``, ``question_timeout``, ``verify``).
+    Unknown fields are ignored, so a file naming a retired knob still
+    parses.
     """
 
     domain: Optional[str] = None
@@ -505,7 +506,6 @@ class SimulationSpec:
     seed: Optional[int] = None
     verify: Optional[bool] = None
     seeds: Optional[Tuple[int, ...]] = None
-    after_nodes: Optional[int] = None
     state_dir: Optional[str] = None
 
     def to_wire(self) -> Dict[str, Any]:
@@ -530,7 +530,7 @@ class SimulationSpec:
             value = _take(payload, name, (int,), None)
             if value is not None and value < 1:
                 raise SchemaError(f"field {name!r} must be >= 1, got {value}")
-        for name in ("shards", "drop_every", "departures", "after_nodes"):
+        for name in ("shards", "drop_every", "departures"):
             value = _take(payload, name, (int,), None)
             if value is not None and value < 0:
                 raise SchemaError(f"field {name!r} must be >= 0, got {value}")
@@ -551,7 +551,6 @@ class SimulationSpec:
             seed=_take(payload, "seed", (int,), None),
             verify=_take(payload, "verify", (bool,), None),
             seeds=seeds,
-            after_nodes=_take(payload, "after_nodes", (int,), None),
             state_dir=_take(payload, "state_dir", (str,), None),
         )
 

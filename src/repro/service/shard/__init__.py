@@ -7,7 +7,6 @@ merges per-shard support deltas — the layer that takes question
 throughput past the GIL ceiling of the threaded runner.
 """
 
-from .chaos import run_shard_chaos_campaign, run_shard_chaos_once
 from .coordinator import VIRTUAL_MEMBER, ShardCoordinator
 from .hashring import DEFAULT_REPLICAS, HashRing, split_quota
 from .simulation import run_sharded_simulation
@@ -17,8 +16,6 @@ __all__ = [
     "HashRing",
     "ShardCoordinator",
     "VIRTUAL_MEMBER",
-    "run_shard_chaos_campaign",
-    "run_shard_chaos_once",
     "run_sharded_simulation",
     "split_quota",
 ]

@@ -9,19 +9,18 @@ CLI and benchmarks treat both modes interchangeably.
 
 Correctness rides the identical oracle: with ``verify=True`` every
 session's confirmed MSP set is compared against a serial
-``engine.execute`` of the same query, exactly as the threaded runner is
-verified.  ``chaos_kill=(shard, after_nodes)`` injects the kill-one-
-shard → WAL-restore campaign mid-flight.
+``engine.execute`` of the same query
+(:func:`~repro.service.simulation.serial_mismatches`), exactly as the
+in-process loop is verified.  Killing a shard or the coordinator
+mid-serve is a scenario of :mod:`repro.faults.chaos`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Union
 import os
 
 from ...datasets.base import DomainDataset
-from ...engine.engine import OassisEngine
-from ..supervisor import ShardSupervisor, SupervisorConfig
 from .coordinator import ShardCoordinator
 
 
@@ -39,27 +38,12 @@ def run_sharded_simulation(
     durable_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
     batch_size: int = 8,
     max_outstanding: int = 32,
-    chaos_kill: Optional[Tuple[int, int]] = None,
-    chaos_kill_mode: str = "restore",
-    supervise: bool = False,
-    supervisor_config: Optional[SupervisorConfig] = None,
     verify_crowd_size: Optional[int] = None,
-    _keep_handles: bool = False,
 ) -> Dict[str, Any]:
     """Serve ``sessions`` concurrent sessions through ``shards`` processes.
 
-    ``chaos_kill=(shard, after_nodes)`` hard-kills the given shard once
-    ``after_nodes`` nodes have been classified, then immediately restores
-    it from its WAL — the campaign must still finish with the serial MSP
-    set.  Requires ``durable_dir`` (the WAL home).
-
-    ``chaos_kill_mode="supervised"`` kills without restoring and leaves
-    recovery to the attached supervisor (requires ``supervise=True``):
-    the heartbeat loop detects the corpse and restarts it automatically,
-    which is the tentpole scenario of ``docs/RELIABILITY.md``.
-    ``supervise=True`` attaches a
-    :class:`~repro.service.supervisor.ShardSupervisor` so *any* shard
-    death mid-campaign — injected or not — is detected and repaired.
+    ``durable_dir`` gives every shard a WAL; a fleet started over the
+    WALs of an earlier one replays them before serving.
 
     ``verify_crowd_size`` sizes the serial reference crowd of the oracle
     (default: ``crowd_size``).  With identical members the serial MSP set
@@ -69,43 +53,17 @@ def run_sharded_simulation(
     ``MemberUser`` per member in ``engine.execute``.  Must still be
     ``>= sample_size``.
     """
-    from ..simulation import DEFAULT_THRESHOLDS, DOMAINS, build_identical_crowd
+    from ..simulation import DEFAULT_THRESHOLDS, DOMAINS, serial_mismatches
 
     if domain not in DOMAINS:
         raise ValueError(f"unknown domain {domain!r}; pick from {sorted(DOMAINS)}")
     if sessions < 1:
         raise ValueError("sessions must be at least 1")
-    if chaos_kill is not None and durable_dir is None:
-        raise ValueError("chaos_kill requires durable_dir (the WAL home)")
-    if chaos_kill_mode not in ("restore", "supervised"):
-        raise ValueError("chaos_kill_mode must be 'restore' or 'supervised'")
-    if chaos_kill_mode == "supervised" and not supervise:
-        raise ValueError("chaos_kill_mode='supervised' requires supervise=True")
     serial_size = crowd_size if verify_crowd_size is None else verify_crowd_size
     if serial_size < sample_size:
         raise ValueError("verify_crowd_size must be at least sample_size")
     cycle = tuple(thresholds) if thresholds is not None else DEFAULT_THRESHOLDS
     dataset: DomainDataset = DOMAINS[domain]()
-    engine = OassisEngine(dataset.ontology)
-
-    chaos_state = {"triggered": False, "reasks": 0}
-
-    def _chaos(coordinator: ShardCoordinator) -> None:
-        assert chaos_kill is not None
-        shard_index, after_nodes = chaos_kill
-        if chaos_state["triggered"]:
-            return
-        if coordinator.nodes_classified < after_nodes:
-            return
-        chaos_state["triggered"] = True
-        coordinator.kill_shard(shard_index)
-        if chaos_kill_mode == "restore":
-            chaos_state["reasks"] = coordinator.restore_shard(shard_index)
-        # supervised mode: leave the corpse for the supervisor's tick
-
-    supervisor = (
-        ShardSupervisor(supervisor_config) if supervise else None
-    )
     coordinator = ShardCoordinator(
         dataset,
         shards=shards,
@@ -113,13 +71,10 @@ def run_sharded_simulation(
         sample_size=sample_size,
         domain=domain,
         seed=seed,
-        engine=engine,
         durable_dir=durable_dir,
         batch_size=batch_size,
         max_outstanding=max_outstanding,
         max_runtime=max_runtime,
-        chaos_hook=_chaos if chaos_kill is not None else None,
-        supervisor=supervisor,
     )
     queries: Dict[str, str] = {}
     try:
@@ -131,69 +86,26 @@ def run_sharded_simulation(
             coordinator.create_session(queries[session_id], session_id)
         coordinator.serve()
     finally:
-        # stats frames are collected at close, so close before reporting;
-        # _keep_handles callers still get the (closed) coordinator for
-        # post-hoc queue/session inspection
+        # stats frames are collected at close, so close before reporting
         coordinator.close()
     report = coordinator.report()
     report["domain"] = domain
     report["crowd_size"] = crowd_size
     report["sample_size"] = sample_size
-    if chaos_kill is not None:
-        report["chaos"] = {
-            "killed_shard": chaos_kill[0],
-            "after_nodes": chaos_kill[1],
-            "mode": chaos_kill_mode,
-            "triggered": chaos_state["triggered"],
-            "reasks": chaos_state["reasks"],
-        }
     if verify:
-        report["verified"], report["mismatches"] = _verify_against_serial(
-            engine,
-            coordinator,
-            queries,
-            dataset,
-            serial_size,
-            sample_size,
-            seed,
-            build_identical_crowd,
+        report["mismatches"] = serial_mismatches(
+            domain,
+            {
+                session.session_id: (
+                    queries[session.session_id],
+                    [repr(a) for a in session.queue.current_msps()],
+                )
+                for session in coordinator.sessions()
+            },
+            crowd_size=serial_size,
+            sample_size=sample_size,
+            seed=seed,
         )
-    if _keep_handles:
-        # live objects for invariant auditors; pop before serializing
-        report["_coordinator"] = coordinator
+        report["verified"] = not report["mismatches"]
     return report
 
-
-def _verify_against_serial(
-    engine: OassisEngine,
-    coordinator: ShardCoordinator,
-    queries: Dict[str, str],
-    dataset: DomainDataset,
-    crowd_size: int,
-    sample_size: int,
-    seed: int,
-    build_identical_crowd: Any,
-) -> Tuple[bool, List[Dict[str, Any]]]:
-    """Compare each session's MSPs with a serial run of the same query."""
-    mismatches: List[Dict[str, Any]] = []
-    serial_cache: Dict[str, List[str]] = {}
-    for session in coordinator.sessions():
-        query = queries[session.session_id]
-        if query not in serial_cache:
-            baseline = build_identical_crowd(
-                dataset, crowd_size, seed=seed, prefix="serial-m"
-            )
-            result = engine.execute(query, baseline, sample_size=sample_size)
-            serial_cache[query] = sorted(repr(a) for a in result.all_msps)
-        expected = serial_cache[query]
-        got = sorted(repr(a) for a in session.queue.current_msps())
-        if got != expected:
-            mismatches.append(
-                {
-                    "session": session.session_id,
-                    "state": session.state,
-                    "expected": expected,
-                    "got": got,
-                }
-            )
-    return (not mismatches), mismatches

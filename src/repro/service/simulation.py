@@ -12,9 +12,20 @@ is the service layer's correctness oracle (``verify=True``).
 
 from __future__ import annotations
 
+import functools
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..crowd.cache import CrowdCache
 from ..crowd.journal import DurableCrowdCache
@@ -23,7 +34,6 @@ from ..datasets import culinary, health, running_example, travel
 from ..datasets.base import DomainDataset
 from ..engine.engine import OassisEngine
 from ..faults.plan import FaultPlan
-from .manager import SessionManager
 from .runner import MemberScript, ServiceRunner, VirtualClock
 
 
@@ -142,15 +152,15 @@ def run_simulation(
 
     With ``verify=True`` each session's MSP set is compared against a
     serial ``engine.execute`` of the same query over a fresh identical
-    crowd; mismatches are listed in the report and flip ``verified``.
+    crowd (:func:`serial_mismatches`); mismatches are listed in the
+    report and flip ``verified``.
 
     ``shards > 0`` serves the campaign through that many worker
     *processes* instead of the in-process loop
     (:mod:`repro.service.shard`) — same report shape, same oracle.  The
     in-process fault knobs (``drop_every``, ``departures``, ``faults``,
     ``checkpoint_every``, ``breaker_window``, ``audit``) do not apply
-    there; shard chaos is injected via
-    :func:`~repro.service.shard.run_sharded_simulation` directly.
+    there; the shard kill is a scenario of :mod:`repro.faults.chaos`.
     """
     if shards > 0:
         incompatible = {
@@ -182,7 +192,6 @@ def run_simulation(
             verify=verify,
             seed=seed,
             durable_dir=durable_dir,
-            _keep_handles=_keep_handles,
         )
     if domain not in DOMAINS:
         raise ValueError(f"unknown domain {domain!r}; pick from {sorted(DOMAINS)}")
@@ -258,9 +267,20 @@ def run_simulation(
     if audit:
         report["audit_entries"] = len(runner.audit or [])
     if verify:
-        report["verified"], report["mismatches"] = _verify_against_serial(
-            engine, manager, queries, dataset, crowd_size, sample_size, seed
+        report["mismatches"] = serial_mismatches(
+            domain,
+            {
+                session.session_id: (
+                    queries[session.session_id],
+                    [repr(a) for a in session.msps()],
+                )
+                for session in manager.sessions()
+            },
+            crowd_size=crowd_size,
+            sample_size=sample_size,
+            seed=seed,
         )
+        report["verified"] = not report["mismatches"]
     if _keep_handles:
         # for invariant auditors (repro.faults.chaos): live objects, so
         # callers must pop these before serializing the report
@@ -269,37 +289,42 @@ def run_simulation(
     return report
 
 
-def _verify_against_serial(
-    engine: OassisEngine,
-    manager: SessionManager,
-    queries: Dict[str, str],
-    dataset: DomainDataset,
+def serial_mismatches(
+    domain: str,
+    served: Mapping[str, Tuple[str, Iterable[str]]],
+    *,
     crowd_size: int,
     sample_size: int,
     seed: int,
-) -> "tuple[bool, List[Dict]]":
-    """Compare each session's MSPs with a serial run of the same query."""
-    mismatches: List[Dict] = []
-    serial_cache: Dict[str, List[str]] = {}
-    for session in manager.sessions():
-        query = queries[session.session_id]
-        if query not in serial_cache:
-            baseline = build_identical_crowd(
-                dataset, crowd_size, seed=seed, prefix="serial-m"
-            )
-            result = engine.execute(
-                query, baseline, sample_size=sample_size
-            )
-            serial_cache[query] = sorted(repr(a) for a in result.all_msps)
-        expected = serial_cache[query]
-        got = sorted(repr(a) for a in session.msps())
+) -> List[Dict[str, Any]]:
+    """Sessions whose MSP set differs from a serial run of their query.
+
+    ``served`` maps each session id to its query text and the MSP reprs
+    the serving path reached.  The oracle is
+    :meth:`~repro.engine.engine.OassisEngine.execute` over a fresh
+    identical crowd of ``crowd_size`` (:func:`build_identical_crowd`),
+    memoized per query text, so every serving path — the in-process
+    loop, the shard fleet, the gateway and each chaos scenario — is held
+    to the same serial MSP set.
+    """
+    mismatches: List[Dict[str, Any]] = []
+    for session_id, (query, msps) in served.items():
+        expected = list(_serial_msps(domain, query, crowd_size, sample_size, seed))
+        got = sorted(msps)
         if got != expected:
             mismatches.append(
-                {
-                    "session": session.session_id,
-                    "state": session.state.value,
-                    "expected": expected,
-                    "got": got,
-                }
+                {"session": session_id, "expected": expected, "got": got}
             )
-    return (not mismatches), mismatches
+    return mismatches
+
+
+@functools.lru_cache(maxsize=None)
+def _serial_msps(
+    domain: str, query: str, crowd_size: int, sample_size: int, seed: int
+) -> Tuple[str, ...]:
+    dataset = DOMAINS[domain]()
+    baseline = build_identical_crowd(dataset, crowd_size, seed=seed, prefix="serial-m")
+    result = OassisEngine(dataset.ontology).execute(
+        query, baseline, sample_size=sample_size
+    )
+    return tuple(sorted(repr(a) for a in result.all_msps))

@@ -26,7 +26,7 @@ Determinism note: supervision changes *when* answers arrive, never
 *what* they are — restored shards replay their WAL and re-hashed
 members are rebuilt from the same prototype database — so the
 serial-MSP-identity oracle holds through any kill/hang/restart schedule
-(proven end to end by ``repro.faults.total_chaos``).
+(proven end to end by the ``shard`` scenario of ``repro.faults.chaos``).
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ class ShardSupervisor:
         #: shards retired into degraded mode, in retirement order
         self.degraded: List[int] = []
         self.restarts = 0
+        #: asks re-sent to restarted shards (their in-flight work at death)
+        self.asks_resent = 0
         self._death_at: Dict[int, float] = {}
         self._failures: Dict[int, int] = {}
         self._next_attempt: Dict[int, float] = {}
@@ -92,6 +94,7 @@ class ShardSupervisor:
         return {
             "deaths": list(self.deaths),
             "restarts": self.restarts,
+            "asks_resent": self.asks_resent,
             "restart_failures": sum(self._failures.values()),
             "degraded": list(self.degraded),
             "restart_seconds": [round(s, 4) for s in self.restart_seconds],
@@ -151,7 +154,7 @@ class ShardSupervisor:
                 continue
             try:
                 with _obs_span("supervisor.restart"):
-                    coordinator.restore_shard(index)
+                    self.asks_resent += coordinator.restore_shard(index)
             except Exception:
                 failures = self._failures.get(index, 0) + 1
                 self._failures[index] = failures

@@ -121,6 +121,26 @@ class TestServeSimCommand:
             main(self.ARGS + ["--domain", "bogus"])
 
 
+class TestChaosCommand:
+    def test_one_campaign_runs_every_scenario(self, capsys):
+        assert main(["chaos", "--seeds", "0", "--sessions", "2", "--json"]) == 0
+        campaign = json.loads(capsys.readouterr().out)
+        assert campaign["ok"] is True
+        (run,) = campaign["runs"]
+        assert set(run["scenarios"]) == {
+            "session", "gateway", "client", "shard", "coordinator",
+        }
+
+    @pytest.mark.parametrize(
+        "retired", [["--shards", "3"], ["--total"], ["--after-nodes", "5"]]
+    )
+    def test_retired_flags_are_usage_errors(self, retired, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--seeds", "0"] + retired)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestLintCommand:
     @pytest.fixture()
     def dirty(self, tmp_path):

@@ -7,8 +7,8 @@ Three layers of coverage:
 * :class:`CircuitBreaker` — the closed → open → half-open state machine,
   including the aborted-probe release;
 * the manager's injection sites and quarantine behaviour under a fake
-  clock, plus the end-to-end seeded chaos campaigns of
-  :mod:`repro.faults.chaos` (every durability invariant checked).
+  clock, plus the end-to-end seeded chaos campaign of
+  :mod:`repro.faults.chaos` (every scenario, every invariant checked).
 """
 
 import pytest
@@ -22,9 +22,11 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
     MALFORMED_SUPPORT,
+    SCENARIOS,
     chaos_plan,
     run_chaos_campaign,
     run_chaos_once,
+    run_scenario,
 )
 from repro.service.simulation import DOMAINS
 
@@ -308,27 +310,65 @@ class TestChaosCampaign:
             durable_dir=str(tmp_path),
             max_runtime=30.0,
         )
-        assert campaign["ok"] is True
+        assert campaign["ok"] is True, [r["violations"] for r in campaign["runs"]]
         assert campaign["seeds"] == [0, 1]
         assert campaign["total_faults_injected"] > 0
-        assert len(campaign["reports"]) == 2
+        assert len(campaign["runs"]) == 2
+        for run in campaign["runs"]:
+            assert list(run["scenarios"]) == list(SCENARIOS)
+        # every component that goes down recorded a time to recover
+        for name in ("gateway", "shard", "coordinator"):
+            assert campaign["mttr"][name]["incidents"] == 2
+        assert campaign["mttr"]["session"] is None
+        assert campaign["supervisor_restart_p95_seconds"] is not None
         # each seed journaled into its own subdirectory
         for seed in (0, 1):
             wals = list((tmp_path / f"seed-{seed}").glob("*.wal"))
             assert len(wals) == 2
 
     def test_campaign_replays_identically(self):
-        # one thread and a virtual clock: a seed is an exact replay, so
-        # only the wall time may differ between two runs
+        # session, gateway and client run on one thread (the session loop
+        # on a virtual clock, the gateway called directly): a seed is an
+        # exact replay, so only the wall-clock fields may differ
         def run():
-            campaign = run_chaos_campaign(seeds=(0, 1, 2))
-            for report in campaign["reports"]:
-                report.pop("elapsed_seconds")
-            return campaign
+            reports = []
+            for seed in (0, 1, 2):
+                for name in ("session", "gateway", "client"):
+                    report = run_scenario(name, seed=seed)
+                    report.pop("elapsed_seconds")
+                    if name == "gateway":
+                        assert report.pop("mttr_seconds") is not None
+                    reports.append(report)
+            return reports
 
         first = run()
-        assert first["ok"] is True
+        assert all(report["ok"] for report in first), first
         assert run() == first
+
+    def test_harness_runs_no_threads_sockets_or_sleeps(self):
+        import ast
+        import inspect
+
+        import repro.faults.chaos as harness
+
+        tree = ast.parse(inspect.getsource(harness))
+        imported = {
+            alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        } | {
+            node.module.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+        }
+        assert not imported & {"threading", "socket", "http"}
+        sleeps = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "sleep"
+        ]
+        assert sleeps == []
 
     def test_crowd_too_small_for_the_planted_faults(self):
         with pytest.raises(ValueError):

@@ -6,10 +6,10 @@ files; the crash-recovery layer drives a real loopback gateway, stops
 its server cold mid-campaign, rebuilds a fresh
 :class:`~repro.gateway.app.GatewayApp` from the same journal and holds
 the resumed campaign to the serial-MSP-identity oracle.  The fault
-matrix (``DISCONNECT`` wire drops plus deliberate duplicate deliveries
-under one idempotency key, spanning a restart) reuses the total-chaos
-campaign driver so the test gates exactly what CI's kill-anything job
-gates.
+matrix (``DISCONNECT`` request drops plus deliberate duplicate
+deliveries under one idempotency key, spanning a restart) runs the
+chaos harness's single-thread gateway driver, so the test gates what
+the ``gateway`` and ``client`` chaos scenarios gate.
 """
 
 import threading
@@ -20,7 +20,7 @@ import pytest
 from repro.crowd.questions import ConcreteQuestion
 from repro.engine.engine import OassisEngine
 from repro.faults import FaultKind, FaultPlan, FaultSpec
-from repro.faults.total_chaos import _gateway_campaign
+from repro.faults.chaos import _gateway_campaign
 from repro.gateway import (
     GatewayApp,
     GatewayClient,
@@ -331,11 +331,11 @@ class TestCrashRestore:
 
 class TestFaultsAcrossRestart:
     def test_disconnects_and_duplicate_deliveries_span_a_restart(self):
-        # DISCONNECT wire faults drop connections mid-request, members
-        # deliberately re-deliver every 2nd applied answer under its
-        # original idempotency key, and the gateway is killed and
-        # journal-restored mid-campaign — still exactly-once, still the
-        # serial MSP set
+        # DISCONNECT faults drop requests unprocessed (each is sent again
+        # on the member's next turn), every 2nd applied answer is
+        # delivered again under its idempotency key, and the gateway is
+        # crashed and journal-restored mid-campaign: still exactly-once,
+        # still the serial MSP set
         plan = FaultPlan(
             [
                 FaultSpec(
@@ -350,15 +350,15 @@ class TestFaultsAcrossRestart:
             sessions=2,
             crowd_size=4,
             sample_size=3,
-            kill_after_questions=3,
+            max_runtime=90.0,
+            crash_after=3,
             faults=plan,
             duplicate_every=2,
-            wait=0.2,
-            max_runtime=90.0,
         )
         assert report["ok"], report["violations"]
-        assert report["killed"]
         assert report["restored"]["sessions"] >= 1
+        assert report["mttr_seconds"] is not None
+        assert report["faults_injected"]["disconnect"] >= 1
         assert report["duplicates_sent"] >= 1
         assert report["reasks"] == 0
-        assert report["double_charges"] == 0
+        assert report["mismatches"] == []

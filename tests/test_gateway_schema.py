@@ -158,6 +158,11 @@ class TestSimulationSpec:
         with pytest.raises(SchemaError, match="seeds"):
             SimulationSpec.from_wire({"v": 1, "seeds": [1, "two"]})
 
+    def test_retired_fields_are_ignored(self):
+        # chaos lost --after-nodes; an old config file naming it parses
+        spec = SimulationSpec.from_wire({"v": 1, "after_nodes": 5, "sessions": 2})
+        assert spec.overrides() == {"sessions": 2}
+
     def test_seeds_decode_to_a_tuple(self):
         spec = SimulationSpec.from_wire({"v": 1, "seeds": [0, 1, 2]})
         assert spec.seeds == (0, 1, 2)

@@ -3,7 +3,8 @@
 The pure pieces (hash ring, quota split, wire framing, shared-memory
 closures) get direct unit tests; the coordinator is exercised end to end
 through :func:`run_sharded_simulation` under the serial-MSP-identity
-oracle — including the kill-one-shard → WAL-restore chaos scenario.
+oracle, and the kill-one-shard → WAL-restore path through the ``shard``
+scenario of :mod:`repro.faults.chaos`.
 Worker processes use the ``spawn`` start method, so every end-to-end
 test here actually crosses a process boundary.
 """
@@ -17,10 +18,11 @@ from repro.service.shard import (
     DEFAULT_REPLICAS,
     HashRing,
     ShardCoordinator,
-    run_shard_chaos_once,
     run_sharded_simulation,
     split_quota,
 )
+from repro.faults import run_scenario
+from repro.faults.chaos import _pick_victim, _shard_verdict
 from repro.service.shard.closures import SharedClosures, adopt_shared_closures
 from repro.service.shard.protocol import (
     MAX_FRAME_BYTES,
@@ -233,19 +235,39 @@ class TestShardedIdentity:
 
 
 class TestKillRestore:
-    def test_kill_one_shard_wal_restore_identity(self, tmp_path):
-        result = run_shard_chaos_once(
-            seed=0, domain="demo", shards=3, sessions=4, crowd_size=6,
-            sample_size=3, after_nodes=5, durable_dir=tmp_path,
-        )
-        assert result["triggered"]
+    def test_kill_one_shard_wal_restore_identity(self):
+        result = run_scenario("shard", seed=0, max_runtime=120.0)
         assert result["ok"], result["violations"]
-        assert result["reasks"] >= 0
-        assert result["completed_sessions"] == result["sessions"]
+        assert result["killed_shard"] is not None
+        assert result["supervisor"]["restarts"] >= 1
+        assert result["mismatches"] == []
 
-    def test_victim_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            run_shard_chaos_once(seed=0, shards=2, kill_shard=5)
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_every_seed_kills_a_shard_that_serves(self, seed):
+        # six members split [1, 4, 1] across three shards, so the sample
+        # of three is split [1, 2, 0]: killing shard 2 (seed % shards at
+        # seeds 2 and 5) would replay nothing and re-send nothing
+        result = run_scenario("shard", seed=seed, max_runtime=120.0)
+        assert result["ok"], result["violations"]
+        assert result["quotas"][result["killed_shard"]] > 0
+        assert result["wal_replayed"] + result["asks_resent"] > 0
+
+    def test_victim_is_picked_among_shards_with_a_quota(self):
+        assert [_pick_victim(seed, [1, 2, 0]) for seed in range(4)] == [0, 1, 0, 1]
+        assert [_pick_victim(seed, [2, 1, 0]) for seed in range(3)] == [0, 1, 0]
+
+    def test_a_kill_that_replays_and_resends_nothing_is_a_violation(self):
+        restarted = {"restarts": 1, "asks_resent": 0}
+        assert _shard_verdict(0, [1, 2, 0], restarted, wal_replayed=3) == []
+        assert _shard_verdict(
+            0, [1, 2, 0], {"restarts": 1, "asks_resent": 2}, wal_replayed=0
+        ) == []
+        vacuous = _shard_verdict(2, [1, 2, 0], restarted, wal_replayed=0)
+        assert any("no answer quota" in v for v in vacuous)
+        assert any("vacuous" in v for v in vacuous)
+        assert _shard_verdict(None, [1, 2, 0], restarted, 0) == [
+            "shard kill never triggered"
+        ]
 
 
 class TestFacadeAndRouting:

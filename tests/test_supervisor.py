@@ -6,7 +6,9 @@ recovery are exercised against real spawned worker processes — a ping
 answered by a live shard, a SIGKILLed worker caught by exit-code watch,
 a SIGSTOP'd worker caught by the missed-heartbeat path, and the
 degrade-after-budget fallback.  The end-to-end campaigns run under the
-serial-MSP-identity oracle, supervision on.
+serial-MSP-identity oracle, supervision on: the restart path through
+the ``shard`` scenario of :mod:`repro.faults.chaos`, the degrade path
+through a fleet with a restart budget of zero.
 """
 
 import os
@@ -16,14 +18,10 @@ import time
 import pytest
 
 from repro.service import ShardSupervisor, SupervisorConfig
-from repro.service.shard import (
-    HashRing,
-    ShardCoordinator,
-    run_sharded_simulation,
-    split_quota,
-)
+from repro.faults import run_scenario
+from repro.service.shard import HashRing, ShardCoordinator, split_quota
 from repro.service.shard.worker import member_ids
-from repro.service.simulation import DOMAINS
+from repro.service.simulation import DOMAINS, serial_mismatches
 
 DEADLINE = 30.0  # per-test wall budget for spawn + detect + restart
 
@@ -194,50 +192,53 @@ class TestDetectionAndRestart:
 class TestSupervisedCampaigns:
     """End to end under the serial-MSP-identity oracle."""
 
-    def test_supervised_kill_auto_restart_identity(self, tmp_path):
-        report = run_sharded_simulation(
-            domain="demo", shards=3, sessions=3, crowd_size=9,
-            sample_size=3, seed=0, durable_dir=tmp_path,
-            chaos_kill=(1, 4), chaos_kill_mode="supervised",
-            supervise=True,
-            supervisor_config=SupervisorConfig(
-                heartbeat_interval=0.05, restart_backoff=0.01
-            ),
-            verify=True,
+    def test_supervised_kill_auto_restart_identity(self):
+        report = run_scenario(
+            "shard", seed=0, sessions=3, crowd_size=9, max_runtime=120.0
         )
-        assert report["chaos"]["triggered"]
-        assert report["chaos"]["mode"] == "supervised"
+        assert report["ok"], report["violations"]
+        assert report["killed_shard"] is not None
         assert report["supervisor"]["restarts"] >= 1
-        assert not report["timed_out"]
-        assert report["verified"], report["mismatches"]
+        assert report["mttr_seconds"] is not None
+        assert report["mismatches"] == []
 
     def test_supervised_degrade_identity(self, tmp_path):
         # a restart budget of zero forces the degrade path: the victim
         # is retired, its members re-hash onto the survivors, and the
         # campaign must still land on the serial MSP set
-        report = run_sharded_simulation(
-            domain="demo", shards=3, sessions=3, crowd_size=9,
-            sample_size=3, seed=0, durable_dir=tmp_path,
-            chaos_kill=(1, 4), chaos_kill_mode="supervised",
-            supervise=True,
-            supervisor_config=SupervisorConfig(max_restarts=0),
-            verify=True,
+        demo = DOMAINS["demo"]()
+        queries = {
+            f"demo-{i}": demo.query(t) for i, t in enumerate((0.2, 0.3, 0.4))
+        }
+
+        def kill(coordinator):
+            # fires once: with no restart budget shard 1 never comes back
+            if coordinator.nodes_classified >= 4 and 1 in coordinator.alive_shards():
+                coordinator.kill_shard(1)
+
+        supervisor = ShardSupervisor(SupervisorConfig(max_restarts=0))
+        coordinator = make_coordinator(
+            supervisor, shards=3, crowd_size=9, durable_dir=tmp_path,
+            chaos_hook=kill,
         )
-        assert report["chaos"]["triggered"]
+        try:
+            coordinator.start()
+            for session_id, query in queries.items():
+                coordinator.create_session(query, session_id)
+            coordinator.serve()
+        finally:
+            coordinator.close()
+        report = coordinator.report()
         assert report["supervisor"]["degraded"] == [1]
         assert report["retired_shards"] == [1]
         assert not report["timed_out"]
-        assert report["verified"], report["mismatches"]
-
-    def test_supervised_mode_requires_supervisor(self):
-        with pytest.raises(ValueError, match="supervise=True"):
-            run_sharded_simulation(
-                domain="demo", shards=2, sessions=1,
-                chaos_kill=(0, 1), chaos_kill_mode="supervised",
-                durable_dir=".",
+        served = {
+            session.session_id: (
+                queries[session.session_id],
+                [repr(a) for a in session.queue.current_msps()],
             )
-        with pytest.raises(ValueError, match="chaos_kill_mode"):
-            run_sharded_simulation(
-                domain="demo", shards=2, sessions=1,
-                chaos_kill_mode="sideways",
-            )
+            for session in coordinator.sessions()
+        }
+        assert serial_mismatches(
+            "demo", served, crowd_size=9, sample_size=3, seed=0
+        ) == []
