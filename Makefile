@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint doclint typecheck bench bench-suite perfbench perfbench-test serve-bench serve-bench-full bench-faults bench-gateway bench-gateway-full gateway-smoke chaos bench-chaos bench-chaos-full examples figures stats clean
+.PHONY: install test lint doclint typecheck bench-suite perfbench perfbench-test gateway-smoke chaos examples figures stats clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -29,13 +29,8 @@ doclint:
 typecheck:
 	$(PYTHON) -m mypy src/repro/analysis src/repro/service src/repro/faults src/repro/gateway src/repro/api src/repro/observability
 
-# quick perf report: the closure and support micro-benches (fails if the
-# TID index and the scan disagree on any query), then schema/threshold
-# validation of the JSON output
-bench:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_report.py --quick --output BENCH_quick.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_report.py --validate BENCH_quick.json
-
+# the paper-figure trend suite (benchmarks/): each test regenerates one
+# figure's series and asserts the trend the paper reports
 bench-suite:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
@@ -50,39 +45,6 @@ perfbench:
 perfbench-test:
 	PYTHONPATH=src $(PYTHON) -m pytest perfbench/test_perfbench.py -q
 
-# quick (<60s) serving benchmark: one in-process row (the single-threaded
-# loop on a virtual clock), the process-shard matrix at 1/2/4 shards, the
-# chaos harness's shard scenario, serial MSP-identity everywhere; then schema
-# validation of the output
-serve-bench:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_service.py --quick --output BENCH_service_quick.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_service.py --validate BENCH_service_quick.json
-
-# the full campaign (100k-member crowd in the shard matrix) behind the
-# committed BENCH_service.json; the >=2.5x at-4-shards gate is enforced
-# when the runner has >= 4 effective cores
-serve-bench-full:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_service.py --output BENCH_service.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_service.py --validate BENCH_service.json
-
-# fault-injection overhead ladder (disabled plan must cost <= 5%) and the
-# kill-vs-uninterrupted MSP recovery identity, then schema validation
-bench-faults:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_faults.py --output BENCH_faults.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_faults.py --validate BENCH_faults.json
-
-# loopback-HTTP gateway load test (docs/GATEWAY.md): simulated-member
-# campaigns over real sockets, gated on serial MSP identity plus the
-# throughput floor and per-endpoint latency budgets
-bench-gateway:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_gateway.py --quick --output BENCH_gateway_quick.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_gateway.py --validate BENCH_gateway_quick.json
-
-# the committed BENCH_gateway.json: demo + travel, three seeds each
-bench-gateway-full:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_gateway.py --output BENCH_gateway.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_gateway.py --validate BENCH_gateway.json
-
 # CI smoke: start the gateway, replay a 1-seed campaign through it over
 # loopback HTTP, assert MSP identity and a clean shutdown
 gateway-smoke:
@@ -90,20 +52,11 @@ gateway-smoke:
 
 # the seeded chaos campaign (docs/RELIABILITY.md): per seed, the session,
 # gateway, client, shard and coordinator scenarios, every invariant
-# checked across three fixed seeds; session, gateway and client replay a
-# failing seed bit for bit (one thread)
+# checked across three fixed seeds, plus the supervisor's shard-restart
+# p95 budget of 1 s; session, gateway and client replay a failing seed
+# bit for bit (one thread)
 chaos:
 	PYTHONPATH=src $(PYTHON) -m repro chaos --seeds 0,1,2
-
-# CI-size chaos report with per-component MTTR
-bench-chaos:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_chaos.py --quick --output BENCH_chaos_quick.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_chaos.py --validate BENCH_chaos_quick.json
-
-# the committed BENCH_chaos.json: demo + travel, three seeds each
-bench-chaos-full:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_chaos.py --output BENCH_chaos.json
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_chaos.py --validate BENCH_chaos.json
 
 examples:
 	PYTHONPATH=src $(PYTHON) examples/quickstart.py

@@ -466,6 +466,7 @@ def _cmd_serve_sim(args) -> int:
 
 def _cmd_chaos(args) -> int:
     from .faults import SCENARIOS, run_chaos_campaign
+    from .faults.chaos import MAX_SUPERVISOR_RESTART_P95_SECONDS
 
     try:
         seeds = [int(part) for part in args.seeds.split(",") if part.strip()]
@@ -506,7 +507,8 @@ def _cmd_chaos(args) -> int:
         print(
             f"campaign over seeds {campaign['seeds']} "
             f"({campaign['domain']}): {verdict}; supervisor restart p95 "
-            f"{campaign['supervisor_restart_p95_seconds']}s"
+            f"{campaign['supervisor_restart_p95_seconds']}s "
+            f"(budget {MAX_SUPERVISOR_RESTART_P95_SECONDS}s)"
         )
     return 0 if campaign["ok"] else 1
 

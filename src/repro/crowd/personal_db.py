@@ -109,8 +109,8 @@ class PersonalDatabase:
     def support_reference(self, fact_set: FactSet, vocabulary: Vocabulary) -> float:
         """Unoptimized support via the per-transaction ``leq`` scan.
 
-        Ground truth for ``tests/test_bitset_equivalence.py`` and the
-        ``make bench`` support micro-benchmark; no memoization, no index.
+        Ground truth for ``tests/test_bitset_equivalence.py``; no
+        memoization, no index.
         """
         if not self._transactions:
             return 0.0

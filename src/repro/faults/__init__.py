@@ -20,7 +20,7 @@ production:
   and checks the durability invariants (no acknowledged answer lost or
   re-asked, no answer applied twice, the planted bad member
   quarantined, MSPs identical to a serial run), with per-component
-  MTTR in the report (``benchmarks/bench_chaos.py``).
+  MTTR and the supervisor's shard-restart p95 budget in the report.
 
 Every injection and breaker transition emits a ``faults.*`` /
 ``recovery.*`` counter registered in :mod:`repro.observability.names`.

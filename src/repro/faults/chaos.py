@@ -41,7 +41,14 @@ Every scenario reports ``ok``, its ``violations`` and ``mttr_seconds``
   the supervisor restarts it, and the restart replays WAL answers or
   re-sends asks (``shard``);
 * the fresh coordinator replays at least one WAL answer
-  (``coordinator``).
+  (``coordinator``);
+* the crowd cost a client reads from ``result`` counts every
+  acknowledged answer once, across a restart too (``gateway``,
+  ``client``).
+
+Over a whole campaign, :func:`summarize_runs` also holds the
+supervisor's shard restarts to a p95 of
+:data:`MAX_SUPERVISOR_RESTART_P95_SECONDS`.
 
 Determinism: ``session``, ``gateway`` and ``client`` run on the calling
 thread — the session loop on a virtual clock, the gateway scenarios
@@ -88,6 +95,8 @@ _FLEET_KILL_AFTER_NODES = 5
 _GATEWAY_CRASH_AFTER = 4
 #: every n-th applied answer is delivered twice in the client scenario
 _CLIENT_DUPLICATE_EVERY = 3
+#: the supervisor must bring a killed shard back within this p95 budget
+MAX_SUPERVISOR_RESTART_P95_SECONDS = 1.0
 
 
 @dataclass
@@ -461,11 +470,17 @@ def _gateway_campaign(
         sample_size=sample_size,
         seed=seed,
     )
+    questions_answered = sum(r.questions_asked for r in results.values())
     if timed_out:
         violations.append("campaign hit max_runtime before settling")
     if mismatches:
         violations.append(
             f"{len(mismatches)} session(s) diverged from serial MSPs"
+        )
+    if questions_answered != acknowledged:
+        violations.append(
+            f"result reports {questions_answered} questions asked for "
+            f"{acknowledged} acknowledged answers"
         )
     if duplicate_every > 0 and duplicates_sent < 1:
         violations.append(
@@ -483,7 +498,7 @@ def _gateway_campaign(
         "domain": domain,
         "mttr_seconds": round(mttr, 4) if mttr is not None else None,
         "restored": restored,
-        "questions_answered": sum(r.questions_asked for r in results.values()),
+        "questions_answered": questions_answered,
         "acknowledged": acknowledged,
         "duplicates_sent": duplicates_sent,
         "reasks": reasks,
@@ -824,12 +839,19 @@ def summarize_runs(runs: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
     ``mttr`` summarizes each scenario's time-to-recover samples (``None``
     where nothing went down); ``supervisor_restart_p95_seconds`` is the
     nearest-rank p95 of every supervisor restart in the ``shard`` runs.
+    ``ok`` needs every run ok and that p95 within
+    :data:`MAX_SUPERVISOR_RESTART_P95_SECONDS`.
     """
     restarts = _mttr_summary(
         [s for run in runs for s in run["scenarios"]["shard"]["restart_seconds"]]
     )
+    restart_p95 = restarts["p95_seconds"] if restarts is not None else None
     return {
-        "ok": all(run["ok"] for run in runs),
+        "ok": all(run["ok"] for run in runs)
+        and (
+            restart_p95 is None
+            or restart_p95 <= MAX_SUPERVISOR_RESTART_P95_SECONDS
+        ),
         "total_faults_injected": sum(
             sum(run["scenarios"][name]["faults_injected"].values())
             for run in runs
@@ -845,9 +867,7 @@ def summarize_runs(runs: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
             )
             for name in SCENARIOS
         },
-        "supervisor_restart_p95_seconds": (
-            restarts["p95_seconds"] if restarts is not None else None
-        ),
+        "supervisor_restart_p95_seconds": restart_p95,
     }
 
 

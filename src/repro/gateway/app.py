@@ -397,9 +397,12 @@ class GatewayApp:
                 member_id=record.member_id, token=record.token
             )
         if member_id is None:
-            member_id = f"w{len(self._members_by_id) + 1}"
-            while member_id in self._members_by_id:
-                member_id = f"w{len(self._members_by_id) + secrets.randbelow(1000) + 2}"
+            # the next free w<n>: a journal replay or a chaos seed mints
+            # the same ids (the bearer token stays random)
+            number = len(self._members_by_id) + 1
+            while f"w{number}" in self._members_by_id:
+                number += 1
+            member_id = f"w{number}"
         record = _MemberRecord(member_id=member_id, token=self._mint())
         self._members_by_token[record.token] = record
         self._members_by_id[member_id] = record
@@ -592,7 +595,9 @@ class GatewayApp:
             session_id=session_id,
             state=session.state.value,
             done=not session.open,
-            questions_asked=session.questions_asked(),
+            # a session restored from the journal counts the answers it
+            # was rebuilt from: a restart does not lower the crowd cost
+            questions_asked=session.questions_asked() + session.resumed_answers,
             msps=msps,
             valid_msps=valid,
         )

@@ -22,8 +22,8 @@ thread per member (each wrapping a deterministic identical
 fact-sets and answers them), and poll ``/result`` until every session
 settles.  With ``verify=True`` the MSP sets are checked against serial
 ``engine.execute`` — the same oracle the in-process service layer uses —
-which is the end-to-end correctness gate of ``benchmarks/bench_gateway.py``
-and the CI smoke job.
+which is the end-to-end correctness gate of ``repro gateway`` (the CI
+loopback smoke, ``make gateway-smoke``).
 
 This module is deliberately synchronous: it models *clients*, which
 live on their own threads.  The gateway's own async code never imports
@@ -107,22 +107,14 @@ class GatewayClient:
         *,
         token: Optional[str] = None,
         timeout: float = 30.0,
-        retries: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.host = host
         self.port = port
         self.token = token
         self.timeout = timeout
-        if retry is None:
-            retry = RetryPolicy() if retries is None else RetryPolicy(
-                retries=retries
-            )
-        elif retries is not None:
-            raise ValueError("pass either retries or retry, not both")
-        self.retry = retry
-        self.retries = retry.retries
-        self._rng = random.Random(retry.seed)
+        self.retry = retry if retry is not None else RetryPolicy()
+        self._rng = random.Random(self.retry.seed)
         self._connection: Optional[http.client.HTTPConnection] = None
 
     # -------------------------------------------------------------- plumbing

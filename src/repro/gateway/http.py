@@ -476,7 +476,7 @@ class GatewayServer:
 
 
 class GatewayHandle:
-    """A running gateway in a background thread (tests, bench, CLI).
+    """A running gateway in a background thread (tests, CLI).
 
     ``stop()`` shuts the event loop down cleanly and joins the thread;
     the handle is also a context manager.

@@ -1,7 +1,7 @@
 """Atomic artifact writes: a torn benchmark is worse than no benchmark.
 
-Every JSON artifact the project emits (``BENCH_*.json``,
-``stats_report.json``, session checkpoints) goes through
+Every JSON artifact the project emits (``stats_report.json``,
+``--stats-json`` reports, session checkpoints) goes through
 :func:`atomic_write_json`: the payload is serialized to a sibling tmp
 file and swapped into place with ``os.replace``, which is atomic on
 POSIX and Windows.  A reader therefore sees either the previous

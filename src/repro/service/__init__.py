@@ -14,8 +14,8 @@ that serving layer:
   turn on a :class:`VirtualClock` until the manager settles, with
   :class:`MemberScript` behaviours injecting drops and departures;
 * :func:`run_simulation` — the multi-session harness shared by
-  ``repro serve-sim``, ``benchmarks/bench_service.py`` and the tests,
-  whose oracle is MSP-identity with serial execution;
+  ``repro serve-sim`` and the tests, whose oracle is MSP-identity with
+  serial execution;
 * :func:`restore_session` — crash recovery: rebuild a killed session
   from its WAL journal + checkpoint (``docs/RELIABILITY.md``).
 

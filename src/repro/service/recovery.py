@@ -26,8 +26,7 @@ The restore protocol (see ``docs/RELIABILITY.md``):
 Because the resumed session re-collects only the answers that were never
 acknowledged, an interrupted run reaches the same MSP set as an
 uninterrupted one (the recovery identity tested in
-``tests/test_recovery.py`` and benchmarked in
-``benchmarks/bench_faults.py``).
+``tests/test_recovery.py``).
 """
 
 from __future__ import annotations

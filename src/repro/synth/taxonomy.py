@@ -4,8 +4,8 @@ The crowd experiments of Section 6 run over real taxonomies with thousands
 of terms (the paper quotes 4.7k–10.5k nodes for the travel and health
 ontologies).  This module generates *vocabulary-level* DAGs of that shape —
 layered element/relation orders with controlled width, depth and extra
-cross edges — for the bitset-equivalence test suite and the performance
-benchmarks (``benchmarks/bench_report.py``).
+cross edges — for the bitset-equivalence test suite
+(``tests/test_bitset_equivalence.py``).
 
 This is distinct from :mod:`repro.synth.dag_gen`, which generates
 *assignment-space* DAGs (the mining lattice); here we generate the term

@@ -437,8 +437,8 @@ class PartialOrder:
     def leq_reference(self, general: Term, specific: Term) -> bool:
         """Pre-compilation ``leq`` via DFS reachability.
 
-        Retained as the ground truth for the randomized equivalence suite
-        and the ``make bench`` reference path; never used on hot paths.
+        Retained as the ground truth for the randomized equivalence
+        suite; never used on hot paths.
         """
         if general == specific:
             return True

@@ -90,7 +90,7 @@ class TestPerformanceGuide:
     """docs/PERFORMANCE.md: the profiling handbook stays executable."""
 
     def test_has_worked_examples(self):
-        assert len(_python_blocks("PERFORMANCE.md")) >= 2
+        assert len(_python_blocks("PERFORMANCE.md")) >= 1
 
     def test_python_blocks_execute(self, monkeypatch, capsys):
         _execute_blocks("PERFORMANCE.md", monkeypatch, capsys)
@@ -169,5 +169,5 @@ class TestExampleData:
                      "docs/LANGUAGE.md", "docs/ARCHITECTURE.md",
                      "docs/PERFORMANCE.md", "docs/TUNING.md",
                      "docs/GATEWAY.md", "docs/MIGRATION.md",
-                     "BENCH_perf.json", "BENCH_gateway.json", "Makefile"):
+                     "BENCHMARK.json", "perfbench/README.md", "Makefile"):
             assert (ROOT / name).exists(), name

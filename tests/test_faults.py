@@ -28,6 +28,7 @@ from repro.faults import (
     run_chaos_once,
     run_scenario,
 )
+from repro.faults.chaos import summarize_runs
 from repro.service.simulation import DOMAINS
 
 
@@ -325,6 +326,22 @@ class TestChaosCampaign:
         for seed in (0, 1):
             wals = list((tmp_path / f"seed-{seed}").glob("*.wal"))
             assert len(wals) == 2
+
+    def test_slow_supervisor_restart_fails_the_campaign(self):
+        def run(restart_seconds):
+            return {
+                "ok": True,
+                "scenarios": {
+                    "session": {"faults_injected": {}},
+                    "client": {"faults_injected": {}},
+                    "shard": {"restart_seconds": [restart_seconds]},
+                },
+                "mttr_seconds": {name: None for name in SCENARIOS},
+            }
+
+        assert summarize_runs([run(0.35)])["ok"] is True
+        # past the 1 s p95 budget, so `repro chaos` exits non-zero
+        assert summarize_runs([run(2.0)])["ok"] is False
 
     def test_campaign_replays_identically(self):
         # session, gateway and client run on one thread (the session loop

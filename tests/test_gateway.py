@@ -30,6 +30,7 @@ from repro.gateway import (
     GatewayClientError,
     GatewayConfig,
     McpGateway,
+    RetryPolicy,
     replay_campaign,
     serve_in_thread,
 )
@@ -256,6 +257,14 @@ class TestEndpointContracts:
         again = admin.join("w1")
         assert first.token == again.token
 
+    def test_anonymous_member_ids_are_the_next_free_number(self):
+        # no randomness in the id: a journal replay or a chaos seed mints
+        # the same members
+        app = GatewayApp()
+        app.activate_dataset("demo")
+        assert app.join("w2").member_id == "w2"
+        assert app.join().member_id == "w3"
+
     def test_activation_is_idempotent_for_the_active_dataset(self, admin):
         assert admin.activate("demo").activated
         assert not admin.activate("demo").activated
@@ -267,7 +276,7 @@ class TestEndpointContracts:
         assert client.health()["status"] == "ok"
         client.close()
         handle.stop()
-        fresh = GatewayClient(handle.host, handle.port, retries=0)
+        fresh = GatewayClient(handle.host, handle.port, retry=RetryPolicy(retries=0))
         with pytest.raises(GatewayClientError):
             fresh.health()
         fresh.close()

@@ -29,7 +29,7 @@ from repro.gateway import (
     replay_gateway_journal,
     serve_in_thread,
 )
-from repro.gateway.schema import facts_from_wire
+from repro.gateway.schema import QueryRequest, facts_from_wire
 from repro.service.simulation import DOMAINS, build_identical_crowd
 
 
@@ -220,6 +220,39 @@ class TestCrashRestore:
             assert app.journal is not None
         finally:
             app.close()
+
+    def test_restart_keeps_the_crowd_cost(self, tmp_path):
+        # the result a client reads counts every acknowledged answer, before
+        # and after a restart: a restored session counts the answers it was
+        # rebuilt from
+        journal = tmp_path / "gw.journal"
+        dataset = DOMAINS["demo"]()
+        crowd = build_identical_crowd(dataset, 3, seed=0)
+        app = GatewayApp(journal_path=journal)
+        try:
+            app.activate_dataset("demo")
+            app.pose_query(QueryRequest(sample_size=3, session_id="s0"))
+            recorded = 0
+            for member in crowd:
+                app.join(member.member_id)
+                for question in app.next_questions(member.member_id).questions:
+                    answer = member.answer_concrete(
+                        ConcreteQuestion(question.qid, facts_from_wire(question.facts))
+                    )
+                    response = app.submit_answer(
+                        member.member_id, question.qid, answer.support
+                    )
+                    recorded += response.outcome == "recorded"
+            before = app.result("s0").questions_asked
+        finally:
+            app.close()
+        assert before == recorded > 0
+        restarted = GatewayApp(journal_path=journal)
+        try:
+            assert restarted.restored["answers"] == recorded
+            assert restarted.result("s0").questions_asked == before
+        finally:
+            restarted.close()
 
     def test_restart_resumes_sessions_tokens_and_idempotency(self, tmp_path):
         journal = tmp_path / "gw.journal"

@@ -188,19 +188,27 @@ class TestSharedClosures:
 class TestShardedIdentity:
     """The tentpole oracle: serial MSP identity at every shard count."""
 
-    @pytest.mark.parametrize("shards", [1, 2, 3, 4])
-    def test_identity_across_shard_counts(self, shards):
+    # (crowd size, sample size, crowd size of the serial check): the
+    # demo crowd, and a 1,000-member crowd checked on 10 members
+    @pytest.mark.parametrize(
+        "shards, crowd",
+        [pytest.param(n, (6, 3, None), id=str(n)) for n in (1, 2, 3, 4)]
+        + [pytest.param(n, (1_000, 10, 10), id=f"{n}-crowd1000") for n in (1, 2, 4)],
+    )
+    def test_identity_across_shard_counts(self, shards, crowd):
+        crowd_size, sample_size, verify_crowd_size = crowd
         report = run_sharded_simulation(
-            domain="demo", shards=shards, sessions=4, crowd_size=6,
-            sample_size=3, max_runtime=120.0, verify=True, seed=0,
+            domain="demo", shards=shards, sessions=4, crowd_size=crowd_size,
+            sample_size=sample_size, max_runtime=120.0, verify=True, seed=0,
+            verify_crowd_size=verify_crowd_size,
         )
         assert report["verified"], report["mismatches"]
         assert not report["timed_out"]
         states = [info["state"] for info in report["sessions"].values()]
         assert states == ["completed"] * 4
         assert len(report["partition_sizes"]) == shards
-        assert sum(report["partition_sizes"]) == 6
-        assert sum(report["quotas"]) == 3
+        assert sum(report["partition_sizes"]) == crowd_size
+        assert sum(report["quotas"]) == sample_size
 
     def test_shards_never_recompile_closures(self):
         report = run_sharded_simulation(
