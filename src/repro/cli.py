@@ -30,19 +30,13 @@ from typing import List, Optional
 
 from .crowd.member import CrowdMember
 from .crowd.personal_db import PersonalDatabase
-from .datasets import culinary, health, travel
 from .engine.config import EngineConfig
 from .engine.engine import OassisEngine
 from .oassisql.parser import parse_query
 from .oassisql.pretty import format_query
 from .oassisql.validator import validate
 from .ontology import turtle
-
-_DOMAINS = {
-    "travel": travel,
-    "culinary": culinary,
-    "self-treatment": health,
-}
+from .service.simulation import DOMAINS, run_simulation
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -59,7 +53,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_parse.add_argument("--ontology", help="Turtle-ish ontology to validate against")
 
     p_run = sub.add_parser("run", help="evaluate a query")
-    p_run.add_argument("--domain", choices=sorted(_DOMAINS), help="built-in domain")
+    p_run.add_argument("--domain", choices=sorted(DOMAINS), help="built-in domain")
     p_run.add_argument("--threshold", type=float, default=0.2)
     p_run.add_argument("--crowd-size", type=int, default=20)
     p_run.add_argument("--seed", type=int, default=0)
@@ -89,12 +83,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve-sim",
         help="simulate the concurrent crowd-serving layer (repro.service)",
     )
-    p_serve.add_argument("--config", metavar="PATH",
-                         help="JSON file of argument defaults, validated "
-                         "against the gateway SimulationSpec schema "
-                         "(explicit flags still win)")
-    p_serve.add_argument("--domain", default="demo",
-                         help="simulation domain: demo, travel, culinary, health")
+    p_serve.add_argument("--domain", default="demo", choices=sorted(DOMAINS),
+                         help="simulation domain")
     p_serve.add_argument("--sessions", type=int, default=8)
     p_serve.add_argument("--shards", type=int, default=0,
                          help="serve through N worker processes instead of "
@@ -124,14 +114,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="run the seeded chaos campaign: session, gateway, client, "
              "shard and coordinator scenarios per seed (repro.faults)",
     )
-    p_chaos.add_argument("--config", metavar="PATH",
-                         help="JSON file of argument defaults, validated "
-                         "against the gateway SimulationSpec schema "
-                         "(explicit flags still win)")
     p_chaos.add_argument("--seeds", default="0,1,2",
                          help="comma-separated campaign seeds (default: 0,1,2)")
-    p_chaos.add_argument("--domain", default="demo",
-                         help="simulation domain: demo, travel, culinary, health")
+    p_chaos.add_argument("--domain", default="demo", choices=sorted(DOMAINS),
+                         help="simulation domain")
     p_chaos.add_argument("--sessions", type=int, default=4)
     p_chaos.add_argument("--crowd-size", type=int, default=6)
     p_chaos.add_argument("--sample-size", type=int, default=3)
@@ -148,9 +134,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="serve the crowd gateway over loopback HTTP and replay a "
              "simulated-member campaign through it (repro.gateway)",
     )
-    p_gateway.add_argument("--domain", default="demo",
-                           help="dataset to activate: demo, travel, "
-                                "culinary, health")
+    p_gateway.add_argument("--domain", default="demo", choices=sorted(DOMAINS),
+                           help="dataset to activate")
     p_gateway.add_argument("--host", default="127.0.0.1")
     p_gateway.add_argument("--port", type=int, default=0,
                            help="TCP port (0 = pick a free one)")
@@ -188,15 +173,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        # two-pass parse: the config file's fields become the command's
-        # argument defaults, then the argv is re-parsed so explicit
-        # flags still win over the file
-        subparser = p_serve if args.command == "serve-sim" else p_chaos
-        status = _apply_config(subparser, args.command, args.config)
-        if status is not None:
-            return status
-        args = parser.parse_args(argv)
     if args.command == "parse":
         return _cmd_parse(args)
     if args.command == "run":
@@ -238,8 +214,8 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_domains() -> int:
-    for name, module in sorted(_DOMAINS.items()):
-        dataset = module.build_dataset()
+    for name, build in sorted(DOMAINS.items()):
+        dataset = build()
         print(
             f"{name:16} {len(dataset.ontology)} ontology facts, "
             f"{len(dataset.patterns)} planted patterns"
@@ -291,8 +267,7 @@ def _cmd_run(args) -> int:
 
 
 def _run_domain(args) -> int:
-    module = _DOMAINS[args.domain]
-    dataset = module.build_dataset()
+    dataset = DOMAINS[args.domain]()
     engine = OassisEngine(
         dataset.ontology, config=EngineConfig(max_values_per_var=2, max_more_facts=1)
     )
@@ -324,81 +299,21 @@ def _run_custom(args) -> int:
     return 0
 
 
-#: which SimulationSpec fields each --config-aware command consumes;
-#: the rest are ignored, so one file can drive both commands
-_CONFIG_DESTS = {
-    "serve-sim": frozenset({
-        "domain", "sessions", "shards", "crowd_size",
-        "sample_size", "drop_every", "departures", "question_timeout",
-        "max_runtime", "seed", "verify",
-    }),
-    "chaos": frozenset({
-        "domain", "sessions", "crowd_size", "sample_size",
-        "max_runtime", "seeds", "state_dir",
-    }),
-}
-
-
-def _apply_config(subparser, command: str, path: str) -> Optional[int]:
-    """Load a ``--config`` JSON file into ``subparser``'s defaults.
-
-    The file is validated against the gateway wire schema
-    (:class:`repro.gateway.schema.SimulationSpec`), so a config that
-    drives the CLI is also a valid gateway payload.  Returns an exit
-    code on failure, None on success.
-    """
-    import json
-
-    from .gateway.schema import SchemaError, SimulationSpec
-
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as error:
-        print(f"cannot read --config {path}: {error}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as error:
-        print(f"--config {path} is not valid JSON: {error}", file=sys.stderr)
-        return 2
-    if isinstance(payload, dict):
-        payload.setdefault("v", 1)
-    try:
-        spec = SimulationSpec.from_wire(payload)
-    except SchemaError as error:
-        print(f"--config {path} is invalid: {error}", file=sys.stderr)
-        return 2
-    overrides = {
-        name: value
-        for name, value in spec.overrides().items()
-        if name in _CONFIG_DESTS[command]
-    }
-    # two fields need translating to their argparse destinations:
-    # the boolean is stored inverted, and chaos seeds are a comma string
-    if "verify" in overrides:
-        overrides["no_verify"] = not overrides.pop("verify")
-    if "seeds" in overrides:
-        overrides["seeds"] = ",".join(str(s) for s in overrides["seeds"])
-    subparser.set_defaults(**overrides)
-    return None
-
-
 def _cmd_serve_sim(args) -> int:
     from .observability import render_report, tracing
-    from .service import run_simulation
 
     def simulate():
         if args.shards > 0:
-            # process-sharded mode: the in-process fault knobs
-            # (--drop-every, --departures, --question-timeout) do not
-            # apply and are not forwarded
-            return run_simulation(
+            # process fleet: the in-process fault knobs (--drop-every,
+            # --departures, --question-timeout) do not apply
+            from .service.shard import run_sharded_simulation
+
+            return run_sharded_simulation(
                 domain=args.domain,
-                sessions=args.sessions,
                 shards=args.shards,
+                sessions=args.sessions,
                 crowd_size=args.crowd_size,
                 sample_size=args.sample_size,
-                drop_every=0,
-                departures=0,
                 max_runtime=args.max_runtime,
                 verify=not args.no_verify,
                 seed=args.seed,

@@ -347,18 +347,3 @@ class OassisEngine:
         from ..service import SessionManager
 
         return SessionManager(self, **options)
-
-    def shard_coordinator(self, dataset, **options):
-        """A :class:`~repro.service.shard.ShardCoordinator` on this engine.
-
-        The process-sharded counterpart of :meth:`session_manager`:
-        partitions simulated crowd members across worker processes and
-        serves sessions through them, with this engine owning parsing,
-        lattice construction and MSP tracking.  ``dataset`` is the
-        :class:`~repro.datasets.base.DomainDataset` the worker processes
-        rebuild their members from; keyword options are forwarded to the
-        coordinator (``shards``, ``crowd_size``, ``sample_size``, ...).
-        """
-        from ..service.shard import ShardCoordinator
-
-        return ShardCoordinator(dataset, engine=self, **options)

@@ -425,26 +425,6 @@ class QueueManager:
         self.tracker.refresh(force=True)
         return sorted(self.tracker.confirmed_valid(), key=repr)
 
-    def is_complete(self) -> bool:
-        """No reachable assignment is still unclassified."""
-        seen: Set[Assignment] = set()
-        frontier = list(self.space.roots())
-        seen.update(frontier)
-        index = 0
-        while index < len(frontier):
-            node = frontier[index]
-            index += 1
-            status = self.state.status(node)
-            if status is Status.UNKNOWN:
-                return False
-            if status is Status.INSIGNIFICANT:
-                continue
-            for successor in self.space.successors(node):
-                if successor not in seen:
-                    seen.add(successor)
-                    frontier.append(successor)
-        return True
-
     def has_pending(self) -> bool:
         """Is any question currently handed out and unanswered?"""
         return any(self._pending.values())

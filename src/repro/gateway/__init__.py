@@ -49,7 +49,6 @@ from .schema import (
     QuestionDTO,
     ResultResponse,
     SchemaError,
-    SimulationSpec,
 )
 
 __all__ = [
@@ -84,7 +83,6 @@ __all__ = [
     "QuestionDTO",
     "ResultResponse",
     "SchemaError",
-    "SimulationSpec",
     "replay_campaign",
     "replay_gateway_journal",
     "serve_in_thread",

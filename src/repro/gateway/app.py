@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import os
 import secrets
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..crowd.cache import CrowdCache
 from ..crowd.journal import JournalRecord
@@ -115,7 +115,6 @@ class GatewayConfig:
     backoff_base: float = 0.01
     in_flight_limit: int = 4
     batch_size: int = 2
-    sample_size: int = 3
     long_poll_max_wait: float = 10.0
     poll_interval: float = 0.005
     slow_client_delay: float = 0.05
@@ -125,13 +124,6 @@ class GatewayConfig:
 class _MemberRecord:
     member_id: str
     token: str
-
-
-@dataclass
-class _SessionRecord:
-    session_id: str
-    query_text: str
-    qids: List[str] = field(default_factory=list)
 
 
 class GatewayApp:
@@ -166,7 +158,7 @@ class GatewayApp:
         self._manager: Optional[SessionManager] = None
         self._members_by_token: Dict[str, _MemberRecord] = {}
         self._members_by_id: Dict[str, _MemberRecord] = {}
-        self._sessions: Dict[str, _SessionRecord] = {}
+        self._sessions: Set[str] = set()
         self._questions: Dict[str, DispatchedQuestion] = {}
         self._answered: Dict[str, str] = {}  # qid -> first outcome
         #: idempotency key -> (qid, outcome) for exactly-once retries
@@ -260,9 +252,7 @@ class GatewayApp:
                     continue
                 answers_restored += sum(len(a) for a in resolved.values())
                 sessions_restored += 1
-                self._sessions[session_id] = _SessionRecord(
-                    session_id=session_id, query_text=query_text
-                )
+                self._sessions.add(session_id)
             self._active = name
             self._dataset = dataset
             self._engine = engine
@@ -296,11 +286,6 @@ class GatewayApp:
     def engine(self) -> Optional[OassisEngine]:
         """The active dataset's engine (None before activation)."""
         return self._engine
-
-    @property
-    def dataset(self) -> Optional[object]:
-        """The active dataset object (None before activation)."""
-        return self._dataset
 
     # -------------------------------------------------------------- datasets
 
@@ -439,9 +424,7 @@ class GatewayApp:
         except Exception as error:
             # a query that fails to lex, parse or validate is a client error
             raise GatewayError(f"query rejected: {error}") from error
-        self._sessions[session_id] = _SessionRecord(
-            session_id=session_id, query_text=text
-        )
+        self._sessions.add(session_id)
         if self.journal is not None:
             self.journal.log_query(session_id, text, request.sample_size)
         _obs_count("gateway.queries.posed")
@@ -476,9 +459,6 @@ class GatewayApp:
             self._next_qid += 1
             qid = f"q{self._next_qid}"
             self._questions[qid] = dispatched
-            record = self._sessions.get(dispatched.session_id)
-            if record is not None:
-                record.qids.append(qid)
             facts: Tuple[Tuple[str, str, str], ...] = ()
             if dispatched.fact_set is not None:
                 facts = facts_to_wire(dispatched.fact_set)

@@ -13,10 +13,6 @@ gateway and vice versa without a lockstep deploy.
 The same dataclasses type the public API (:mod:`repro.api`): a
 :class:`QuestionBatch` returned by :meth:`repro.api.Client.next_questions`
 is byte-for-byte the object a member would have long-polled over HTTP.
-
-``SimulationSpec`` is the odd one out: it is not served over HTTP but
-validates the ``--config`` files of the ``serve-sim``/``chaos`` CLI
-commands against the same schema machinery (see ``docs/GATEWAY.md``).
 """
 
 from __future__ import annotations
@@ -477,97 +473,6 @@ class ErrorResponse:
         )
 
 
-# ------------------------------------------------------- CLI config payloads
-
-
-@dataclass(frozen=True)
-class SimulationSpec:
-    """A ``--config`` file for the ``serve-sim`` and ``chaos`` commands.
-
-    Every field is optional; present fields become the command's argument
-    defaults (explicit command-line flags still win).  The field names
-    are exactly the CLI destinations, so one JSON file can drive both
-    commands — ``chaos``-only knobs (``seeds``, ``state_dir``) are
-    simply ignored by ``serve-sim`` and vice versa (``shards``,
-    ``drop_every``, ``departures``, ``question_timeout``, ``verify``).
-    Unknown fields are ignored, so a file naming a retired knob still
-    parses.
-    """
-
-    domain: Optional[str] = None
-    sessions: Optional[int] = None
-    shards: Optional[int] = None
-    crowd_size: Optional[int] = None
-    sample_size: Optional[int] = None
-    drop_every: Optional[int] = None
-    departures: Optional[int] = None
-    question_timeout: Optional[float] = None
-    max_runtime: Optional[float] = None
-    seed: Optional[int] = None
-    verify: Optional[bool] = None
-    seeds: Optional[Tuple[int, ...]] = None
-    state_dir: Optional[str] = None
-
-    def to_wire(self) -> Dict[str, Any]:
-        body: Dict[str, Any] = {}
-        for name, value in self.__dict__.items():
-            if value is None:
-                continue
-            body[name] = list(value) if isinstance(value, tuple) else value
-        return _stamp(body)
-
-    @classmethod
-    def from_wire(cls, payload: Any) -> "SimulationSpec":
-        payload = check_version(payload)
-        seeds = _take(payload, "seeds", (list,), None)
-        if seeds is not None:
-            if not all(
-                isinstance(s, int) and not isinstance(s, bool) for s in seeds
-            ):
-                raise SchemaError("field 'seeds' must be a list of integers")
-            seeds = tuple(seeds)
-        for name in ("sessions", "crowd_size", "sample_size"):
-            value = _take(payload, name, (int,), None)
-            if value is not None and value < 1:
-                raise SchemaError(f"field {name!r} must be >= 1, got {value}")
-        for name in ("shards", "drop_every", "departures"):
-            value = _take(payload, name, (int,), None)
-            if value is not None and value < 0:
-                raise SchemaError(f"field {name!r} must be >= 0, got {value}")
-        for name in ("question_timeout", "max_runtime"):
-            value = _take(payload, name, (int, float), None)
-            if value is not None and value <= 0:
-                raise SchemaError(f"field {name!r} must be > 0, got {value}")
-        return cls(
-            domain=_take(payload, "domain", (str,), None),
-            sessions=_take(payload, "sessions", (int,), None),
-            shards=_take(payload, "shards", (int,), None),
-            crowd_size=_take(payload, "crowd_size", (int,), None),
-            sample_size=_take(payload, "sample_size", (int,), None),
-            drop_every=_take(payload, "drop_every", (int,), None),
-            departures=_take(payload, "departures", (int,), None),
-            question_timeout=_float_or_none(payload, "question_timeout"),
-            max_runtime=_float_or_none(payload, "max_runtime"),
-            seed=_take(payload, "seed", (int,), None),
-            verify=_take(payload, "verify", (bool,), None),
-            seeds=seeds,
-            state_dir=_take(payload, "state_dir", (str,), None),
-        )
-
-    def overrides(self) -> Dict[str, Any]:
-        """The non-None fields, keyed by CLI argument destination."""
-        return {
-            name: value
-            for name, value in self.__dict__.items()
-            if value is not None
-        }
-
-
-def _float_or_none(payload: Mapping[str, Any], name: str) -> Optional[float]:
-    value = _take(payload, name, (int, float), None)
-    return None if value is None else float(value)
-
-
 # ------------------------------------------------------------- fact helpers
 
 
@@ -602,7 +507,6 @@ __all__ = [
     "QuestionDTO",
     "ResultResponse",
     "SchemaError",
-    "SimulationSpec",
     "check_version",
     "facts_from_wire",
     "facts_to_wire",

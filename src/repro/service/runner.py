@@ -115,7 +115,6 @@ class ServiceRunner:
         manager: SessionManager,
         scripts: Iterable[MemberScript],
         *,
-        batch_size: Optional[int] = None,
         max_runtime: float = 60.0,
         faults: Optional[FaultPlan] = None,
         audit: bool = False,
@@ -130,7 +129,6 @@ class ServiceRunner:
         self.scripts: Dict[str, MemberScript] = {
             script.member_id: script for script in scripts
         }
-        self.batch_size = batch_size
         self.max_runtime = max_runtime
         self.faults = faults if faults is not None else manager.faults
         self.timed_out = False
@@ -194,7 +192,7 @@ class ServiceRunner:
         Returns ``(handed a question, stays in rotation)``.
         """
         script = self.scripts[member_id]
-        batch = self.manager.next_batch(member_id, k=self.batch_size)
+        batch = self.manager.next_batch(member_id)
         for question in batch:
             action = self._respond(script, question)
             if isinstance(action, str):

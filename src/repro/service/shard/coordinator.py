@@ -169,7 +169,7 @@ class _Session:
 
 
 class ShardCoordinator:
-    """Process-sharded crowd serving behind the engine facade."""
+    """Process-sharded crowd serving over one engine (``engine=``)."""
 
     def __init__(
         self,

@@ -1,11 +1,12 @@
-"""Process-sharded simulations: the ``shards=N`` mode of ``run_simulation``.
+"""Process-sharded simulations: ``repro serve-sim --shards N``.
 
 Serves the same multi-session campaigns as
 :func:`repro.service.simulation.run_simulation`, but through a
 :class:`~repro.service.shard.coordinator.ShardCoordinator` fleet of
-worker processes instead of a thread pool — the report keeps the same
-shape (per-session states, questions, MSP counts, throughput) so the
-CLI and benchmarks treat both modes interchangeably.
+worker processes instead of the in-process loop — the report keeps
+the same shape (per-session states, questions, MSP counts,
+throughput) so the CLI and benchmarks treat both modes
+interchangeably.
 
 Correctness rides the identical oracle: with ``verify=True`` every
 session's confirmed MSP set is compared against a serial

@@ -47,6 +47,9 @@ class _DemoDataset:
     """
 
     name = "demo"
+    #: no planted patterns and no MORE candidates: the crowd is one database
+    patterns = ()
+    more_pool = ()
     _template = running_example.FRAGMENT_QUERY.replace(
         "SUPPORT = 0.4", "SUPPORT = {threshold}"
     )
@@ -124,7 +127,6 @@ def run_simulation(
     breaker_window: int = 0,
     breaker_cooldown: float = 0.05,
     audit: bool = False,
-    shards: int = 0,
     _keep_handles: bool = False,
 ) -> Dict:
     """Serve ``sessions`` concurrent sessions of ``domain``; report stats.
@@ -153,46 +155,9 @@ def run_simulation(
     With ``verify=True`` each session's MSP set is compared against a
     serial ``engine.execute`` of the same query over a fresh identical
     crowd (:func:`serial_mismatches`); mismatches are listed in the
-    report and flip ``verified``.
-
-    ``shards > 0`` serves the campaign through that many worker
-    *processes* instead of the in-process loop
-    (:mod:`repro.service.shard`) — same report shape, same oracle.  The
-    in-process fault knobs (``drop_every``, ``departures``, ``faults``,
-    ``checkpoint_every``, ``breaker_window``, ``audit``) do not apply
-    there; the shard kill is a scenario of :mod:`repro.faults.chaos`.
+    report and flip ``verified``.  The process-fleet counterpart is
+    :func:`repro.service.shard.run_sharded_simulation`.
     """
-    if shards > 0:
-        incompatible = {
-            "drop_every": (drop_every, 0),
-            "departures": (departures, 0),
-            "faults": (faults, None),
-            "checkpoint_every": (checkpoint_every, 0),
-            "breaker_window": (breaker_window, 0),
-            "audit": (audit, False),
-        }
-        offending = [
-            name for name, (value, default) in incompatible.items() if value != default
-        ]
-        if offending:
-            raise ValueError(
-                "sharded mode does not support in-process fault knobs: "
-                + ", ".join(sorted(offending))
-            )
-        from .shard import run_sharded_simulation
-
-        return run_sharded_simulation(
-            domain=domain,
-            shards=shards,
-            sessions=sessions,
-            crowd_size=crowd_size,
-            sample_size=sample_size,
-            thresholds=thresholds,
-            max_runtime=max_runtime,
-            verify=verify,
-            seed=seed,
-            durable_dir=durable_dir,
-        )
     if domain not in DOMAINS:
         raise ValueError(f"unknown domain {domain!r}; pick from {sorted(DOMAINS)}")
     if sessions < 1:

@@ -5,7 +5,6 @@ import pytest
 import repro.api as api
 from repro.api import Client
 from repro.engine.engine import OassisEngine
-from repro.engine.results import QueryResult
 from repro.gateway import GatewayConfig, NotFoundError
 from repro.gateway.schema import (
     AnswerResponse,
@@ -15,7 +14,7 @@ from repro.gateway.schema import (
     QuestionBatch,
     ResultResponse,
 )
-from repro.service.simulation import DOMAINS, build_identical_crowd
+from repro.service.simulation import run_simulation
 
 
 @pytest.fixture()
@@ -76,44 +75,20 @@ class TestSessionStyle:
         assert result.done
         assert result.msps == ()
 
-    def test_engine_requires_an_active_dataset(self):
-        bare = Client()
-        with pytest.raises(RuntimeError, match="no dataset is active"):
-            bare.engine
-        with pytest.raises(RuntimeError, match="no dataset is active"):
-            bare.execute(members=[])
-        bare.activate(name="demo")
-        assert bare.engine is not None
+    def test_retired_entry_points_raise(self, client):
+        # each runtime has one entry point: OassisEngine.execute,
+        # run_simulation / run_sharded_simulation and ShardCoordinator
+        for name in ("execute", "simulate", "shard_coordinator", "engine"):
+            with pytest.raises(AttributeError):
+                getattr(client, name)
+        assert not hasattr(OassisEngine, "shard_coordinator")
+        with pytest.raises(TypeError):
+            run_simulation(shards=2)
+        with pytest.raises(TypeError):
+            GatewayConfig(sample_size=3)
 
 
 class TestBatchStyle:
-    def test_execute_matches_the_engine_entry_point(self, client):
-        dataset = DOMAINS["demo"]()
-        members = build_identical_crowd(dataset, 4, seed=0)
-        modern = client.execute(query=None, members=members, threshold=0.4)
-        assert isinstance(modern, QueryResult)
-        direct = OassisEngine(dataset.ontology).execute(
-            dataset.query(0.4), build_identical_crowd(dataset, 4, seed=0)
-        )
-        assert sorted(repr(a) for a in modern.all_msps) == sorted(
-            repr(a) for a in direct.all_msps
-        )
-        assert modern.questions == direct.questions
-
-    def test_simulate_defaults_to_the_active_domain(self, client):
-        report = client.simulate(
-            sessions=1, crowd_size=4, sample_size=3,
-            question_timeout=0.25, max_runtime=30.0, seed=0,
-        )
-        assert report["domain"] == "demo"
-        assert report["verified"]
-
-    def test_shard_coordinator_wires_the_active_dataset(self, client):
-        coordinator = client.shard_coordinator(
-            shards=1, crowd_size=4, sample_size=3
-        )
-        assert coordinator is not None
-
     def test_serve_lifts_the_same_state_onto_http(self, client):
         from repro.gateway import GatewayClient
 

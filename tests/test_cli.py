@@ -50,7 +50,8 @@ class TestDomainsCommand:
         out = capsys.readouterr().out
         assert "travel" in out
         assert "culinary" in out
-        assert "self-treatment" in out
+        assert "health" in out
+        assert "demo" in out
 
 
 class TestRunCommand:
@@ -59,12 +60,16 @@ class TestRunCommand:
 
     def test_run_domain(self, capsys):
         code = main(
-            ["run", "--domain", "self-treatment", "--crowd-size", "10",
+            ["run", "--domain", "health", "--crowd-size", "10",
              "--threshold", "0.3"]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "question(s) asked" in out
+
+    def test_run_demo_domain(self, capsys):
+        assert main(["run", "--domain", "demo"]) == 0
+        assert "question(s) asked" in capsys.readouterr().out
 
     def test_run_custom_single_user(self, tmp_path, ontology_file, capsys):
         query = tmp_path / "q.oql"
@@ -117,8 +122,16 @@ class TestServeSimCommand:
         assert "verified" not in report
 
     def test_serve_sim_unknown_domain_errors(self, capsys):
-        with pytest.raises(ValueError, match="unknown domain"):
+        with pytest.raises(SystemExit) as exit_info:
             main(self.ARGS + ["--domain", "bogus"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_serve_sim_shards_runs_the_fleet(self, capsys):
+        assert main(["serve-sim", "--shards", "1", "--sessions", "1", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["shards"] == 1
+        assert report["verified"] is True
 
 
 class TestChaosCommand:
@@ -137,6 +150,25 @@ class TestChaosCommand:
     def test_retired_flags_are_usage_errors(self, retired, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["chaos", "--seeds", "0"] + retired)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("command", ["run", "chaos", "gateway"])
+    def test_unknown_domain_is_a_usage_error(self, command, capsys):
+        # serve-sim's case is TestServeSimCommand's
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--domain", "bogus"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["serve-sim", "chaos"])
+    def test_config_file_is_a_usage_error(self, command, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"v": 1}')
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--sessions", "1", "--config", str(config)])
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro import CrowdCache, CrowdMember, EngineConfig, OassisEngine
 from repro.datasets import running_example
+from repro.mining.vertical import find_minimal_unclassified
 from repro.oassisql import ValidationError
 from repro.vocabulary import Element
 
@@ -143,7 +144,7 @@ class TestQueueManager:
             )
             qm.submit_support(member.member_id, support)
             answered += 1
-        assert qm.is_complete()
+        assert find_minimal_unclassified(qm.space, qm.state) is None
         msps = qm.current_msps()
         vocab = qm.space.vocabulary
         from repro.assignments import Assignment

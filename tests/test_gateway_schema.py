@@ -17,7 +17,6 @@ from repro.gateway.schema import (
     QuestionDTO,
     ResultResponse,
     SchemaError,
-    SimulationSpec,
     check_version,
     facts_from_wire,
     facts_to_wire,
@@ -137,33 +136,3 @@ class TestFactTriples:
         ((s, r, o),) = facts_to_wire(facts)
         assert (s, r, o) == ("a", "r", "b")
         assert all(isinstance(part, str) for part in (s, r, o))
-
-
-class TestSimulationSpec:
-    def test_overrides_only_carries_present_fields(self):
-        spec = SimulationSpec.from_wire(
-            {"v": 1, "domain": "demo", "sessions": 3, "verify": False}
-        )
-        assert spec.overrides() == {
-            "domain": "demo",
-            "sessions": 3,
-            "verify": False,
-        }
-
-    def test_range_validation(self):
-        with pytest.raises(SchemaError, match="sessions"):
-            SimulationSpec.from_wire({"v": 1, "sessions": 0})
-        with pytest.raises(SchemaError, match="question_timeout"):
-            SimulationSpec.from_wire({"v": 1, "question_timeout": 0})
-        with pytest.raises(SchemaError, match="seeds"):
-            SimulationSpec.from_wire({"v": 1, "seeds": [1, "two"]})
-
-    def test_retired_fields_are_ignored(self):
-        # chaos lost --after-nodes; an old config file naming it parses
-        spec = SimulationSpec.from_wire({"v": 1, "after_nodes": 5, "sessions": 2})
-        assert spec.overrides() == {"sessions": 2}
-
-    def test_seeds_decode_to_a_tuple(self):
-        spec = SimulationSpec.from_wire({"v": 1, "seeds": [0, 1, 2]})
-        assert spec.seeds == (0, 1, 2)
-        assert spec.to_wire()["seeds"] == [0, 1, 2]

@@ -9,6 +9,7 @@ Worker processes use the ``spawn`` start method, so every end-to-end
 test here actually crosses a process boundary.
 """
 
+import multiprocessing
 import socket
 
 import pytest
@@ -35,7 +36,7 @@ from repro.service.shard.protocol import (
     send_frame,
 )
 from repro.service.shard.worker import member_ids
-from repro.service.simulation import DOMAINS, run_simulation
+from repro.service.simulation import DOMAINS
 
 
 class TestHashRing:
@@ -279,28 +280,17 @@ class TestKillRestore:
 
 
 class TestFacadeAndRouting:
-    def test_run_simulation_routes_shards(self):
-        report = run_simulation(domain="demo", sessions=2, shards=2,
-                                crowd_size=6, sample_size=3, verify=True)
-        assert report["shards"] == 2
-        assert report["verified"], report["mismatches"]
-
-    def test_thread_mode_fault_knobs_rejected_in_shard_mode(self):
-        with pytest.raises(ValueError, match="drop_every"):
-            run_simulation(domain="demo", sessions=2, shards=2, drop_every=5)
-
     def test_engine_facade_builds_coordinator(self):
         demo = DOMAINS["demo"]()
         engine = OassisEngine(demo.ontology)
-        coordinator = engine.shard_coordinator(
-            demo, shards=2, crowd_size=6, sample_size=3, domain="demo"
+        before = {child.pid for child in multiprocessing.active_children()}
+        coordinator = ShardCoordinator(
+            demo, engine=engine, shards=2, crowd_size=6, sample_size=3,
+            domain="demo",
         )
-        assert isinstance(coordinator, ShardCoordinator)
-        # construction is cheap and spawn-free; start() is what forks
+        assert coordinator.engine is engine
+        # construction is cheap and spawn-free; start() is what spawns
         assert coordinator.shards == 2
-
-    def test_zero_shards_stays_in_process(self):
-        report = run_simulation(domain="demo", sessions=1,
-                                shards=0, crowd_size=6, sample_size=3,
-                                verify=False, max_runtime=60.0)
-        assert "shards" not in report
+        after = {child.pid for child in multiprocessing.active_children()}
+        assert after == before
+        coordinator.close()
