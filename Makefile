@@ -7,8 +7,9 @@ PYTHON ?= python3
 install:
 	$(PYTHON) setup.py develop
 
+# the tier-1 suite (tests/, via pytest's testpaths); CI runs this target
 test:
-	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
+	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
 # project-invariant linter (rule catalogue: docs/ANALYSIS.md): every
 # per-file rule plus the whole-program pass (call-graph effect
@@ -32,7 +33,7 @@ typecheck:
 # the paper-figure trend suite (benchmarks/): each test regenerates one
 # figure's series and asserts the trend the paper reports
 bench-suite:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # the end-to-end benchmark declared in BENCHMARK.json (perfbench/README.md):
 # all four seeded workloads, each untraced (end-to-end metrics) and then

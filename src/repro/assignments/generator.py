@@ -422,10 +422,7 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
 
     def _chain_position(self, value: Term) -> Tuple[int, int]:
         """Chain coordinates of ``value`` across both orders (memoized)."""
-        stamp = (
-            self.vocabulary.element_order.version,
-            self.vocabulary.relation_order.version,
-        )
+        stamp = self.order_stamp()
         if stamp != self._chain_stamp:
             element_chains = self.vocabulary.element_order.chain_partition()
             relation_chains = self.vocabulary.relation_order.chain_partition()
@@ -501,18 +498,15 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         descendant bitsets of its values (left side) and the OR of its
         values' interned-id bits (right side), plus the componentwise
         analogue for MORE facts.  ``a ≤ b`` then reduces to a handful of
-        bitwise ANDs instead of nested ``vocabulary.leq`` loops — this is
-        the innermost comparison of classification inference, called tens
-        of millions of times per crowd run.  Digests are invalidated when
-        either order's version stamp moves (the standard contract; see
-        docs/PERFORMANCE.md).
+        bitwise ANDs instead of nested ``vocabulary.leq`` loops.  Digests
+        are invalidated when either order's version stamp moves (the
+        standard contract; see docs/PERFORMANCE.md).  Classification
+        inference asks :class:`WitnessIndex` instead of calling this once
+        per (node, witness) pair.
         """
         if a is b:
             return True
-        stamp = (
-            self.vocabulary.element_order.version,
-            self.vocabulary.relation_order.version,
-        )
+        stamp = self.order_stamp()
         if stamp != self._digest_stamp:
             self._left_digest.clear()
             self._right_digest.clear()
@@ -525,57 +519,60 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         if right is None:
             right = self._compile_right_digest(b)
             self._right_digest[b] = right
-        value_masks, more_right = right
-        for name, regs, unregs in left[0]:
-            masks = value_masks.get(name)
-            if masks is None:
+        value_masks = right[0]
+        for name, (regs, unregs) in left[0].items():
+            if not _values_leq(regs, unregs, value_masks.get(name), b.values.get(name)):
                 return False
-            elem_mask, rel_mask = masks
-            for desc, is_elem in regs:
-                if not desc & (elem_mask if is_elem else rel_mask):
-                    return False
-            if unregs:
-                b_vals = b.values[name]
-                for term in unregs:
-                    if term not in b_vals:
-                        return False
-        for fact_checks in left[1]:
-            for g in more_right:
-                if all(
-                    mode == 0
-                    or (mode == 1 and payload & g_bit)
-                    or (mode == 2 and payload == g_term)
-                    for (mode, payload), (g_bit, g_term) in zip(fact_checks, g)
-                ):
-                    break
-            else:
-                return False
-        return True
+        return _more_leq(left[1], right[1])
+
+    def order_stamp(self) -> Tuple[int, int]:
+        """Both orders' version stamps: every digest and mask is built at one."""
+        return (
+            self.vocabulary.element_order.version,
+            self.vocabulary.relation_order.version,
+        )
+
+    def witness_index(
+        self, significant: List[Assignment], insignificant: List[Assignment]
+    ) -> "WitnessIndex":
+        """A :class:`WitnessIndex` over two append-only witness logs."""
+        return WitnessIndex(self, significant, insignificant)
 
     def _compile_left_digest(self, a: Assignment) -> tuple:
-        """Digest of ``a`` as the left (more general) side of ``leq``.
+        """Digest of ``a`` as the left (more general) side of ``leq``:
+        ``({name: _left_values(...)}, _left_more(a.more))``."""
+        return (
+            {name: self._left_values(values) for name, values in a.values.items()},
+            self._left_more(a.more),
+        )
 
-        Per variable: ``(name, regs, unregs)`` where ``regs`` holds the
-        descendant bitset of each order-registered value (tagged by kind)
-        and ``unregs`` the values the orders do not know — those only match
-        themselves, exactly like ``vocabulary.leq``'s reflexive fallback.
+    def _left_values(self, values: Iterable[Term]) -> Tuple[tuple, tuple]:
+        """``(regs, unregs)`` of one variable's values on the left side.
+
+        ``regs`` holds the descendant bitset of each order-registered value
+        (tagged by kind) and ``unregs`` the values the orders do not know —
+        those only match themselves, exactly like ``vocabulary.leq``'s
+        reflexive fallback.
         """
         element_order = self.vocabulary.element_order
         relation_order = self.vocabulary.relation_order
-        vals = []
-        for name, values in a.values.items():
-            regs = []
-            unregs = []
-            for v in values:
-                is_elem = isinstance(v, Element)
-                order = element_order if is_elem else relation_order
-                bits = order.descendants_bits(v)
-                if bits:
-                    regs.append((bits, is_elem))
-                else:
-                    unregs.append(v)
-            vals.append((name, tuple(regs), tuple(unregs)))
-        more = tuple(
+        regs = []
+        unregs = []
+        for v in values:
+            is_elem = isinstance(v, Element)
+            order = element_order if is_elem else relation_order
+            bits = order.descendants_bits(v)
+            if bits:
+                regs.append((bits, is_elem))
+            else:
+                unregs.append(v)
+        return tuple(regs), tuple(unregs)
+
+    def _left_more(self, facts: Iterable[Fact]) -> tuple:
+        """Per MORE fact, its three component checks on the left side."""
+        element_order = self.vocabulary.element_order
+        relation_order = self.vocabulary.relation_order
+        return tuple(
             (
                 self._left_fact_component(f.subject, element_order, ANY_ELEMENT),
                 self._left_fact_component(
@@ -583,9 +580,8 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
                 ),
                 self._left_fact_component(f.obj, element_order, ANY_ELEMENT),
             )
-            for f in a.more
+            for f in facts
         )
-        return (tuple(vals), more)
 
     @staticmethod
     def _left_fact_component(term: Term, order, wildcard: Term) -> Tuple[int, object]:
@@ -598,37 +594,47 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         return (2, term)
 
     def _compile_right_digest(self, b: Assignment) -> tuple:
-        """Digest of ``b`` as the right (more specific) side of ``leq``."""
+        """Digest of ``b`` as the right (more specific) side of ``leq``:
+        ``({name: _right_values(...)}, _right_more(b.more))``."""
+        return (
+            {name: self._right_values(values) for name, values in b.values.items()},
+            self._right_more(b.more),
+        )
+
+    def _right_values(self, values: Iterable[Term]) -> Tuple[int, int]:
+        """The OR of one variable's value id bits, per order, on the right side."""
         element_order = self.vocabulary.element_order
         relation_order = self.vocabulary.relation_order
-        value_masks: Dict[str, Tuple[int, int]] = {}
-        for name, values in b.values.items():
-            elem_mask = 0
-            rel_mask = 0
-            for v in values:
-                if isinstance(v, Element):
-                    tid = element_order.term_id(v)
-                    if tid is not None:
-                        elem_mask |= 1 << tid
-                else:
-                    tid = relation_order.term_id(v)
-                    if tid is not None:
-                        rel_mask |= 1 << tid
-            value_masks[name] = (elem_mask, rel_mask)
+        elem_mask = 0
+        rel_mask = 0
+        for v in values:
+            if isinstance(v, Element):
+                tid = element_order.term_id(v)
+                if tid is not None:
+                    elem_mask |= 1 << tid
+            else:
+                tid = relation_order.term_id(v)
+                if tid is not None:
+                    rel_mask |= 1 << tid
+        return (elem_mask, rel_mask)
+
+    def _right_more(self, facts: Iterable[Fact]) -> tuple:
+        """Per MORE fact, its components' ``(id bit, term)`` on the right side."""
+        element_order = self.vocabulary.element_order
+        relation_order = self.vocabulary.relation_order
 
         def bit_of(order, term):
             tid = order.term_id(term)
             return 0 if tid is None else 1 << tid
 
-        more = tuple(
+        return tuple(
             (
                 (bit_of(element_order, f.subject), f.subject),
                 (bit_of(relation_order, f.relation), f.relation),
                 (bit_of(element_order, f.obj), f.obj),
             )
-            for f in b.more
+            for f in facts
         )
-        return (value_masks, more)
 
     def is_valid(self, node: Assignment) -> bool:
         """Validity w.r.t. the WHERE clause and multiplicity annotations."""
@@ -879,6 +885,196 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
     def instantiate(self, node: Assignment) -> FactSet:
         """``φ(A_SAT)`` for this query's (blank-resolved) SATISFYING clause."""
         return node.instantiate(self.satisfying)
+
+
+def _values_leq(regs: tuple, unregs: tuple, masks, values) -> bool:
+    """Def. 4.1's term for one variable: each left value has a specialization
+    among the right values (``masks`` and ``values`` are None when the right
+    side does not bind the variable)."""
+    if masks is None:
+        return False
+    elem_mask, rel_mask = masks
+    for desc, is_elem in regs:
+        if not desc & (elem_mask if is_elem else rel_mask):
+            return False
+    for term in unregs:
+        if term not in values:
+            return False
+    return True
+
+
+def _more_leq(left_more: tuple, right_more: tuple) -> bool:
+    """Def. 4.1's MORE term: each left fact has a specialization on the right."""
+    for fact_checks in left_more:
+        for g in right_more:
+            if all(
+                mode == 0
+                or (mode == 1 and payload & g_bit)
+                or (mode == 2 and payload == g_term)
+                for (mode, payload), (g_bit, g_term) in zip(fact_checks, g)
+            ):
+                break
+        else:
+            return False
+    return True
+
+
+_NO_VALUES: FrozenSet[Term] = frozenset()
+
+
+class WitnessIndex:
+    """Which logged witnesses a node relates to, as bitmasks per key.
+
+    :class:`~repro.mining.state.ClassificationState` keeps its significant
+    and insignificant witnesses in two append-only logs; a node is
+    classified when it is ``≤`` some significant witness or ``≥`` some
+    insignificant one.  Def. 4.1's ``a ≤ b`` is a conjunction of one term
+    per variable of ``a`` and one MORE-fact term, so the witnesses a node
+    relates to are the AND of one bitmask per (variable, the node's value
+    set there) and one per MORE-fact set, where bit ``i`` stands for the
+    log's ``i``-th witness.  The keys recur across thousands of nodes, so
+    each mask grows lazily with the logs and every (key, witness) pair is
+    compiled once, where a scan calls ``leq`` once per (node, witness)
+    pair.  The masks follow ``leq``'s version-stamp contract: when either
+    order's version moves they are dropped and rebuilt from the whole
+    logs.  Not synchronized: the state that owns the logs owns the index.
+    """
+
+    def __init__(
+        self,
+        space: QueryAssignmentSpace,
+        significant: List[Assignment],
+        insignificant: List[Assignment],
+    ):
+        self._space = space
+        self._significant = significant
+        self._insignificant = insignificant
+        self._stamp: Tuple[int, int] = (-1, -1)
+        self._reset()
+
+    def _reset(self) -> None:
+        # right digests of the significant witnesses (with their values)
+        # and left digests of the insignificant ones, parallel to the logs
+        self._upper: List[Tuple[tuple, Dict[str, FrozenSet[Term]]]] = []
+        self._lower: List[tuple] = []
+        # the variables some insignificant witness binds
+        self._lower_names: Dict[str, None] = {}
+        # masks: [bits, witnesses covered, the key's own digest]
+        self._up: Dict[str, Dict[FrozenSet[Term], list]] = {}
+        self._down: Dict[str, Dict[FrozenSet[Term], list]] = {}
+        self._up_more: Dict[FrozenSet[Fact], list] = {}
+        self._down_more: Dict[FrozenSet[Fact], list] = {}
+
+    def stamp(self) -> Tuple[int, int]:
+        """The order stamp a verdict of this index holds at."""
+        return self._space.order_stamp()
+
+    def leq_significant(self, node: Assignment) -> bool:
+        """Is ``node ≤ w`` for some logged significant witness ``w``?"""
+        n = self._sync()[0]
+        if not n:
+            return False
+        found = -1
+        for name, values in node.values.items():
+            found &= self._up_bits(name, values, n)
+            if not found:
+                return False
+        if node.more:
+            found &= self._up_more_bits(node.more, n)
+        return bool(found)
+
+    def geq_insignificant(self, node: Assignment) -> bool:
+        """Is ``w ≤ node`` for some logged insignificant witness ``w``?"""
+        n = self._sync()[1]
+        if not n:
+            return False
+        found = self._down_more_bits(node.more, n)
+        # every variable a witness binds must hold in the node, so a
+        # variable the node leaves unbound keys the empty value set
+        for name in self._lower_names:
+            if not found:
+                return False
+            found &= self._down_bits(name, node.values.get(name, _NO_VALUES), n)
+        return bool(found)
+
+    def _sync(self) -> Tuple[int, int]:
+        """Rebuild on a moved stamp, digest new witnesses; the log lengths."""
+        space = self._space
+        stamp = space.order_stamp()
+        if stamp != self._stamp:
+            self._reset()
+            self._stamp = stamp
+        upper, lower = self._upper, self._lower
+        for w in self._significant[len(upper):]:
+            upper.append((space._compile_right_digest(w), w.values))
+        for w in self._insignificant[len(lower):]:
+            digest = space._compile_left_digest(w)
+            lower.append(digest)
+            for name in digest[0]:
+                self._lower_names[name] = None
+        return len(upper), len(lower)
+
+    def _up_bits(self, name: str, values: FrozenSet[Term], n: int) -> int:
+        """Significant witnesses ``w`` where ``values ≤ w``'s values at ``name``."""
+        keyed = self._up.get(name)
+        if keyed is None:
+            keyed = self._up[name] = {}
+        entry = keyed.get(values)
+        if entry is None:
+            entry = keyed[values] = [0, 0, self._space._left_values(values)]
+        bits, covered, (regs, unregs) = entry
+        if covered < n:
+            for i in range(covered, n):
+                digest, w_values = self._upper[i]
+                if _values_leq(regs, unregs, digest[0].get(name), w_values.get(name)):
+                    bits |= 1 << i
+            entry[0], entry[1] = bits, n
+        return bits
+
+    def _up_more_bits(self, facts: FrozenSet[Fact], n: int) -> int:
+        """Significant witnesses whose MORE facts specialize every one of ``facts``."""
+        entry = self._up_more.get(facts)
+        if entry is None:
+            entry = self._up_more[facts] = [0, 0, self._space._left_more(facts)]
+        bits, covered, left_more = entry
+        if covered < n:
+            for i in range(covered, n):
+                if _more_leq(left_more, self._upper[i][0][1]):
+                    bits |= 1 << i
+            entry[0], entry[1] = bits, n
+        return bits
+
+    def _down_bits(self, name: str, values: FrozenSet[Term], n: int) -> int:
+        """Insignificant witnesses that leave ``name`` unbound or whose
+        values there are ``≤ values``."""
+        keyed = self._down.get(name)
+        if keyed is None:
+            keyed = self._down[name] = {}
+        entry = keyed.get(values)
+        if entry is None:
+            masks = self._space._right_values(values) if values else None
+            entry = keyed[values] = [0, 0, masks]
+        bits, covered, masks = entry
+        if covered < n:
+            for i in range(covered, n):
+                check = self._lower[i][0].get(name)
+                if check is None or _values_leq(check[0], check[1], masks, values):
+                    bits |= 1 << i
+            entry[0], entry[1] = bits, n
+        return bits
+
+    def _down_more_bits(self, facts: FrozenSet[Fact], n: int) -> int:
+        """Insignificant witnesses each of whose MORE facts ``facts`` specializes."""
+        entry = self._down_more.get(facts)
+        if entry is None:
+            entry = self._down_more[facts] = [0, 0, self._space._right_more(facts)]
+        bits, covered, right_more = entry
+        if covered < n:
+            for i in range(covered, n):
+                if _more_leq(self._lower[i][1], right_more):
+                    bits |= 1 << i
+            entry[0], entry[1] = bits, n
+        return bits
 
 
 def _resolve_blanks(satisfying: SatisfyingClause) -> SatisfyingClause:

@@ -36,7 +36,10 @@ from .oassisql.parser import parse_query
 from .oassisql.pretty import format_query
 from .oassisql.validator import validate
 from .ontology import turtle
-from .service.simulation import DOMAINS, run_simulation
+from .service.simulation import DOMAINS, check_sample_size, run_simulation
+
+#: answers per node of a ``run --domain`` campaign
+DOMAIN_SAMPLE_SIZE = 5
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -173,6 +176,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    try:
+        _check_crowd(args)
+    except ValueError as error:
+        sub.choices[args.command].error(str(error))  # exits 2
     if args.command == "parse":
         return _cmd_parse(args)
     if args.command == "run":
@@ -189,6 +196,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_figures(args)
     parser.error("unknown command")
     return 2
+
+
+def _check_crowd(args) -> None:
+    """Reject a sample no crowd of ``--crowd-size`` can fill: such a run
+    asks questions that never settle a node."""
+    if args.command == "run" and args.domain and args.crowd_size < DOMAIN_SAMPLE_SIZE:
+        raise ValueError(
+            f"--crowd-size must be at least {DOMAIN_SAMPLE_SIZE}, the sample "
+            "size of a domain run"
+        )
+    if args.command in ("serve-sim", "gateway"):
+        check_sample_size(args.crowd_size, args.sample_size)
+    elif args.command == "chaos":
+        from .faults.chaos import check_chaos_crowd
+
+        check_chaos_crowd(args.crowd_size, args.sample_size)
 
 
 def _read(path: str) -> str:
@@ -274,7 +297,7 @@ def _run_domain(args) -> int:
     query = engine.parse(dataset.query(args.threshold))
     crowd = dataset.build_crowd(size=args.crowd_size, seed=args.seed)
     result = engine.execute(
-        query, crowd, sample_size=5, more_pool=dataset.more_pool
+        query, crowd, sample_size=DOMAIN_SAMPLE_SIZE, more_pool=dataset.more_pool
     )
     print(result.to_json() if args.json else result.render())
     return 0

@@ -150,6 +150,16 @@ def _applied_twice(manager: Any) -> List[str]:
 # ------------------------------------------------------------------ session
 
 
+def check_chaos_crowd(crowd_size: int, sample_size: int) -> None:
+    """Raise ValueError unless quarantining the planted bad member and one
+    departure still leave a full sample: ``crowd_size - 2 >= sample_size``."""
+    if crowd_size - 2 < sample_size:
+        raise ValueError(
+            "crowd_size - 2 must be >= sample_size (one planted bad member "
+            "and one departure must leave a full sample)"
+        )
+
+
 def run_chaos_once(
     *,
     seed: int,
@@ -173,11 +183,7 @@ def run_chaos_once(
     from ..crowd.journal import replay_journal
     from ..service.simulation import run_simulation
 
-    if crowd_size - 2 < sample_size:
-        raise ValueError(
-            "crowd_size - 2 must be >= sample_size (one planted bad member "
-            "and one departure must leave a full sample)"
-        )
+    check_chaos_crowd(crowd_size, sample_size)
     bad_member = "m0"
     departing_member = f"m{crowd_size - 1}"
     plan = (

@@ -368,11 +368,13 @@ def replay_campaign(
     from ..service.simulation import (
         DOMAINS,
         build_identical_crowd,
+        check_sample_size,
         serial_mismatches,
     )
 
     if domain not in DOMAINS:
         raise ValueError(f"unknown domain {domain!r}; pick from {sorted(DOMAINS)}")
+    check_sample_size(crowd_size, sample_size)
     dataset = DOMAINS[domain]()
     admin = GatewayClient(host, port, token=admin_token)
     started = time.perf_counter()

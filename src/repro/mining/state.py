@@ -6,18 +6,27 @@ significant, an insignificant one classifies the *up-set* (all more-specific
 assignments) as insignificant.  :class:`ClassificationState` records the
 classification witnesses and answers status queries.
 
-Two strategies:
+Three strategies:
 
 * when the space exposes ``ancestors``/``descendants`` (an
   :class:`~repro.assignments.lattice.ExplicitDAG`), classifications are
   propagated eagerly into plain sets — O(1) status checks, which the large
   synthetic runs need;
-* otherwise (lazy query spaces) witnesses are kept in append-only logs and
-  every queried node remembers how far into the logs it has been compared —
-  each (node, witness) pair is examined at most once over the whole run, so
-  repeated progress scans over mostly-unclassified spaces stay cheap.
+* otherwise witnesses are kept in append-only logs.  A lazy query space
+  (:class:`~repro.assignments.generator.QueryAssignmentSpace`) supplies a
+  :class:`~repro.assignments.generator.WitnessIndex` over them: per
+  (variable, value set) and per MORE-fact set, a bitmask of the witnesses
+  that term of Def. 4.1 relates to, grown as the logs grow, so a status
+  check is a few ANDs instead of one ``leq`` per logged witness;
+* a space without an index (the tests' wrappers) scans the logs with
+  ``leq`` instead.
 
-Significance is final in both strategies: once a node's status is
+With logs, every queried node remembers the log lengths (and, with an
+index, the order stamp) at which it was last found UNKNOWN, and answers
+UNKNOWN again without looking while they stand; the scan resumes from
+there, so each (node, witness) pair is compared at most once.
+
+Significance is final in every strategy: once a node's status is
 SIGNIFICANT it stays so, even if the node is later marked insignificant
 (that mark still classifies the rest of its up-set).  The
 :class:`~repro.mining.trace.MspTracker` relies on it to drop refuted
@@ -32,7 +41,7 @@ virtual clock" in ``docs/SERVICE.md``.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Generic, Hashable, List, Set, Tuple, TypeVar
+from typing import Dict, Generic, Hashable, List, Set, TypeVar
 
 from ..assignments.lattice import AssignmentSpace
 from ..observability import count as _obs_count, enabled as _obs_enabled
@@ -60,7 +69,13 @@ class ClassificationState(Generic[Node]):
             self._sig_log: List[Node] = []
             self._insig_log: List[Node] = []
             self._status_cache: Dict[Node, Status] = {}
-            self._checked: Dict[Node, Tuple[int, int]] = {}
+            self._checked: Dict[Node, tuple] = {}
+            witness_index = getattr(space, "witness_index", None)
+            self._index = (
+                witness_index(self._sig_log, self._insig_log)
+                if witness_index is not None
+                else None
+            )
 
     # ------------------------------------------------------------- marking
 
@@ -114,6 +129,25 @@ class ClassificationState(Generic[Node]):
         cached = self._status_cache.get(node)
         if cached is not None:
             return cached
+        index = self._index
+        if index is None:
+            return self._scan(node)
+        mark = (len(self._sig_log), len(self._insig_log), index.stamp())
+        if self._checked.get(node) == mark:
+            return Status.UNKNOWN  # nothing logged or re-ordered since
+        if index.leq_significant(node):
+            self._status_cache[node] = Status.SIGNIFICANT
+            _obs_count("mining.inferred.significant")
+            return Status.SIGNIFICANT
+        if index.geq_insignificant(node):
+            self._status_cache[node] = Status.INSIGNIFICANT
+            _obs_count("mining.inferred.insignificant")
+            return Status.INSIGNIFICANT
+        self._checked[node] = mark
+        return Status.UNKNOWN
+
+    def _scan(self, node: Node) -> Status:
+        """Compare ``node`` with the witnesses logged since it last looked."""
         sig_from, insig_from = self._checked.get(node, (0, 0))
         leq = self.space.leq
         for index in range(sig_from, len(self._sig_log)):

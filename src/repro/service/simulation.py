@@ -79,6 +79,13 @@ DOMAINS = {
 DEFAULT_THRESHOLDS = (0.2, 0.3, 0.4, 0.5)
 
 
+def check_sample_size(crowd_size: int, sample_size: int) -> None:
+    """Raise ValueError unless ``crowd_size`` members can fill a sample of
+    ``sample_size``: with fewer, no node ever gets a verdict."""
+    if not 1 <= sample_size <= crowd_size:
+        raise ValueError("need 1 <= sample_size <= crowd_size")
+
+
 def build_identical_crowd(
     dataset: DomainDataset, size: int, seed: int = 0, prefix: str = "m"
 ) -> List[CrowdMember]:
@@ -138,7 +145,8 @@ def run_simulation(
 
     ``drop_every`` makes every member ignore every n-th question (injected
     timeouts); ``departures`` makes that many members (the highest ids)
-    leave after ``depart_after`` answers.  Keep
+    leave after ``depart_after`` answers.  A ``sample_size`` outside
+    ``1..crowd_size`` raises ValueError (:func:`check_sample_size`).  Keep
     ``crowd_size - departures >= sample_size`` or late nodes can starve
     below the aggregator's sample and stay unclassified (the documented
     graceful degradation — sessions still settle, with fewer MSPs).
@@ -162,6 +170,7 @@ def run_simulation(
         raise ValueError(f"unknown domain {domain!r}; pick from {sorted(DOMAINS)}")
     if sessions < 1:
         raise ValueError("sessions must be at least 1")
+    check_sample_size(crowd_size, sample_size)
     if departures >= crowd_size:
         raise ValueError("at least one member must stay")
     if checkpoint_every > 0 and durable_dir is None:

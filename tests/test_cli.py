@@ -172,6 +172,28 @@ class TestUsageErrors:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["run", "--domain", "demo", "--crowd-size", "4"],
+             "--crowd-size must be at least 5"),
+            (["serve-sim", "--crowd-size", "2", "--sample-size", "3"],
+             "need 1 <= sample_size <= crowd_size"),
+            (["gateway", "--crowd-size", "2", "--sample-size", "3"],
+             "need 1 <= sample_size <= crowd_size"),
+            # the chaos harness quarantines one member and loses another
+            (["chaos", "--crowd-size", "4", "--sample-size", "3"],
+             "crowd_size - 2 must be >= sample_size"),
+        ],
+        ids=["run", "serve-sim", "gateway", "chaos"],
+    )
+    def test_sample_larger_than_the_crowd_is_a_usage_error(self, argv, message, capsys):
+        # such a run asks questions that can never settle a node
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestLintCommand:
     @pytest.fixture()

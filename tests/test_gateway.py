@@ -471,6 +471,11 @@ class TestEndToEndIdentity:
         assert tracer.counters.get("gateway.disconnects.injected") == injected
         assert tracer.counters.get("faults.injected.slow_client", 0) > 0
 
+    def test_sample_larger_than_the_crowd_is_rejected(self):
+        # rejected before any request: nothing listens on the port
+        with pytest.raises(ValueError, match="need 1 <= sample_size <= crowd_size"):
+            replay_campaign(host="127.0.0.1", port=1, crowd_size=2, sample_size=3)
+
     def test_gateway_records_latency_histograms(self):
         app = GatewayApp()
         with tracing() as tracer:

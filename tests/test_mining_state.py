@@ -1,11 +1,14 @@
 """Unit tests for ClassificationState and the Observation 4.4 inference."""
 
+import random
+
 import pytest
 
 from repro.assignments import Assignment, ExplicitDAG, QueryAssignmentSpace
 from repro.datasets import running_example
 from repro.mining import ClassificationState, Status
 from repro.oassisql import parse_query
+from repro.ontology import Fact
 from repro.vocabulary import Element
 
 
@@ -260,3 +263,203 @@ class TestIncrementalMspTracker:
         assert tracker.confirmed() == set()
         tracker.refresh(force=True)
         assert tracker.confirmed() == {0}
+
+
+class HiddenIndex:
+    """A query space without ``witness_index``: the state scans its logs."""
+
+    def __init__(self, space):
+        self._space = space
+
+    def __getattr__(self, name):
+        if name == "witness_index":
+            raise AttributeError(name)
+        return getattr(self._space, name)
+
+
+class SemanticLeq:
+    """``Assignment.leq`` over the vocabulary: Def. 4.1 without digests."""
+
+    def __init__(self, vocabulary):
+        self.vocabulary = vocabulary
+
+    def leq(self, a, b):
+        return a.leq(b, self.vocabulary)
+
+
+def whole_log_status(space, significant, insignificant, node):
+    """Observation 4.4 by brute force: one ``leq`` per marked witness."""
+    if any(space.leq(node, w) for w in significant):
+        return Status.SIGNIFICANT
+    if any(space.leq(w, node) for w in insignificant):
+        return Status.INSIGNIFICANT
+    return Status.UNKNOWN
+
+
+def sample_nodes(space, rng, walks):
+    """Nodes met on random descents from the roots; on a MORE query some
+    steps propose a MORE fact (the crowd's "more" button) and descend into
+    the extension, so multi-valued and MORE-extended nodes both appear.
+    A few variants leave a variable unbound (as multiplicity 0 does) or add
+    a term the orders do not know, which only matches itself."""
+    roots = space.roots()
+    nodes, facts = [], list(space.more_pool) + [Fact("Unlisted", "doAt", "Nowhere")]
+    for _ in range(walks):
+        node = rng.choice(roots)
+        for _ in range(rng.randint(0, 8)):
+            nodes.append(node)
+            facts.extend(space.instantiate(node))
+            if rng.random() < 0.25:
+                extended = space.propose_more_fact(node, rng.choice(facts))
+                if extended is not None:
+                    node = extended
+                    continue
+            successors = space.successors(node)
+            if not successors:
+                break
+            node = rng.choice(successors)
+    for node in rng.sample(nodes, 12):
+        values = dict(node.values)
+        name = rng.choice(sorted(values))
+        if rng.random() < 0.5:
+            del values[name]
+        else:
+            values[name] = values[name] | {Element("Unlisted")}
+        nodes.append(Assignment(values, node.more))
+    return list(dict.fromkeys(nodes))
+
+
+class TestWitnessIndex:
+    """On a ``QueryAssignmentSpace`` the state asks a witness index built
+    from per-(variable, value set) and per-MORE-set masks; every verdict
+    must be the one a whole-log ``leq`` scan gives."""
+
+    @pytest.mark.parametrize(
+        "domain,max_values,seed",
+        [
+            ("travel", 2, 0),
+            ("travel", 3, 1),
+            ("culinary", 2, 0),
+            ("culinary", 3, 1),
+            ("health", 2, 0),
+        ],
+    )
+    def test_index_matches_whole_log_scan(self, domain, max_values, seed):
+        from repro.service.simulation import DOMAINS
+
+        dataset = DOMAINS[domain]()
+        space = QueryAssignmentSpace(
+            dataset.ontology,
+            parse_query(dataset.query(0.3)),
+            more_pool=dataset.more_pool,
+            max_values_per_var=max_values,
+            max_more_facts=2,
+        )
+        rng = random.Random(seed)
+        nodes = sample_nodes(space, rng, walks=40)
+        if domain != "health":  # health's query has no multi-valued variable
+            assert any(len(values) > 1 for n in nodes for values in n.values.values())
+        if space.satisfying.more:
+            assert any(n.more for n in nodes)
+        # consistent marks follow a downward-closed landscape, so the first
+        # verdict a node gets is the whole-log one; noisy marks do not, and
+        # there the index is held to the per-node scan instead
+        peaks = rng.sample(nodes, 5)
+        landscape = {n: any(space.leq(n, p) for p in peaks) for n in nodes}
+        state = ClassificationState(space)
+        scanned = ClassificationState(HiddenIndex(space))
+        noisy = ClassificationState(space)
+        noisy_scanned = ClassificationState(HiddenIndex(space))
+        assert state._index is not None and scanned._index is None
+        semantic = SemanticLeq(space.vocabulary)
+        significant, insignificant = [], []
+        for _ in range(300):
+            node = rng.choice(nodes)
+            if rng.random() < 0.3:
+                if landscape[node]:
+                    state.mark_significant(node)
+                    scanned.mark_significant(node)
+                    significant.append(node)
+                else:
+                    state.mark_insignificant(node)
+                    scanned.mark_insignificant(node)
+                    insignificant.append(node)
+                mark = "mark_significant" if rng.random() < 0.5 else "mark_insignificant"
+                getattr(noisy, mark)(node)
+                getattr(noisy_scanned, mark)(node)
+            probe = rng.choice(nodes)
+            expected = whole_log_status(space, significant, insignificant, probe)
+            # the digest leq the scan uses agrees with Def. 4.1 itself
+            assert expected is whole_log_status(semantic, significant, insignificant, probe)
+            assert state.status(probe) is expected, probe
+            assert scanned.status(probe) is expected, probe
+            assert noisy.status(probe) is noisy_scanned.status(probe), probe
+        for node in nodes:
+            expected = whole_log_status(space, significant, insignificant, node)
+            assert state.status(node) is expected, node
+            assert noisy.status(node) is noisy_scanned.status(node), node
+        assert significant and insignificant
+
+    def test_a_moved_order_stamp_rebuilds_the_masks(self):
+        ontology = running_example.build_ontology()
+        space = QueryAssignmentSpace(
+            ontology, parse_query(running_example.FRAGMENT_QUERY), max_values_per_var=1
+        )
+        vocab = space.vocabulary
+
+        def node(x, y):
+            return Assignment.make(vocab, {"x": {Element(x)}, "y": {Element(y)}})
+
+        state = ClassificationState(space)
+        significant = [node("Central Park", "Biking")]
+        insignificant = [node("Bronx Zoo", "Sport")]
+        state.mark_significant(significant[0])
+        state.mark_insignificant(insignificant[0])
+        swimming = node("Central Park", "Swimming")
+        feeding = node("Bronx Zoo", "Feed a monkey")
+        assert state.status(swimming) is Status.UNKNOWN
+        assert state.status(feeding) is Status.UNKNOWN
+        # Swimming ≤ Biking puts the swimming node under the significant
+        # witness; Sport ≤ Feed a monkey puts the insignificant one under
+        # the feeding node
+        vocab.specialize_element("Swimming", "Biking")
+        vocab.specialize_element("Sport", "Feed a monkey")
+        for probe in (swimming, feeding):
+            expected = whole_log_status(space, significant, insignificant, probe)
+            assert expected is not Status.UNKNOWN
+            assert state.status(probe) is expected
+
+    def test_travel_run_leaves_leq_to_the_successor_filter(self, monkeypatch):
+        from repro import EngineConfig, OassisEngine
+        from repro.datasets import travel
+
+        calls = [0]
+        leq = QueryAssignmentSpace.leq
+
+        def counted(self, a, b):
+            calls[0] += 1
+            return leq(self, a, b)
+
+        monkeypatch.setattr(QueryAssignmentSpace, "leq", counted)
+        dataset = travel.build_dataset()
+        engine = OassisEngine(
+            dataset.ontology, config=EngineConfig(max_values_per_var=2, max_more_facts=1)
+        )
+        result = engine.execute(
+            dataset.query(0.5),
+            dataset.build_crowd(size=6, seed=1000),
+            sample_size=3,
+            more_pool=dataset.more_pool,
+        )
+        assert result.questions == 2371
+        assert sorted(repr(a) for a in result.all_msps) == [
+            "Assignment(__any_0->{__any__}; x->{Charles Clore Park}; y->{Picnic}; "
+            "z->{Abu Hassan})",
+            "Assignment(__any_0->{__any__}; x->{Outdoor}; y->{Beach Volleyball, Leisure}; "
+            "z->{Miznon})",
+            "Assignment(__any_0->{__any__}; x->{Outdoor}; y->{Beach Volleyball, Leisure}; "
+            "z->{Miznon}; more->{Beach Volleyball doAt Gordon Beach})",
+            "Assignment(__any_0->{__any__}; x->{Park}; y->{Picnic, Sport}; z->{Abu Hassan})",
+        ]
+        # the per-node scan made about 226 calls per question here
+        assert calls[0] < 5 * result.questions

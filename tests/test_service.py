@@ -433,6 +433,11 @@ class TestConcurrentService:
         assert report["verified"], report["mismatches"]
         assert report["virtual_seconds"] >= 30.0
 
+    def test_sample_larger_than_the_crowd_is_rejected(self):
+        with pytest.raises(ValueError, match="need 1 <= sample_size <= crowd_size"):
+            run_simulation(domain="demo", sessions=1, crowd_size=2, sample_size=3,
+                           max_runtime=5.0)
+
     def test_runner_needs_a_virtual_clock(self, engine, demo):
         manager = engine.session_manager()
         scripts = [MemberScript(m) for m in build_identical_crowd(demo, 3)]
