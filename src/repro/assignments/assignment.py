@@ -142,6 +142,22 @@ class Assignment:
     def strictly_leq(self, other: "Assignment", vocabulary: Vocabulary) -> bool:
         return self != other and self.leq(other, vocabulary)
 
+    def involves(self, term: Term, vocabulary: Vocabulary) -> bool:
+        """Does ``term`` or a specialization of it occur here?
+
+        Checks every variable value and the subject and object of every
+        MORE fact.  This is the pruning rule (§6.2): a member's click on
+        ``term`` drops every assignment that involves it from their walk.
+        """
+        for values in self.values.values():
+            for value in values:
+                if vocabulary.leq(term, value):
+                    return True
+        for fact in self.more:
+            if vocabulary.leq(term, fact.subject) or vocabulary.leq(term, fact.obj):
+                return True
+        return False
+
     # --------------------------------------------------------- instantiation
 
     def instantiate(self, satisfying: SatisfyingClause) -> FactSet:

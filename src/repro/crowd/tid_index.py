@@ -169,14 +169,17 @@ class TidIndex:
         return mask
 
     def supporting_mask(self, fact_set: FactSet) -> int:
-        """Transaction bitmask of the transactions implying ``fact_set``."""
+        """Transaction bitmask of the transactions implying ``fact_set``.
+
+        Every fact's witness mask is looked up, even once the AND is empty:
+        a fact set iterates in hash order, so stopping early would make
+        the memo's contents and counters depend on ``PYTHONHASHSEED``.
+        """
         self._ensure_current()
         _obs_count("tid_index.support.queries")
         mask = self._all_tx_mask
         for fact in fact_set:
             mask &= self.witness_mask(fact)
-            if not mask:
-                break
         return mask
 
     def hits(self, fact_set: FactSet) -> int:

@@ -34,7 +34,7 @@ class MemberUser(UserOracle[Assignment]):
     def willing(self) -> bool:
         return self.member.willing_to_answer()
 
-    def support(self, node: Assignment) -> Optional[float]:
+    def support(self, node: Assignment) -> float:
         question = ConcreteQuestion(node, self.space.instantiate(node))
         return self.member.answer_concrete(question).support
 
@@ -61,14 +61,4 @@ class MemberUser(UserOracle[Assignment]):
         return self.member.suggest_more_fact(self.space.instantiate(node))
 
     def matches_prune(self, node: Assignment, token: object) -> bool:
-        if not isinstance(token, Term):
-            return False
-        vocabulary = self.member.vocabulary
-        for values in node.values.values():
-            for value in values:
-                if vocabulary.leq(token, value):
-                    return True
-        for fact in node.more:
-            if vocabulary.leq(token, fact.subject) or vocabulary.leq(token, fact.obj):
-                return True
-        return False
+        return isinstance(token, Term) and node.involves(token, self.member.vocabulary)

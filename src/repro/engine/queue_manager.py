@@ -29,14 +29,14 @@ thread owns it: the serving loop that owns its session (see
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional
 
 from ..assignments.assignment import Assignment
 from ..assignments.generator import QueryAssignmentSpace
-from ..crowd.aggregator import Aggregator, Verdict
+from ..crowd.aggregator import Aggregator
 from ..crowd.cache import CrowdCache
-from ..mining.state import ClassificationState, Status
-from ..mining.trace import MspTracker
+from ..mining.multiuser import CrowdWalk, MemberWalk
+from ..mining.state import Status
 from ..nlg.templates import DEFAULT_TEMPLATES, QuestionTemplates
 from ..observability import count as _obs_count
 from ..ontology.facts import FactSet
@@ -86,7 +86,16 @@ class PendingQuestion:
         return f"PendingQuestion({self.member_id!r}, {self.assignment!r})"
 
 
-class QueueManager:
+class _MemberQueue(MemberWalk[Assignment]):
+    """A served member's walk plus the questions handed to them."""
+
+    def __init__(self, roots: List[Assignment]):
+        super().__init__(roots)
+        # assignment -> PendingQuestion, in hand-out order
+        self.pending: Dict[Assignment, PendingQuestion] = {}
+
+
+class QueueManager(CrowdWalk[Assignment]):
     """Per-member question queues over a query assignment space."""
 
     def __init__(
@@ -96,30 +105,21 @@ class QueueManager:
         cache: Optional[CrowdCache] = None,
         templates: QuestionTemplates = DEFAULT_TEMPLATES,
     ):
-        self.space = space
-        self.aggregator = aggregator
-        self.cache = cache
+        super().__init__(space, aggregator, cache)
         self.templates = templates
-        self.state: ClassificationState[Assignment] = ClassificationState(space)
-        self.tracker: MspTracker[Assignment] = MspTracker(space, self.state)
-        self.questions_asked = 0
-        self._stacks: Dict[str, List[Assignment]] = {}
-        self._visited: Dict[str, Set[Assignment]] = {}
-        self._answers: Dict[str, Dict[Assignment, float]] = {}
-        self._pruned: Dict[str, List[Term]] = {}
-        # member -> assignment -> PendingQuestion, in hand-out order
-        self._pending: Dict[str, Dict[Assignment, PendingQuestion]] = {}
+        self._walks: Dict[str, _MemberQueue] = {}
+
+    @property
+    def questions_asked(self) -> int:
+        """Answers recorded so far (support answers and pruning clicks)."""
+        return self.questions
 
     # -------------------------------------------------------------- members
 
     def register_member(self, member_id: str) -> None:
         """Open a queue for ``member_id`` (idempotent)."""
-        if member_id not in self._stacks:
-            self._stacks[member_id] = list(reversed(self.space.roots()))
-            self._visited[member_id] = set()
-            self._answers[member_id] = {}
-            self._pruned[member_id] = []
-            self._pending[member_id] = {}
+        if member_id not in self._walks:
+            self._walks[member_id] = _MemberQueue(self.space.roots())
 
     def detach_member(self, member_id: str) -> List[Assignment]:
         """Release every structure held for ``member_id`` (departure).
@@ -130,20 +130,14 @@ class QueueManager:
         remain in the aggregator and cache — departure abandons *future*
         work, it does not unwind history.
         """
-        if member_id not in self._stacks:
-            return []
-        abandoned = list(self._pending.pop(member_id, {}))
-        del self._stacks[member_id]
-        del self._visited[member_id]
-        del self._answers[member_id]
-        del self._pruned[member_id]
-        return abandoned
+        walk = self._walks.pop(member_id, None)
+        return list(walk.pending) if walk is not None else []
 
     def is_registered(self, member_id: str) -> bool:
-        return member_id in self._stacks
+        return member_id in self._walks
 
     def members(self) -> List[str]:
-        return list(self._stacks)
+        return list(self._walks)
 
     # ------------------------------------------------------------- questions
 
@@ -167,31 +161,9 @@ class QueueManager:
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
         self.register_member(member_id)
-        pending = self._pending[member_id]
-        batch: List[PendingQuestion] = []
-        if not fresh_only:
-            batch.extend(list(pending.values())[:k])
-        excluded = set(exclude)
-        stack = self._stacks[member_id]
-        visited = self._visited[member_id]
-        answers = self._answers[member_id]
-        deferred: List[Assignment] = []
-        while stack and len(batch) < k:
-            node = stack.pop()
-            if node in excluded:
-                deferred.append(node)
-                continue
-            if node in visited:
-                continue
-            visited.add(node)
-            if self.state.status(node) is Status.INSIGNIFICANT:
-                continue
-            if self._is_personally_pruned(member_id, node):
-                continue
-            if node in answers:
-                if answers[node] >= self.aggregator.threshold:
-                    self._push_successors(member_id, node)
-                continue
+        walk = self._walks[member_id]
+        batch = [] if fresh_only else list(walk.pending.values())[:k]
+        for node in self._pop(walk, k - len(batch), exclude):
             fact_set = self.space.instantiate(node)
             question = PendingQuestion(
                 member_id,
@@ -199,10 +171,8 @@ class QueueManager:
                 self.templates.concrete_question(fact_set),
                 fact_set=fact_set,
             )
-            pending[node] = question
+            walk.pending[node] = question
             batch.append(question)
-        # deferred nodes were popped top-first: restore original order
-        stack.extend(reversed(deferred))
         return batch
 
     def next_question(self, member_id: str) -> Optional[PendingQuestion]:
@@ -227,45 +197,69 @@ class QueueManager:
         window, not gone).
         """
         self.register_member(member_id)
+        walk = self._walks[member_id]
+        self._pop(walk, 1, exclude, peek=True)
+        # all that is left queued is the peeked candidate and deferred nodes
+        return bool(walk.stack)
+
+    def _pop(
+        self,
+        walk: _MemberQueue,
+        k: int,
+        exclude: Iterable[Assignment],
+        peek: bool = False,
+    ) -> List[Assignment]:
+        """Pop up to ``k`` askable nodes off ``walk``'s stack.
+
+        Dead nodes on the way are consumed: already visited, classified
+        insignificant, pruned by the member, or answered by them (a
+        significant answer pushes the node's successors).  Nodes in
+        ``exclude`` are popped and put back in their order.  With ``peek``
+        the askable nodes go back on the stack unvisited as well.
+        """
         excluded = set(exclude)
-        stack = self._stacks[member_id]
-        visited = self._visited[member_id]
-        answers = self._answers[member_id]
+        stack, visited, answers = walk.stack, walk.visited, walk.answers
+        tokens = walk.prune_tokens
+        status = self.state.status
+        vocabulary = self.space.vocabulary
         deferred: List[Assignment] = []
-        found = False
-        while stack:
+        askable: List[Assignment] = []
+        while stack and len(askable) < k:
             node = stack.pop()
             if node in excluded:
                 deferred.append(node)
                 continue
             if node in visited:
                 continue
-            if self.state.status(node) is Status.INSIGNIFICANT:
-                visited.add(node)
+            visited.add(node)
+            if status(node) is Status.INSIGNIFICANT:
                 continue
-            if self._is_personally_pruned(member_id, node):
-                visited.add(node)
+            if tokens and any(node.involves(t, vocabulary) for t in tokens):
                 continue
             if node in answers:
-                visited.add(node)
-                if answers[node] >= self.aggregator.threshold:
-                    self._push_successors(member_id, node)
+                if answers[node] >= self.threshold:
+                    self._push_successors(walk, node)
                 continue
-            stack.append(node)
-            found = True
-            break
+            askable.append(node)
+        if peek:
+            for node in askable:
+                visited.discard(node)
+                stack.append(node)
+        # deferred nodes were popped top-first: restore original order
         stack.extend(reversed(deferred))
-        return found or bool(deferred)
+        return askable
 
     def pending_for(self, member_id: str) -> List[PendingQuestion]:
         """The member's handed-out, unanswered questions (oldest first)."""
-        return list(self._pending.get(member_id, {}).values())
+        walk = self._walks.get(member_id)
+        return list(walk.pending.values()) if walk is not None else []
 
     def _take_pending(
         self, member_id: str, assignment: Optional[Assignment]
     ) -> Optional[PendingQuestion]:
         """Pop the addressed pending question; None signals a stale answer."""
-        pending = self._pending.get(member_id) or {}
+        walk = self._walks.get(member_id)
+        pending = walk.pending if walk is not None else {}
         if assignment is None:
             if not pending:
                 raise RuntimeError(f"no pending question for {member_id!r}")
@@ -293,17 +287,18 @@ class QueueManager:
         pending = self._take_pending(member_id, assignment)
         if pending is None:
             return AnswerOutcome.STALE
-        self.questions_asked += 1
+        self.questions += 1
         _obs_count("crowd.questions")
         _obs_count("crowd.questions.concrete")
         node = pending.assignment
-        self._answers[member_id][node] = support
+        walk = self._walks[member_id]
+        walk.answers[node] = support
         self._record(node, member_id, support)
         if (
-            support >= self.aggregator.threshold
+            support >= self.threshold
             and self.state.status(node) is not Status.INSIGNIFICANT
         ):
-            self._push_successors(member_id, node)
+            self._push_successors(walk, node)
         return AnswerOutcome.RECORDED
 
     def submit_prune(
@@ -316,16 +311,17 @@ class QueueManager:
 
         The pending question is answered with support 0 and every
         assignment involving ``value`` (or a specialization) is dropped
-        from the member's queue.
+        from the member's queue (:meth:`Assignment.involves`).
         """
         pending = self._take_pending(member_id, assignment)
         if pending is None:
             return AnswerOutcome.STALE
-        self.questions_asked += 1
+        self.questions += 1
         _obs_count("crowd.questions")
         _obs_count("crowd.pruning_clicks")
-        self._pruned[member_id].append(value)
-        self._answers[member_id][pending.assignment] = 0.0
+        walk = self._walks[member_id]
+        walk.prune_tokens.append(value)
+        walk.answers[pending.assignment] = 0.0
         self._record(pending.assignment, member_id, 0.0)
         return AnswerOutcome.PRUNED
 
@@ -342,21 +338,20 @@ class QueueManager:
         ``assignment=None`` every pending question of the member expires.
         Returns the expired assignments (``[]`` for unknown members).
         """
-        pending = self._pending.get(member_id)
-        if not pending:
+        walk = self._walks.get(member_id)
+        if walk is None or not walk.pending:
             return []
+        pending = walk.pending
         if assignment is None:
             targets = list(pending)
         elif assignment in pending:
             targets = [assignment]
         else:
             return []
-        visited = self._visited[member_id]
-        stack = self._stacks[member_id]
         for node in targets:
             del pending[node]
-            visited.discard(node)
-            stack.append(node)
+            walk.visited.discard(node)
+            walk.stack.append(node)
         return targets
 
     def skip_node(self, member_id: str, assignment: Assignment) -> None:
@@ -366,10 +361,11 @@ class QueueManager:
         will not be handed to them again and its subtree is not explored
         on their behalf.  Other members' traversals are unaffected.
         """
-        if member_id not in self._stacks:
+        walk = self._walks.get(member_id)
+        if walk is None:
             return
-        self._pending[member_id].pop(assignment, None)
-        self._visited[member_id].add(assignment)
+        walk.pending.pop(assignment, None)
+        walk.visited.add(assignment)
 
     def requeue_for(self, member_id: str, assignment: Assignment) -> bool:
         """Queue ``assignment`` for ``member_id`` (reassignment path).
@@ -379,12 +375,13 @@ class QueueManager:
         answered it (nothing to do), True when it was (re)queued.
         """
         self.register_member(member_id)
-        if assignment in self._answers[member_id]:
+        walk = self._walks[member_id]
+        if assignment in walk.answers:
             return False
-        if assignment in self._pending[member_id]:
+        if assignment in walk.pending:
             return True  # already handed out to them
-        self._visited[member_id].discard(assignment)
-        self._stacks[member_id].append(assignment)
+        walk.visited.discard(assignment)
+        walk.stack.append(assignment)
         return True
 
     # --------------------------------------------------------------- results
@@ -397,10 +394,10 @@ class QueueManager:
         the cache or the question counters: the answer was paid for in an
         earlier run.
         """
-        self.aggregator.add_answer(assignment, member_id, support)
-        if member_id in self._answers:
-            self._answers[member_id][assignment] = support
-        self._apply_verdict(assignment)
+        walk = self._walks.get(member_id)
+        if walk is not None:
+            walk.answers[assignment] = support
+        self._record(assignment, member_id, support, fresh=False)
 
     def mark_answered(
         self, member_id: str, assignment: Assignment, support: float
@@ -414,7 +411,7 @@ class QueueManager:
         continues from the cached frontier.
         """
         self.register_member(member_id)
-        self._answers[member_id][assignment] = support
+        self._walks[member_id].answers[assignment] = support
 
     def current_msps(self) -> List[Assignment]:
         """The MSPs confirmed so far (incremental output)."""
@@ -427,44 +424,14 @@ class QueueManager:
 
     def has_pending(self) -> bool:
         """Is any question currently handed out and unanswered?"""
-        return any(self._pending.values())
+        return any(walk.pending for walk in self._walks.values())
 
     # --------------------------------------------------------------- helpers
 
-    def _record(self, node: Assignment, member_id: str, support: float) -> None:
-        self.aggregator.add_answer(node, member_id, support)
-        if self.cache is not None:
-            self.cache.record(node, member_id, support)
-        self._apply_verdict(node)
-
-    def _apply_verdict(self, node: Assignment) -> None:
-        verdict = self.aggregator.verdict(node)
-        if verdict is Verdict.UNDECIDED:
-            return
-        status = self.state.status(node)
-        if status is Status.UNKNOWN:
-            if verdict is Verdict.SIGNIFICANT:
-                self.state.mark_significant(node)
-                status = Status.SIGNIFICANT
-            else:
-                self.state.mark_insignificant(node)
-            _obs_count("mining.classified.by_crowd")
-        if status is Status.SIGNIFICANT and verdict is Verdict.SIGNIFICANT:
-            # a node the closure already made insignificant is no candidate
-            self.tracker.note_significant(node)
-
-    def _push_successors(self, member_id: str, node: Assignment) -> None:
-        visited = self._visited[member_id]
-        stack = self._stacks[member_id]
+    def _push_successors(self, walk: _MemberQueue, node: Assignment) -> None:
+        # this walk's push order: as listed, so the last successor pops
+        # first (the batch walk pushes reversed chain order)
+        visited, stack = walk.visited, walk.stack
         for successor in self.space.successors(node):
             if successor not in visited:
                 stack.append(successor)
-
-    def _is_personally_pruned(self, member_id: str, node: Assignment) -> bool:
-        vocabulary = self.space.vocabulary
-        for token in self._pruned[member_id]:
-            for values in node.values.values():
-                for value in values:
-                    if vocabulary.leq(token, value):
-                        return True
-        return False

@@ -37,13 +37,14 @@ import secrets
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
+from ..assignments.assignment import Assignment
 from ..crowd.cache import CrowdCache
 from ..crowd.journal import JournalRecord
 from ..engine.engine import OassisEngine
 from ..faults.plan import FaultPlan
 from ..observability import count as _obs_count, span as _obs_span
 from ..service.manager import DispatchedQuestion, SessionManager
-from ..service.recovery import resolve_journal
+from ..service.recovery import resume_session
 from ..service.simulation import DOMAINS
 from .journal import GatewayJournal, GatewayLogState, replay_gateway_journal
 from .schema import (
@@ -126,6 +127,15 @@ class _MemberRecord:
     token: str
 
 
+def _answer_cache(resolved: Dict[Assignment, List[Tuple[str, float]]]) -> CrowdCache:
+    """An in-memory cache holding a restored session's resolved answers."""
+    cache = CrowdCache()
+    for assignment, answers in resolved.items():
+        for member_id, support in answers:
+            cache.record(assignment, member_id, support)
+    return cache
+
+
 class GatewayApp:
     """The gateway's application state: datasets, sessions, members, qids."""
 
@@ -185,13 +195,15 @@ class GatewayApp:
     def _restore(self, state: GatewayLogState) -> None:
         """Rebuild the serving state a journal describes (crash recovery).
 
-        Mirrors ``activate_dataset`` + PR 5's ``restore_session``: the
-        dataset's engine/manager pair is rebuilt, members re-attach with
-        their *original* tokens, and each session is re-created with its
-        journaled answers resolved onto the fresh lattice (``resume=True``
-        so acknowledged answers are never re-asked).  A session whose
-        query no longer parses is skipped and counted rather than fatal —
-        a stale journal must not brick the gateway.
+        Mirrors ``activate_dataset``: the dataset's engine/manager pair is
+        rebuilt and members re-attach with their *original* tokens.  Each
+        session is re-created by
+        :func:`~repro.service.recovery.resume_session`, the rebuild that
+        ``restore_session`` uses too: its journaled answers are resolved
+        onto the fresh lattice and acknowledged answers are never
+        re-asked.  A session whose query no longer parses is skipped and
+        counted rather than fatal — a stale journal must not brick the
+        gateway.
         """
         name = state.dataset
         if name is None or name not in self.datasets:
@@ -220,8 +232,6 @@ class GatewayApp:
             failures = 0
             for session_id, (query_text, sample_size) in state.sessions.items():
                 try:
-                    parsed = engine._as_query(query_text)
-                    space = engine.build_space(parsed)
                     records = [
                         JournalRecord(
                             key=answer["key"],
@@ -230,18 +240,12 @@ class GatewayApp:
                         )
                         for answer in state.session_answers(session_id)
                     ]
-                    resolved, _unresolved = resolve_journal(
-                        space, parsed.threshold, records
-                    )
-                    cache = CrowdCache()
-                    for assignment, answers in resolved.items():
-                        for member_id, support in answers:
-                            cache.record(assignment, member_id, support)
-                    manager.create_session(
+                    _session, restored = resume_session(
+                        manager,
                         query_text,
+                        records,
+                        _answer_cache,
                         session_id=session_id,
-                        cache=cache,
-                        resume=True,
                         sample_size=sample_size,
                     )
                 except Exception:
@@ -250,7 +254,7 @@ class GatewayApp:
                     failures += 1
                     _obs_count("gateway.journal.restore_failures")
                     continue
-                answers_restored += sum(len(a) for a in resolved.values())
+                answers_restored += restored
                 sessions_restored += 1
                 self._sessions.add(session_id)
             self._active = name

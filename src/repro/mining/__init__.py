@@ -20,7 +20,6 @@ from .multiuser import (
     MultiUserMiner,
     MultiUserResult,
     QuestionStats,
-    ReplayUser,
     UserOracle,
 )
 from .naive import naive_mine
@@ -32,11 +31,12 @@ from .trace import (
     MiningResult,
     MiningTrace,
     MspTracker,
+    Probe,
     TargetTracker,
     TracePoint,
     ValidProgress,
 )
-from .vertical import find_minimal_unclassified, vertical_mine
+from .vertical import find_minimal_unclassified, vertical_mine, vertical_walk
 
 __all__ = [
     "AssociationRule",
@@ -47,9 +47,9 @@ __all__ = [
     "MspTracker",
     "MultiUserMiner",
     "MultiUserResult",
+    "Probe",
     "QuestionStats",
     "ReplayResult",
-    "ReplayUser",
     "Status",
     "TargetTracker",
     "TracePoint",
@@ -74,4 +74,5 @@ __all__ = [
     "negative_border",
     "vertical_mine",
     "vertical_mine_top_k",
+    "vertical_walk",
 ]

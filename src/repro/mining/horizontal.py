@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import Hashable, List, Optional, Sequence, Set, TypeVar
 
 from ..assignments.lattice import AssignmentSpace
-from ..observability import get_tracer, span as _obs_span
-from .state import ClassificationState, Status
-from .trace import MiningResult, MiningTrace, MspTracker, TargetTracker, ValidProgress
+from ..observability import span as _obs_span
+from .state import Status
+from .trace import MiningResult, Probe
 from .vertical import SupportOracle
 
 Node = TypeVar("Node", bound=Hashable)
@@ -29,37 +29,14 @@ def horizontal_mine(
     max_questions: Optional[int] = None,
 ) -> MiningResult[Node]:
     """Levelwise mining: breadth-first, gated on all-predecessors-significant."""
-    state: ClassificationState[Node] = ClassificationState(space)
-    tracker: MspTracker[Node] = MspTracker(space, state)
-    trace = MiningTrace()
-    progress = ValidProgress(state, valid_nodes) if valid_nodes is not None else None
-    targets = TargetTracker(state, target_msps) if target_msps is not None else None
-    questions = 0
-
-    def sample() -> None:
-        classified_valid = progress.refresh() if progress is not None else 0
-        targets_found = targets.refresh() if targets is not None else 0
-        tracker.refresh()
-        confirmed, confirmed_valid = tracker.counts()
-        trace.sample(questions, confirmed, confirmed_valid, classified_valid, targets_found)
-
-    obs = get_tracer()
-
-    def ask(node: Node) -> bool:
-        nonlocal questions
-        questions += 1
-        if obs is not None:
-            obs.count("crowd.questions")
-            obs.count("crowd.questions.concrete")
-            obs.count("mining.classified.by_crowd")
-        significant = support_oracle(node) >= threshold
-        if significant:
-            state.mark_significant(node)
-            tracker.note_significant(node)
-        else:
-            state.mark_insignificant(node)
-        sample()
-        return significant
+    probe: Probe[Node] = Probe(
+        space,
+        support_oracle,
+        threshold,
+        valid_nodes=valid_nodes,
+        target_msps=target_msps,
+    )
+    state = probe.state
 
     # frontier of candidates whose predecessors are all known significant
     with _obs_span("mine.horizontal"):
@@ -67,17 +44,17 @@ def horizontal_mine(
         enqueued: Set[Node] = set(pending)
         index = 0
         while index < len(pending):
-            if max_questions is not None and questions >= max_questions:
+            if max_questions is not None and probe.questions >= max_questions:
                 break
             node = pending[index]
             index += 1
             status = state.status(node)
             if status is Status.UNKNOWN:
-                significant = ask(node)
+                significant = probe.ask(node)
             else:
                 significant = status is Status.SIGNIFICANT
                 if significant:
-                    tracker.note_significant(node)
+                    probe.tracker.note_significant(node)
             if not significant:
                 continue
             for successor in space.successors(node):
@@ -88,7 +65,4 @@ def horizontal_mine(
                     enqueued.add(successor)
                     pending.append(successor)
 
-    tracker.refresh(force=True)
-    msps = sorted(tracker.confirmed(), key=repr)
-    valid_msps = [n for n in msps if space.is_valid(n)]
-    return MiningResult(msps, valid_msps, questions, trace, state)
+    return probe.result()

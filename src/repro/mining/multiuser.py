@@ -28,7 +28,6 @@ that point are "not used" (the Section 6.3 accounting).
 
 from __future__ import annotations
 
-import random
 from typing import (
     Callable,
     Dict,
@@ -45,9 +44,9 @@ from typing import (
 from ..assignments.lattice import AssignmentSpace
 from ..crowd.aggregator import Aggregator, Verdict
 from ..crowd.cache import CrowdCache
-from ..observability import get_tracer, span as _obs_span
+from ..observability import count as _obs_count, get_tracer, span as _obs_span
 from .state import ClassificationState, Status
-from .trace import MiningResult, MiningTrace, MspTracker, TargetTracker, ValidProgress
+from .trace import MiningResult, MiningTrace, Probe
 
 Node = TypeVar("Node", bound=Hashable)
 
@@ -66,8 +65,8 @@ class UserOracle(Generic[Node]):
         """
         return True
 
-    def support(self, node: Node) -> Optional[float]:
-        """The user's support for ``node``; None = cannot answer."""
+    def support(self, node: Node) -> float:
+        """The user's support for ``node``."""
         raise NotImplementedError
 
     def wants_specialization(self) -> bool:
@@ -110,56 +109,101 @@ class FunctionUser(UserOracle[Node]):
     def willing(self) -> bool:
         return self._max_questions is None or self.questions < self._max_questions
 
-    def support(self, node: Node) -> Optional[float]:
+    def support(self, node: Node) -> float:
         self.questions += 1
         return self._support_fn(node)
 
 
-class ReplayUser(UserOracle[Node]):
-    """A user whose answers come from a :class:`CrowdCache` (Section 6.3).
+class MemberWalk(Generic[Node]):
+    """One member's walk through the lattice: the record both §4.2 walks keep.
 
-    Used to re-evaluate a query at a higher threshold without re-asking the
-    crowd.  Nodes with no cached answer are reported as unanswerable.
+    ``stack`` holds the nodes still to visit (popped from the end),
+    ``visited`` the nodes popped so far, ``answers`` the member's own
+    answers (they steer the walk even after the aggregator has decided a
+    node) and ``prune_tokens`` the member's pruning clicks.
     """
 
-    def __init__(self, member_id: str, cache: CrowdCache):
-        super().__init__(member_id)
-        self._cache = cache
-        self.cache_misses = 0
-
-    def support(self, node: Node) -> Optional[float]:
-        cached = self._cache.lookup(node, self.member_id)
-        if cached is None:
-            self.cache_misses += 1
-        return cached
-
-
-class _Session(Generic[Node]):
-    """Per-user traversal state."""
-
-    def __init__(self, user: UserOracle[Node], roots: Sequence[Node]):
-        self.user = user
+    def __init__(self, roots: Sequence[Node]):
         self.stack: List[Node] = list(reversed(list(roots)))
         self.visited: Set[Node] = set()
         self.answers: Dict[Node, float] = {}
         self.prune_tokens: List[object] = []
+
+
+class _Session(MemberWalk[Node]):
+    """A simulated member's walk, driven by :class:`MultiUserMiner`."""
+
+    def __init__(self, user: UserOracle[Node], roots: Sequence[Node]):
+        super().__init__(roots)
+        self.user = user
         self.done = False
 
     def finish(self) -> None:
         """Mark done and release the traversal state.
 
-        Users who drained their stack or quit never advance again, but
-        their visited sets and stacks — proportional to the explored
-        lattice — used to be kept until the end of the run.  On crowds
-        where most members answer only a few questions (or none) that
-        retained memory dominates; dropping it here is the same fix as
-        :meth:`QueueManager.detach_member` for interactive sessions.
+        Users who drained their stack or quit never advance again, and
+        their visited sets and stacks are proportional to the explored
+        lattice: on crowds where most members answer only a few questions
+        (or none), keeping them to the end of the run would dominate
+        memory.  :meth:`QueueManager.detach_member` does the same for
+        interactive sessions.
         """
         self.done = True
         self.stack = []
         self.visited = set()
         self.answers = {}
         self.prune_tokens = []
+
+
+class CrowdWalk(Probe[Node]):
+    """What the two §4.2 walks share.
+
+    :class:`MultiUserMiner` drives simulated members itself;
+    :class:`~repro.engine.queue_manager.QueueManager` lets callers pull
+    questions and push answers.  Both keep a :class:`MemberWalk` per
+    member and classify through one verdict step, :meth:`_record`.  Three
+    things each walk keeps for itself until ROADMAP item 1 settles them:
+    the order it pushes successors in (``_push_successors``), whether it
+    skips nodes the aggregator has already decided, and the batch-only
+    answer kinds (specialization, "none of these", MORE tips).
+    """
+
+    def __init__(
+        self,
+        space: AssignmentSpace[Node],
+        aggregator: Aggregator,
+        cache: Optional[CrowdCache] = None,
+        **probe_options,
+    ):
+        super().__init__(space, threshold=aggregator.threshold, **probe_options)
+        self.aggregator = aggregator
+        self.cache = cache
+
+    def _record(
+        self, node: Node, member_id: str, support: float, fresh: bool = True
+    ) -> None:
+        """The verdict step: aggregator verdict → Observation 4.4 mark → MSP candidate.
+
+        ``fresh=False`` feeds a resumed answer, which the cache already
+        holds from the run that collected it.
+        """
+        self.aggregator.add_answer(node, member_id, support)
+        if fresh and self.cache is not None:
+            self.cache.record(node, member_id, support)
+        verdict = self.aggregator.verdict(node)
+        if verdict is Verdict.UNDECIDED:
+            return
+        status = self.state.status(node)
+        if status is Status.UNKNOWN:
+            if verdict is Verdict.SIGNIFICANT:
+                self.state.mark_significant(node)
+                status = Status.SIGNIFICANT
+            else:
+                self.state.mark_insignificant(node)
+            _obs_count("mining.classified.by_crowd")
+        if status is Status.SIGNIFICANT and verdict is Verdict.SIGNIFICANT:
+            # a node the closure already made insignificant is no candidate
+            self.tracker.note_significant(node)
 
 
 class QuestionStats:
@@ -204,7 +248,7 @@ class MultiUserResult(MiningResult[Node]):
         self.questions_per_user = dict(questions_per_user)
 
 
-class MultiUserMiner(Generic[Node]):
+class MultiUserMiner(CrowdWalk[Node]):
     """Drives the multi-user algorithm over an assignment space."""
 
     def __init__(
@@ -217,39 +261,28 @@ class MultiUserMiner(Generic[Node]):
         valid_nodes: Optional[Sequence[Node]] = None,
         target_msps: Optional[Sequence[Node]] = None,
         max_total_questions: Optional[int] = None,
-        rng: Optional[random.Random] = None,
     ):
-        self.space = space
-        self.users = list(users)
-        self.aggregator = aggregator
-        self.cache = cache
-        self.ask_decided_generals = ask_decided_generals
-        self.max_total_questions = max_total_questions
-        self.rng = rng if rng is not None else random.Random(0)
-
-        self.state: ClassificationState[Node] = ClassificationState(space)
         # sampling is throttled: large crowds over lazy spaces would spend
         # more time measuring progress than mining otherwise
-        self.tracker: MspTracker[Node] = MspTracker(space, self.state, stride=5)
-        self.trace = MiningTrace()
-        self.progress = (
-            ValidProgress(self.state, valid_nodes, stride=10)
-            if valid_nodes is not None
-            else None
+        super().__init__(
+            space,
+            aggregator,
+            cache,
+            stride=5,
+            valid_nodes=valid_nodes,
+            valid_stride=10,
+            target_msps=target_msps,
         )
-        self.targets = (
-            TargetTracker(self.state, target_msps) if target_msps is not None else None
-        )
+        self.users = list(users)
+        self.ask_decided_generals = ask_decided_generals
+        self.max_total_questions = max_total_questions
         # chain-partitioned question order when the space provides it
         # (QueryAssignmentSpace does); plain successor order otherwise
         self._ordered_successors: Callable[[Node], Sequence[Node]] = getattr(
             space, "ordered_successors", space.successors
         )
         self.stats = QuestionStats()
-        self.questions = 0
         self.questions_per_user: Dict[str, int] = {}
-        self.threshold = aggregator.threshold
-        self._obs = None  # bound to the active tracer by run()
 
     # ------------------------------------------------------------------ run
 
@@ -279,28 +312,11 @@ class MultiUserMiner(Generic[Node]):
             if not progressed:
                 break  # every user is done or unwilling
         # final forced sample so the trace's last point reflects the truth
-        classified_valid = (
-            self.progress.refresh(force=True) if self.progress is not None else 0
-        )
-        targets_found = self.targets.refresh() if self.targets is not None else 0
-        self.tracker.refresh(force=True)
-        confirmed, confirmed_valid = self.tracker.counts()
-        self.trace.sample(
-            self.questions, confirmed, confirmed_valid, classified_valid, targets_found
-        )
-        msps = sorted(self.tracker.confirmed(), key=repr)
-        valid_msps = [n for n in msps if self.space.is_valid(n)]
-        if self._obs is not None:
-            self._obs.count("mining.msps.found", len(msps))
-            self._obs.count("mining.msps.valid", len(valid_msps))
-        return MultiUserResult(
-            msps,
-            valid_msps,
-            self.questions,
-            self.trace,
-            self.state,
-            self.stats,
-            self.questions_per_user,
+        self.sample(force=True)
+        return self.result(  # type: ignore[return-value]
+            result_type=MultiUserResult,
+            stats=self.stats,
+            questions_per_user=self.questions_per_user,
         )
 
     def _budget_exhausted(self) -> bool:
@@ -322,7 +338,7 @@ class MultiUserMiner(Generic[Node]):
                 if self._obs is not None:
                     self._obs.count("mining.skipped.insignificant")
                 continue  # pruned globally (QueueManager)
-            if any(
+            if session.prune_tokens and any(
                 session.user.matches_prune(node, token)
                 for token in session.prune_tokens
             ):
@@ -333,6 +349,7 @@ class MultiUserMiner(Generic[Node]):
                 if session.answers[node] >= self.threshold:
                     self._push_successors(session, node)
                 continue
+            # the decided-node skip: this walk's own, the served walk asks
             decided = self.aggregator.verdict(node) is not Verdict.UNDECIDED
             if decided and not self.ask_decided_generals:
                 # descend optimistically without spending a question
@@ -341,17 +358,13 @@ class MultiUserMiner(Generic[Node]):
                 if self.state.status(node) is Status.SIGNIFICANT:
                     self._push_successors(session, node)
                 continue
-            posed = self._pose_question(session, node)
-            if posed:
-                return True
-            # user could not answer (replay cache miss): move on
+            self._pose_question(session, node)
+            return True
         session.finish()
         return False
 
-    def _pose_question(self, session: _Session[Node], node: Node) -> bool:
+    def _pose_question(self, session: _Session[Node], node: Node) -> None:
         support = session.user.support(node)
-        if support is None:
-            return False
         self.questions += 1
         self.questions_per_user[session.user.member_id] = (
             self.questions_per_user.get(session.user.member_id, 0) + 1
@@ -367,26 +380,25 @@ class MultiUserMiner(Generic[Node]):
                 self._obs.count("crowd.pruning_clicks")
             session.prune_tokens.append(token)
             session.answers[node] = 0.0
-            self._record_answer(node, session.user.member_id, 0.0)
-            self._sample()
-            return True
+            self._record(node, session.user.member_id, 0.0)
+            self.sample()
+            return
         self.stats.concrete += 1
         if self._obs is not None:
             self._obs.count("crowd.questions.concrete")
-        self._record_answer(node, session.user.member_id, support)
+        self._record(node, session.user.member_id, support)
         personally_significant = support >= self.threshold
         overall_insignificant = self.state.status(node) is Status.INSIGNIFICANT
         if personally_significant and not overall_insignificant:
             self._maybe_propose_more(session, node)
             if session.user.wants_specialization():
-                self._sample()
+                self.sample()
                 self._pose_specialization(session, node)
             else:
                 self._push_successors(session, node)
-                self._sample()
+                self.sample()
         else:
-            self._sample()
-        return True
+            self.sample()
 
     def _pose_specialization(self, session: _Session[Node], node: Node) -> None:
         candidates = [
@@ -416,18 +428,18 @@ class MultiUserMiner(Generic[Node]):
                 self._obs.count("crowd.none_of_these")
             for candidate in candidates:
                 session.answers[candidate] = 0.0
-                self._record_answer(candidate, session.user.member_id, 0.0)
+                self._record(candidate, session.user.member_id, 0.0)
         else:
             chosen, support = choice
             session.answers[chosen] = support
-            self._record_answer(chosen, session.user.member_id, support)
+            self._record(chosen, session.user.member_id, support)
             # explore the named specialization first, the rest later
             for candidate in candidates:
                 if candidate != chosen and candidate not in session.visited:
                     session.stack.append(candidate)
             session.visited.discard(chosen)
             session.stack.append(chosen)
-        self._sample()
+        self.sample()
 
     def _maybe_propose_more(self, session: _Session[Node], node: Node) -> None:
         """Register a volunteered MORE extension (no question cost).
@@ -451,39 +463,9 @@ class MultiUserMiner(Generic[Node]):
                 self._obs.count("crowd.more_tips")
 
     def _push_successors(self, session: _Session[Node], node: Node) -> None:
-        # reversed: the stack pops in chain-partition order, so a user
-        # walks one taxonomy chain to its end before switching chains
+        # this walk's push order: reversed, so the stack pops in
+        # chain-partition order and a user walks one taxonomy chain to its
+        # end before switching chains (the served walk pops the last first)
         for successor in reversed(self._ordered_successors(node)):
             if successor not in session.visited:
                 session.stack.append(successor)
-
-    # ------------------------------------------------------------ recording
-
-    def _record_answer(self, node: Node, member_id: str, support: float) -> None:
-        self.aggregator.add_answer(node, member_id, support)
-        if self.cache is not None:
-            self.cache.record(node, member_id, support)
-        verdict = self.aggregator.verdict(node)
-        if verdict is Verdict.UNDECIDED:
-            return
-        status = self.state.status(node)
-        if status is Status.UNKNOWN:
-            if verdict is Verdict.SIGNIFICANT:
-                self.state.mark_significant(node)
-                status = Status.SIGNIFICANT
-            else:
-                self.state.mark_insignificant(node)
-            if self._obs is not None:
-                self._obs.count("mining.classified.by_crowd")
-        if status is Status.SIGNIFICANT and verdict is Verdict.SIGNIFICANT:
-            # a node the closure already made insignificant is no candidate
-            self.tracker.note_significant(node)
-
-    def _sample(self) -> None:
-        classified_valid = self.progress.refresh() if self.progress is not None else 0
-        targets_found = self.targets.refresh() if self.targets is not None else 0
-        self.tracker.refresh()
-        confirmed, confirmed_valid = self.tracker.counts()
-        self.trace.sample(
-            self.questions, confirmed, confirmed_valid, classified_valid, targets_found
-        )

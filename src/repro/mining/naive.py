@@ -12,8 +12,7 @@ import random
 from typing import Hashable, Optional, Sequence, TypeVar
 
 from ..assignments.lattice import AssignmentSpace
-from .state import ClassificationState
-from .trace import MiningResult, MiningTrace, MspTracker, TargetTracker, ValidProgress
+from .trace import MiningResult, Probe
 from .vertical import SupportOracle
 
 Node = TypeVar("Node", bound=Hashable)
@@ -36,33 +35,19 @@ def naive_mine(
     rng = rng if rng is not None else random.Random(0)
     if valid_nodes is None:
         valid_nodes = [n for n in space.all_nodes() if space.is_valid(n)]
-    state: ClassificationState[Node] = ClassificationState(space)
-    tracker: MspTracker[Node] = MspTracker(space, state)
-    trace = MiningTrace()
-    progress = ValidProgress(state, valid_nodes)
-    targets = TargetTracker(state, target_msps) if target_msps is not None else None
-    questions = 0
+    probe: Probe[Node] = Probe(
+        space,
+        support_oracle,
+        threshold,
+        valid_nodes=valid_nodes,
+        target_msps=target_msps,
+    )
 
     order = list(valid_nodes)
     rng.shuffle(order)
     for node in order:
-        if max_questions is not None and questions >= max_questions:
+        if max_questions is not None and probe.questions >= max_questions:
             break
-        if state.is_classified(node):
-            continue
-        questions += 1
-        if support_oracle(node) >= threshold:
-            state.mark_significant(node)
-            tracker.note_significant(node)
-        else:
-            state.mark_insignificant(node)
-        classified_valid = progress.refresh()
-        targets_found = targets.refresh() if targets is not None else 0
-        tracker.refresh()
-        confirmed, confirmed_valid = tracker.counts()
-        trace.sample(questions, confirmed, confirmed_valid, classified_valid, targets_found)
-
-    tracker.refresh(force=True)
-    msps = sorted(tracker.confirmed(), key=repr)
-    valid_msps = [n for n in msps if space.is_valid(n)]
-    return MiningResult(msps, valid_msps, questions, trace, state)
+        if not probe.state.is_classified(node):
+            probe.ask(node)
+    return probe.result()

@@ -18,14 +18,13 @@ counted and reported so that a *mis*-use of replay (e.g. replaying at a
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence, Set, TypeVar
+from typing import Hashable, Optional, Sequence, TypeVar
 
 from ..assignments.lattice import AssignmentSpace
 from ..crowd.cache import CrowdCache
 from ..observability import get_tracer, span as _obs_span
-from .state import ClassificationState
-from .trace import MiningResult, MiningTrace, MspTracker, TargetTracker, ValidProgress
-from .vertical import find_minimal_unclassified
+from .trace import MiningResult, Probe
+from .vertical import vertical_walk
 
 Node = TypeVar("Node", bound=Hashable)
 
@@ -49,94 +48,43 @@ def replay_from_cache(
 ) -> ReplayResult[Node]:
     """Re-evaluate at ``threshold`` using only cached answers.
 
-    Returns a result whose ``questions`` field is the number of cached
-    answers the traversal consumed — the Section 6.3 per-threshold count.
+    Algorithm 1's loop (:func:`~repro.mining.vertical.vertical_walk`) with
+    a cache-average oracle.  Returns a result whose ``questions`` field is
+    the number of cached answers the traversal consumed — the Section 6.3
+    per-threshold count.
     """
-    state: ClassificationState[Node] = ClassificationState(space)
-    tracker: MspTracker[Node] = MspTracker(space, state, stride=5)
-    trace = MiningTrace()
-    progress = ValidProgress(state, valid_nodes) if valid_nodes is not None else None
-    targets = TargetTracker(state, target_msps) if target_msps is not None else None
-    answers_used = 0
+    probe: Probe[Node] = Probe(
+        space, stride=5, valid_nodes=valid_nodes, target_msps=target_msps
+    )
+    obs = get_tracer()
     cache_misses = 0
     nodes_visited = 0
-    msps: List[Node] = []
-
-    def sample() -> None:
-        classified_valid = progress.refresh() if progress is not None else 0
-        targets_found = targets.refresh() if targets is not None else 0
-        tracker.refresh()
-        confirmed, confirmed_valid = tracker.counts()
-        trace.sample(
-            answers_used, confirmed, confirmed_valid, classified_valid, targets_found
-        )
-
-    obs = get_tracer()
 
     def ask(node: Node) -> bool:
-        nonlocal answers_used, cache_misses, nodes_visited
+        nonlocal cache_misses, nodes_visited
         nodes_visited += 1
         if obs is not None:
             obs.count("replay.nodes_visited")
         answers = cache.answers_for(node)[:sample_size]
-        if not answers:
+        if answers:
+            probe.questions += len(answers)
+            if obs is not None:
+                obs.count("replay.answers_used", len(answers))
+            significant = sum(s for _, s in answers) / len(answers) >= threshold
+        else:
             cache_misses += 1
             if obs is not None:
                 obs.count("replay.cache_misses")
-            state.mark_insignificant(node)
-            sample()
-            return False
-        answers_used += len(answers)
-        if obs is not None:
-            obs.count("replay.answers_used", len(answers))
-        average = sum(s for _, s in answers) / len(answers)
-        significant = average >= threshold
-        if significant:
-            state.mark_significant(node)
-            tracker.note_significant(node)
-        else:
-            state.mark_insignificant(node)
-        sample()
+            significant = False
+        probe.mark(node, significant)
+        probe.sample()
         return significant
 
     with _obs_span("mine.replay"):
-        while True:
-            current = find_minimal_unclassified(space, state)
-            if current is None:
-                break
-            if not ask(current):
-                continue
-            descending = True
-            while descending:
-                unclassified = [
-                    s for s in space.successors(current) if not state.is_classified(s)
-                ]
-                if not unclassified:
-                    break
-                descending = False
-                for successor in unclassified:
-                    if state.is_classified(successor):
-                        continue
-                    if ask(successor):
-                        current = successor
-                        descending = True
-                        break
-            msps.append(current)
-
-    tracker.refresh(force=True)
-    unique: List[Node] = []
-    seen: Set[Node] = set()
-    for node in msps:
-        if node not in seen:
-            seen.add(node)
-            unique.append(node)
-    valid_msps = [n for n in unique if space.is_valid(n)]
-    return ReplayResult(
-        unique,
-        valid_msps,
-        answers_used,
-        trace,
-        state,
+        msps = list(vertical_walk(probe, ask))
+    return probe.result(
+        msps,
+        ReplayResult,
         cache_misses=cache_misses,
         nodes_visited=nodes_visited,
     )

@@ -19,9 +19,8 @@ from typing import Callable, Hashable, List, Optional, Sequence, TypeVar
 from ..assignments.assignment import Assignment
 from ..assignments.lattice import AssignmentSpace
 from ..vocabulary.vocabulary import Vocabulary
-from .state import ClassificationState
-from .trace import MiningResult, MiningTrace, MspTracker
-from .vertical import SupportOracle, find_minimal_unclassified
+from .trace import MiningResult, Probe
+from .vertical import SupportOracle, vertical_walk
 
 Node = TypeVar("Node", bound=Hashable)
 
@@ -37,62 +36,20 @@ def vertical_mine_top_k(
     """Run the vertical algorithm until ``k`` (valid) MSPs are confirmed."""
     if k < 1:
         raise ValueError("k must be positive")
-    state: ClassificationState[Node] = ClassificationState(space)
-    tracker: MspTracker[Node] = MspTracker(space, state)
-    trace = MiningTrace()
-    questions = 0
+    probe: Probe[Node] = Probe(space, support_oracle, threshold)
+
+    def budget_left() -> bool:
+        return max_questions is None or probe.questions < max_questions
+
     msps: List[Node] = []
-
-    def ask(node: Node) -> bool:
-        nonlocal questions
-        questions += 1
-        significant = support_oracle(node) >= threshold
-        if significant:
-            state.mark_significant(node)
-            tracker.note_significant(node)
-        else:
-            state.mark_insignificant(node)
-        tracker.refresh()
-        confirmed, confirmed_valid = tracker.counts()
-        trace.sample(questions, confirmed, confirmed_valid, 0)
-        return significant
-
-    def collected() -> int:
-        return len([m for m in msps if not valid_only or space.is_valid(m)])
-
-    while collected() < k:
-        if max_questions is not None and questions >= max_questions:
+    for msp in vertical_walk(probe, probe.ask, budget_left):
+        msps.append(msp)
+        if len([m for m in msps if not valid_only or space.is_valid(m)]) >= k:
             break
-        current = find_minimal_unclassified(space, state)
-        if current is None:
-            break
-        if not ask(current):
-            continue
-        while True:
-            unclassified = [
-                s for s in space.successors(current) if not state.is_classified(s)
-            ]
-            if not unclassified:
-                break
-            descended = False
-            for successor in unclassified:
-                if state.is_classified(successor):
-                    continue
-                if ask(successor):
-                    current = successor
-                    descended = True
-                    break
-            if not descended:
-                break
-        msps.append(current)
-
-    unique = list(dict.fromkeys(msps))
-    valid_msps = [n for n in unique if space.is_valid(n)]
-    if valid_only:
-        reported = valid_msps[:k]
-    else:
-        reported = unique[:k]
-    return MiningResult(reported, valid_msps[:k], questions, trace, state)
+    result = probe.result(msps)
+    result.valid_msps = result.valid_msps[:k]
+    result.msps = list(result.valid_msps) if valid_only else result.msps[:k]
+    return result
 
 
 def assignment_distance(a: Assignment, b: Assignment, vocabulary: Vocabulary) -> float:

@@ -5,15 +5,19 @@ questions asked against the percentage of MSPs discovered / assignments
 classified.  :class:`MiningTrace` records one sample per question so those
 series can be reproduced exactly, and :class:`MspTracker` maintains the set
 of *confirmed* MSPs incrementally (a significant node is a confirmed MSP
-once every successor is classified insignificant).
+once every successor is classified insignificant).  :class:`Probe` bundles
+them with the classification state and the question count: every miner
+asks, marks and samples through one.
 """
 
 from __future__ import annotations
 
 from typing import (
+    Callable,
     Dict,
     Generic,
     Hashable,
+    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -23,6 +27,7 @@ from typing import (
 )
 
 from ..assignments.lattice import AssignmentSpace
+from ..observability import get_tracer
 from .state import ClassificationState, Status
 
 Node = TypeVar("Node", bound=Hashable)
@@ -251,3 +256,110 @@ class ValidProgress(Generic[Node]):
             self._unclassified.discard(node)
         self.classified += len(done)
         return self.classified
+
+
+class Probe(Generic[Node]):
+    """One mining run's bookkeeping: what it has asked and what it knows.
+
+    Holds the run's :class:`ClassificationState`, :class:`MspTracker`,
+    :class:`MiningTrace`, the optional :class:`ValidProgress` /
+    :class:`TargetTracker` series and the question count, and does the
+    steps every miner shares: :meth:`ask` a concrete question, :meth:`mark`
+    a node by its answer (Observation 4.4 closure plus MSP candidacy),
+    :meth:`sample` the trace, and assemble the :meth:`result`.
+
+    ``oracle`` maps a node to its support; :meth:`ask` compares it with
+    ``threshold``.  ``prune``, when given, is the §6.2 pruning click that
+    may accompany a question: called after each answer, it returns nodes
+    whose up-sets become insignificant at no question cost.
+    ``stride``/``valid_stride`` throttle the tracker and progress scans.
+    """
+
+    def __init__(
+        self,
+        space: AssignmentSpace[Node],
+        oracle: Optional[Callable[[Node], float]] = None,
+        threshold: float = 0.0,
+        *,
+        prune: Optional[Callable[[Node], Iterable[Node]]] = None,
+        stride: int = 1,
+        valid_nodes: Optional[Sequence[Node]] = None,
+        valid_stride: int = 1,
+        target_msps: Optional[Sequence[Node]] = None,
+    ):
+        self.space = space
+        self.oracle = oracle
+        self.threshold = threshold
+        self.prune = prune
+        self.state: ClassificationState[Node] = ClassificationState(space)
+        self.tracker: MspTracker[Node] = MspTracker(space, self.state, stride=stride)
+        self.trace = MiningTrace()
+        self.progress = (
+            ValidProgress(self.state, valid_nodes, stride=valid_stride)
+            if valid_nodes is not None
+            else None
+        )
+        self.targets = (
+            TargetTracker(self.state, target_msps) if target_msps is not None else None
+        )
+        self.questions = 0
+        self._obs = get_tracer()
+
+    def ask(self, node: Node) -> bool:
+        """Pose one concrete question about ``node``; True = significant."""
+        self.questions += 1
+        obs = self._obs
+        if obs is not None:
+            obs.count("crowd.questions")
+            obs.count("crowd.questions.concrete")
+            obs.count("mining.classified.by_crowd")
+        significant = self.oracle(node) >= self.threshold  # type: ignore[misc]
+        self.mark(node, significant)
+        if self.prune is not None:
+            for pruned in self.prune(node):
+                self.state.mark_insignificant(pruned)
+        self.sample()
+        return significant
+
+    def mark(self, node: Node, significant: bool) -> None:
+        """Classify ``node`` (and its down- or up-set) by an answer."""
+        if significant:
+            self.state.mark_significant(node)
+            self.tracker.note_significant(node)
+        else:
+            self.state.mark_insignificant(node)
+
+    def sample(self, force: bool = False) -> None:
+        """Append one trace point; ``force`` bypasses the scan strides."""
+        classified_valid = (
+            self.progress.refresh(force) if self.progress is not None else 0
+        )
+        targets_found = self.targets.refresh() if self.targets is not None else 0
+        self.tracker.refresh(force)
+        confirmed, confirmed_valid = self.tracker.counts()
+        self.trace.sample(
+            self.questions, confirmed, confirmed_valid, classified_valid, targets_found
+        )
+
+    def result(
+        self,
+        msps: Optional[Sequence[Node]] = None,
+        result_type: Callable[..., MiningResult[Node]] = MiningResult,
+        **extra: object,
+    ) -> MiningResult[Node]:
+        """The run's :class:`MiningResult` (or ``result_type``).
+
+        ``msps`` lists the MSPs a traversal reached, in order (repeats
+        dropped); without it the tracker's confirmed set is reported,
+        sorted by ``repr``.  ``extra`` goes to ``result_type``.
+        """
+        self.tracker.refresh(force=True)
+        if msps is None:
+            found = sorted(self.tracker.confirmed(), key=repr)
+        else:
+            found = list(dict.fromkeys(msps))
+        valid = [n for n in found if self.space.is_valid(n)]
+        if self._obs is not None:
+            self._obs.count("mining.msps.found", len(found))
+            self._obs.count("mining.msps.valid", len(valid))
+        return result_type(found, valid, self.questions, self.trace, self.state, **extra)

@@ -21,12 +21,12 @@ Optional hooks reproduce the Section 6.2/6.4 interaction optimizations:
 from __future__ import annotations
 
 import random
-from typing import Callable, Hashable, List, Optional, Sequence, Set, TypeVar
+from typing import Callable, Hashable, Iterator, List, Optional, Sequence, Set, TypeVar
 
 from ..assignments.lattice import AssignmentSpace
 from ..observability import get_tracer, span as _obs_span
 from .state import ClassificationState, Status
-from .trace import MiningResult, MiningTrace, MspTracker, TargetTracker, ValidProgress
+from .trace import MiningResult, Probe
 
 Node = TypeVar("Node", bound=Hashable)
 
@@ -72,6 +72,58 @@ def find_minimal_unclassified(
     return None
 
 
+def vertical_walk(
+    probe: Probe[Node],
+    ask: Callable[[Node], bool],
+    budget_left: Callable[[], bool] = lambda: True,
+    specialize: Optional[Callable[[Node, List[Node]], Optional[Node]]] = None,
+) -> Iterator[Node]:
+    """Algorithm 1's loop: yield each MSP it reaches, in order.
+
+    Repeatedly takes the most general unclassified node and, while the
+    answers say significant, chases unclassified successors, descending on
+    the first significant one; the node a descent stops at is yielded.
+    ``ask`` poses the question and classifies through ``probe``.
+    ``budget_left`` is checked before every question; a descent cut short
+    by it yields the node it stopped at.  ``specialize`` may replace one
+    step's concrete probes by an open question (§6.2): it returns the named
+    successor to descend to, None for "none of these" (the descent ends),
+    or the current node itself when it asked nothing.
+    """
+    space, state = probe.space, probe.state
+    while budget_left():
+        current = find_minimal_unclassified(space, state)
+        if current is None:
+            return
+        if not ask(current):
+            continue
+        descending = True
+        while descending and budget_left():
+            unclassified = [
+                s for s in space.successors(current) if not state.is_classified(s)
+            ]
+            if not unclassified:
+                break
+            if specialize is not None:
+                chosen = specialize(current, unclassified)
+                if chosen is None:
+                    break
+                if chosen is not current:
+                    current = chosen
+                    continue
+            descending = False
+            for successor in unclassified:
+                if not budget_left():
+                    break
+                if state.is_classified(successor):
+                    continue  # classified by an earlier ask in this scan
+                if ask(successor):
+                    current = successor
+                    descending = True
+                    break
+        yield current
+
+
 def vertical_mine(
     space: AssignmentSpace[Node],
     support_oracle: SupportOracle,
@@ -92,103 +144,52 @@ def vertical_mine(
     """
     rng = rng if rng is not None else random.Random(0)
     obs = get_tracer()
-    state: ClassificationState[Node] = ClassificationState(space)
-    tracker: MspTracker[Node] = MspTracker(space, state)
-    trace = MiningTrace()
-    progress = ValidProgress(state, valid_nodes) if valid_nodes is not None else None
-    targets = TargetTracker(state, target_msps) if target_msps is not None else None
-    questions = 0
-    msps: List[Node] = []
 
-    def sample() -> None:
-        classified_valid = progress.refresh() if progress is not None else 0
-        targets_found = targets.refresh() if targets is not None else 0
-        tracker.refresh()
-        confirmed, confirmed_valid = tracker.counts()
-        trace.sample(questions, confirmed, confirmed_valid, classified_valid, targets_found)
+    def prune(node: Node) -> Sequence[Node]:
+        if rng.random() >= pruning_ratio:
+            return ()
+        if obs is not None:
+            obs.count("crowd.pruning_clicks")
+        return prune_oracle(node)  # type: ignore[misc]
 
-    def ask(node: Node) -> bool:
-        nonlocal questions
-        questions += 1
+    probe: Probe[Node] = Probe(
+        space,
+        support_oracle,
+        threshold,
+        prune=prune if prune_oracle is not None else None,
+        valid_nodes=valid_nodes,
+        target_msps=target_msps,
+    )
+
+    def specialize(current: Node, unclassified: List[Node]) -> Optional[Node]:
+        if rng.random() >= specialization_ratio:
+            return current
+        probe.questions += 1
         if obs is not None:
             obs.count("crowd.questions")
-            obs.count("crowd.questions.concrete")
-            obs.count("mining.classified.by_crowd")
-        support = support_oracle(node)
-        significant = support >= threshold
-        if significant:
-            state.mark_significant(node)
-            tracker.note_significant(node)
-        else:
-            state.mark_insignificant(node)
-        if prune_oracle is not None and rng.random() < pruning_ratio:
+            obs.count("crowd.questions.specialization")
+        chosen = specialization_oracle(current, unclassified)  # type: ignore[misc]
+        if chosen is None:
+            # "none of these": every offered candidate is support 0
             if obs is not None:
-                obs.count("crowd.pruning_clicks")
-            for pruned in prune_oracle(node):
-                state.mark_insignificant(pruned)
-        sample()
-        return significant
+                obs.count("crowd.none_of_these")
+            for candidate in unclassified:
+                probe.state.mark_insignificant(candidate)
+        else:
+            probe.mark(chosen, True)
+        probe.sample()
+        return chosen
 
     def budget_left() -> bool:
-        return max_questions is None or questions < max_questions
+        return max_questions is None or probe.questions < max_questions
 
     with _obs_span("mine.vertical"):
-        while budget_left():
-            current = find_minimal_unclassified(space, state)
-            if current is None:
-                break
-            if not ask(current):
-                continue
-            # inner loop: chase significant successors
-            descending = True
-            while descending and budget_left():
-                unclassified = [
-                    s for s in space.successors(current) if not state.is_classified(s)
-                ]
-                if not unclassified:
-                    break
-                if (
-                    specialization_oracle is not None
-                    and rng.random() < specialization_ratio
-                ):
-                    questions += 1
-                    if obs is not None:
-                        obs.count("crowd.questions")
-                        obs.count("crowd.questions.specialization")
-                    chosen = specialization_oracle(current, unclassified)
-                    if chosen is None:
-                        # "none of these": every offered candidate is support 0
-                        if obs is not None:
-                            obs.count("crowd.none_of_these")
-                        for candidate in unclassified:
-                            state.mark_insignificant(candidate)
-                        sample()
-                        break
-                    state.mark_significant(chosen)
-                    tracker.note_significant(chosen)
-                    sample()
-                    current = chosen
-                    continue
-                descending = False
-                for successor in unclassified:
-                    if not budget_left():
-                        break
-                    if state.is_classified(successor):
-                        continue  # classified by an earlier ask in this scan
-                    if ask(successor):
-                        current = successor
-                        descending = True
-                        break
-            msps.append(current)
-
-    unique_msps: List[Node] = []
-    seen: Set[Node] = set()
-    for node in msps:
-        if node not in seen:
-            seen.add(node)
-            unique_msps.append(node)
-    valid_msps = [n for n in unique_msps if space.is_valid(n)]
-    if obs is not None:
-        obs.count("mining.msps.found", len(unique_msps))
-        obs.count("mining.msps.valid", len(valid_msps))
-    return MiningResult(unique_msps, valid_msps, questions, trace, state)
+        msps = list(
+            vertical_walk(
+                probe,
+                probe.ask,
+                budget_left,
+                specialize if specialization_oracle is not None else None,
+            )
+        )
+    return probe.result(msps)

@@ -1,4 +1,4 @@
-"""Ontology layer: facts, fact-sets, the indexed triple store and reasoning."""
+"""Ontology layer: facts, fact-sets and the indexed triple store."""
 
 from .facts import Fact, FactSet, as_fact, fact_set, parse_fact_set
 from .graph import (
@@ -8,7 +8,6 @@ from .graph import (
     TAXONOMY_RELATIONS,
     Ontology,
 )
-from .reasoner import Reasoner
 from .turtle import TurtleSyntaxError, dump, dumps, load, loads
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "Fact",
     "FactSet",
     "Ontology",
-    "Reasoner",
     "TurtleSyntaxError",
     "as_fact",
     "dump",

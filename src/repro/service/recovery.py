@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..assignments.assignment import Assignment
 from ..assignments.generator import QueryAssignmentSpace
+from ..crowd.cache import CrowdCache
 from ..crowd.journal import DurableCrowdCache, JournalRecord, replay_journal
 from ..observability import count as _obs_count, span as _obs_span
 from .manager import SessionManager
@@ -105,6 +106,41 @@ def resolve_journal(
     return resolved, remaining
 
 
+def resume_session(
+    manager: SessionManager,
+    query_text: str,
+    records: Sequence[JournalRecord],
+    make_cache: Callable[[Dict[Assignment, List[Tuple[str, float]]]], CrowdCache],
+    *,
+    session_id: str,
+    sample_size: Optional[int] = None,
+    include_invalid: bool = False,
+) -> Tuple[QuerySession, int]:
+    """Re-create a session from its journaled answers.
+
+    Builds the query's assignment space, resolves ``records`` onto it
+    (:func:`resolve_journal`), hands the resolved answers to ``make_cache``
+    and resumes through ``create_session(..., resume=True)``, so
+    acknowledged answers are never asked again.  Returns the session and
+    the number of answers restored.  Both :func:`restore_session` and the
+    gateway's journal restore come here.
+    """
+    parsed = manager.engine._as_query(query_text)
+    space = manager.engine.build_space(parsed)
+    resolved, unresolved = resolve_journal(space, parsed.threshold, records)
+    if unresolved:
+        _obs_count("recovery.answers.unresolved", unresolved)
+    session = manager.create_session(
+        query_text,
+        session_id=session_id,
+        cache=make_cache(resolved),
+        resume=True,
+        sample_size=sample_size,
+        include_invalid=include_invalid,
+    )
+    return session, sum(len(answers) for answers in resolved.values())
+
+
 def restore_session(
     manager: SessionManager,
     *,
@@ -120,31 +156,26 @@ def restore_session(
     the journal's string keys to live assignments, reopens the journal as
     a preloaded :class:`~repro.crowd.journal.DurableCrowdCache` (new
     answers keep appending; replayed identities stay idempotent) and
-    resumes through ``create_session(..., resume=True)``.  With
-    ``checkpoint_every > 0`` the restored session continues writing
-    checkpoints to the same path.
+    resumes through ``create_session(..., resume=True)``
+    (:func:`resume_session`).  With ``checkpoint_every > 0`` the restored
+    session continues writing checkpoints to the same path.
     """
     with _obs_span("recovery.restore"):
         payload = read_checkpoint(checkpoint_path)
-        query_text = str(payload["query"])
         raw_sample = payload.get("sample_size")
-        sample_size = int(raw_sample) if isinstance(raw_sample, int) else None
-        include_invalid = bool(payload.get("include_invalid", False))
-        sid = session_id if session_id is not None else str(payload["session_id"])
-        parsed = manager.engine._as_query(query_text)
-        space = manager.engine.build_space(parsed)
         records, _corrupt = replay_journal(journal_path)
-        resolved, unresolved = resolve_journal(space, parsed.threshold, records)
-        if unresolved:
-            _obs_count("recovery.answers.unresolved", unresolved)
-        cache = DurableCrowdCache(journal_path, preload=resolved, fsync=fsync)
-        session = manager.create_session(
-            query_text,
-            session_id=sid,
-            cache=cache,
-            resume=True,
-            sample_size=sample_size,
-            include_invalid=include_invalid,
+        session, _restored = resume_session(
+            manager,
+            str(payload["query"]),
+            records,
+            lambda resolved: DurableCrowdCache(
+                journal_path, preload=resolved, fsync=fsync
+            ),
+            session_id=(
+                session_id if session_id is not None else str(payload["session_id"])
+            ),
+            sample_size=int(raw_sample) if isinstance(raw_sample, int) else None,
+            include_invalid=bool(payload.get("include_invalid", False)),
         )
         if checkpoint_every > 0:
             session.enable_checkpoints(checkpoint_path, every=checkpoint_every)

@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.datasets import running_example
 from repro.ontology import turtle
@@ -70,6 +75,23 @@ class TestRunCommand:
     def test_run_demo_domain(self, capsys):
         assert main(["run", "--domain", "demo"]) == 0
         assert "question(s) asked" in capsys.readouterr().out
+
+    def test_counters_independent_of_hash_seed(self, tmp_path):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        counters = []
+        for hash_seed in ("0", "1"):
+            stats = tmp_path / f"stats-{hash_seed}.json"
+            subprocess.run(
+                [sys.executable, "-m", "repro", "run", "--domain", "travel",
+                 "--threshold", "0.5", "--crowd-size", "6",
+                 "--stats-json", str(stats)],
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src),
+                capture_output=True,
+                check=True,
+            )
+            counters.append(json.loads(stats.read_text())["counters"])
+        assert counters[0]["tid_index.witness.hits"] > 0
+        assert counters[0] == counters[1]
 
     def test_run_custom_single_user(self, tmp_path, ontology_file, capsys):
         query = tmp_path / "q.oql"

@@ -9,8 +9,8 @@ from repro.crowd import CrowdCache, FixedSampleAggregator
 from repro.mining import (
     FunctionUser,
     MultiUserMiner,
-    ReplayUser,
     brute_force_msps,
+    replay_from_cache,
 )
 
 
@@ -110,9 +110,7 @@ class TestCacheAndReplay:
         users = unanimous_users(3)
         original = MultiUserMiner(dag, users, aggregator, cache=cache).run()
 
-        replay_users = [ReplayUser(f"u{i}", cache) for i in range(3)]
-        replay_aggregator = FixedSampleAggregator(0.5, sample_size=3)
-        replayed = MultiUserMiner(dag, replay_users, replay_aggregator).run()
+        replayed = replay_from_cache(dag, cache, 0.5, sample_size=3)
         assert set(replayed.msps) == set(original.msps)
 
     def test_replay_at_higher_threshold_uses_fewer_answers(self, dag):
@@ -129,10 +127,7 @@ class TestCacheAndReplay:
             dag, users, FixedSampleAggregator(0.4, sample_size=3), cache=cache
         ).run()
 
-        replay_users = [ReplayUser(f"u{i}", cache) for i in range(3)]
-        high = MultiUserMiner(
-            dag, replay_users, FixedSampleAggregator(0.6, sample_size=3)
-        ).run()
+        high = replay_from_cache(dag, cache, 0.6, sample_size=3)
         assert high.questions <= low.questions
         assert set(high.msps) == {1, 2}
 

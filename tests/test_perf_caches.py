@@ -1,10 +1,9 @@
 """Behavioural tests for the perf-PR caches and their invalidation.
 
 Covers the satellite fixes: the SPARQL engine no longer retains a stale
-tracer across evaluations, the label reverse index stays consistent,
-Reasoner memos invalidate on the version stamps, the personal-database hit
-memo is bounded, and the engine's closure caches drop when the ontology
-mutates mid-lifetime.
+tracer across evaluations, the label reverse index stays consistent, the
+personal-database hit memo is bounded, and the engine's closure caches drop
+when the ontology mutates mid-lifetime.
 """
 
 import pytest
@@ -13,7 +12,6 @@ from repro.crowd.personal_db import HITS_CACHE_MAX, PersonalDatabase
 from repro.observability import Tracer, tracing
 from repro.ontology.facts import fact_set
 from repro.ontology.graph import Ontology
-from repro.ontology.reasoner import Reasoner
 from repro.sparql.engine import SparqlEngine
 from repro.sparql.parser import parse_bgp
 from repro.vocabulary.terms import Element
@@ -114,36 +112,6 @@ class TestEngineCacheInvalidation:
             list(engine.solutions(bgp))
             list(engine.solutions(bgp))
         assert tracer.value("sparql.closure_cache.hits") >= 1
-
-
-class TestReasonerMemos:
-    def test_instances_memo_invalidated_by_new_fact(self, ontology):
-        reasoner = Reasoner(ontology)
-        assert Element("GordonBeach") in reasoner.instances("Attraction")
-        ontology.add(("Pine", "instanceOf", "Beach"))
-        assert Element("Pine") in reasoner.instances("Attraction")
-
-    def test_instances_memo_repeated_query(self, ontology):
-        reasoner = Reasoner(ontology)
-        first = reasoner.instances("Attraction")
-        assert reasoner.instances("Attraction") is first
-
-    def test_lub_memo_invalidated_by_taxonomy_growth(self, ontology):
-        reasoner = Reasoner(ontology)
-        lub = reasoner.least_upper_bounds(Element("Biking"), Element("Swimming"))
-        assert Element("Sport") in lub
-        ontology.add(("WaterSport", "subClassOf", "Sport"))
-        ontology.add(("Swimming", "subClassOf", "WaterSport"))
-        refreshed = reasoner.least_upper_bounds(
-            Element("Biking"), Element("Swimming")
-        )
-        assert Element("Sport") in refreshed
-
-    def test_lub_memo_symmetric(self, ontology):
-        reasoner = Reasoner(ontology)
-        ab = reasoner.least_upper_bounds(Element("Biking"), Element("Swimming"))
-        ba = reasoner.least_upper_bounds(Element("Swimming"), Element("Biking"))
-        assert ab is ba
 
 
 class TestBoundedHitsCache:

@@ -12,10 +12,11 @@ import pytest
 
 from repro import OassisEngine
 from repro.datasets import running_example
-from repro.engine import AnswerOutcome
+from repro.engine import AnswerOutcome, MemberUser
 from repro.mining.state import Status
 from repro.service import ServiceConfig
 from repro.service.simulation import DOMAINS
+from repro.vocabulary import Element
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +234,27 @@ class TestAttemptBound:
                 clock.advance(1.0)
         assert manager.all_done()
         assert session.state.value == "completed"
+
+
+class TestPruneRule:
+    """A served pruning click drops exactly what a batch one drops."""
+
+    def test_served_prune_drops_a_more_extension(self):
+        travel = DOMAINS["travel"]()
+        engine = OassisEngine(travel.ontology)
+        queue = engine.queue_manager(travel.query(0.5), more_pool=travel.more_pool)
+        root = queue.next_question("m").assignment
+        # the MORE extension naming Rent Bikes only in its MORE fact
+        (extension,) = [s for s in queue.space.successors(root) if s.more]
+        token = Element("Rent Bikes")
+        assert all(token not in values for values in extension.values.values())
+        batch_user = MemberUser(travel.build_crowd(size=1, seed=0)[0], queue.space)
+        assert batch_user.matches_prune(extension, token)
+
+        assert queue.submit_prune("m", token, root) is AnswerOutcome.PRUNED
+        assert queue.requeue_for("m", extension)
+        handed = queue.next_question("m")
+        assert handed is None or handed.assignment != extension
 
 
 def _concrete(question):
