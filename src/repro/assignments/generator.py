@@ -26,6 +26,8 @@ pinned at wildcard values, which the fact order treats as "anything".
 from __future__ import annotations
 
 import itertools
+import math
+import time
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..observability import count as _obs_count, get_tracer, span as _obs_span
@@ -97,7 +99,9 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         self._succ_cache: Dict[Assignment, List[Assignment]] = {}
         self._pred_cache: Dict[Assignment, List[Assignment]] = {}
         self._valid_cache: Dict[Assignment, bool] = {}
-        self._expansion_cache: Dict[Assignment, bool] = {}
+        # in_expansion verdicts per shared-variable value projection: MORE
+        # facts and free variables never enter the verdict
+        self._expansion_cache: Dict[Tuple[FrozenSet[Term], ...], bool] = {}
         self._roots_cache: Optional[List[Assignment]] = None
         # MORE facts proposed by the crowd (the UI's "more" button): extra
         # successors registered per node, verified like any other assignment
@@ -118,9 +122,13 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         self._digest_stamp: Tuple[int, int] = (-1, -1)
         self._left_digest: Dict[Assignment, tuple] = {}
         self._right_digest: Dict[Assignment, tuple] = {}
-        # chain-partition sort keys for ordered_successors (lazy)
-        self._chain_stamp: Tuple[int, int] = (-1, -1)
-        self._chain_pos: Dict[Term, Tuple[int, int]] = {}
+        # memos derived from the orders, dropped when their stamp moves:
+        # chain-partition sort keys (lazy), ordered_successors lists, and
+        # addable values per (variable, value set)
+        self._memo_stamp: Tuple[int, int] = (-1, -1)
+        self._chain_pos: Optional[Dict[Term, Tuple[int, int]]] = None
+        self._ordered: Dict[Assignment, List[Assignment]] = {}
+        self._addable: Dict[Tuple[str, FrozenSet[Term]], List[Term]] = {}
 
     # ------------------------------------------------------------ valid base
 
@@ -293,16 +301,33 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         cached = self._top_cache.get(name)
         if cached is not None:
             return cached
-        universe = self.universe(name)
-        result = frozenset(
-            u
-            for u in universe
-            if not any(
-                u != w and self.vocabulary.leq(w, u) for w in universe
-            )
-        )
+        result = frozenset(self._most_general(self.universe(name)))
         self._top_cache[name] = result
         return result
+
+    def _most_general(self, terms: Iterable[Term]) -> List[Term]:
+        """The ``terms`` no other one of them generalizes, in input order.
+
+        One AND per term of its ancestor bitset with the id bits of all
+        ``terms`` in its order, where a pairwise ``Vocabulary.leq`` loop
+        was quadratic.  A term the orders do not register relates only to
+        itself, so it is always kept and never hides another.
+        """
+        orders = (self.vocabulary.element_order, self.vocabulary.relation_order)
+        members = [0, 0]
+        placed = []
+        for term in terms:
+            kind = 0 if isinstance(term, Element) else 1
+            tid = orders[kind].term_id(term)
+            placed.append((term, kind, tid))
+            if tid is not None:
+                members[kind] |= 1 << tid
+        return [
+            term
+            for term, kind, tid in placed
+            if tid is None
+            or orders[kind].ancestors_bits(term) & members[kind] == 1 << tid
+        ]
 
     # ------------------------------------------------------- space interface
 
@@ -337,51 +362,73 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
             if tracer is not None:
                 tracer.count("lattice.succ_cache.hits")
             return list(cached)
-        if tracer is not None:
+        if tracer is None:
+            out = self._expand(node)
+        else:
             tracer.count("lattice.succ_cache.misses")
-        with _obs_span("lattice.expand"):
-            out: List[Assignment] = []
-            seen: Set[Assignment] = set()
-
-            def emit(candidate: Assignment) -> None:
-                if (
-                    candidate not in seen
-                    and candidate != node
-                    and self.leq(node, candidate)
-                    and self.in_expansion(candidate)
-                ):
-                    seen.add(candidate)
-                    out.append(candidate)
-
-            for name in self._sat_vars:
-                universe = self.universe(name)
-                current = node.get(name)
-                # (i) specialize one value by one taxonomy edge (the sorted
-                # child tuples are memoized in the orders, so expansion is
-                # deterministic and allocation-free per step)
-                for value in current:
-                    for child in self.vocabulary.children_sorted(value):
-                        if child in universe:
-                            emit(
-                                node.with_replaced_value(
-                                    self.vocabulary, name, value, child
-                                )
-                            )
-                # (ii) add an incomparable value (lazy combination, Prop. 5.1)
-                if len(current) < self._max_values(name):
-                    for candidate in self._addable_values(name, current):
-                        emit(node.with_value(self.vocabulary, name, candidate))
-            # (iii) append a MORE fact from the configured pool
-            if self.satisfying.more and len(node.more) < self.max_more_facts:
-                for fact in self.more_pool:
-                    emit(node.with_more_fact(self.vocabulary, fact))
-            # (iv) crowd-proposed MORE extensions (the UI's "more" button)
-            for proposed in self._proposed_more.get(node, ()):
-                emit(proposed)
-            self._succ_cache[node] = out
-            if tracer is not None and out:
+            start = time.perf_counter()
+            with tracer.span("lattice.expand"):
+                out = self._expand(node)
+            # a cold expansion sits between a member's answer and their
+            # next question: its tail is what the question gap feels
+            tracer.observe("lattice.latency.expand", time.perf_counter() - start)
+            if out:
                 tracer.count("lattice.successors.generated", len(out))
-            return list(out)
+        self._succ_cache[node] = out
+        return list(out)
+
+    def _expand(self, node: Assignment) -> List[Assignment]:
+        """Generate the successors of ``node`` (the uncached path)."""
+        out: List[Assignment] = []
+        seen: Set[Assignment] = set()
+
+        def emit(candidate: Assignment) -> None:
+            if candidate not in seen and self._admits(node, candidate):
+                seen.add(candidate)
+                out.append(candidate)
+
+        for name in self._sat_vars:
+            universe = self.universe(name)
+            current = node.get(name)
+            # (i) specialize one value by one taxonomy edge (the sorted
+            # child tuples are memoized in the orders, so expansion is
+            # deterministic and allocation-free per step)
+            for value in current:
+                for child in self.vocabulary.children_sorted(value):
+                    if child in universe:
+                        emit(
+                            node.with_replaced_value(
+                                self.vocabulary, name, value, child
+                            )
+                        )
+            # (ii) add an incomparable value (lazy combination, Prop. 5.1)
+            if len(current) < self._max_values(name):
+                for candidate in self._addable_values(name, current):
+                    emit(node.with_value(self.vocabulary, name, candidate))
+        # (iii) append a MORE fact from the configured pool
+        if self.satisfying.more and len(node.more) < self.max_more_facts:
+            for fact in self.more_pool:
+                emit(node.with_more_fact(self.vocabulary, fact))
+        # (iv) crowd-proposed MORE extensions (the UI's "more" button)
+        for proposed in self._proposed_more.get(node, ()):
+            emit(proposed)
+        return out
+
+    def _admits(self, node: Assignment, candidate: Assignment) -> bool:
+        """Is ``candidate`` a successor of ``node``: strictly more specific
+        and inside the expansion ``A``?"""
+        return (
+            candidate != node
+            and self.leq(node, candidate)
+            and self.in_expansion(candidate)
+        )
+
+    def materialized_nodes(self) -> Set[Assignment]:
+        """Every node expanded so far and every successor it generated."""
+        nodes = set(self._succ_cache)
+        for successors in self._succ_cache.values():
+            nodes.update(successors)
+        return nodes
 
     def ordered_successors(self, node: Assignment) -> List[Assignment]:
         """Successors in chain-partitioned question order.
@@ -392,14 +439,26 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         first (ordered by chain, then position), then added incomparable
         values, then MORE extensions.  The order is fully deterministic —
         ties break on ``repr`` — which also makes runs reproducible across
-        interpreter hash seeds.
+        interpreter hash seeds.  Each node is sorted once per order stamp.
         """
-        successors = self.successors(node)
-        if len(successors) <= 1:
-            return list(successors)
-        return sorted(
-            successors, key=lambda s: self._successor_sort_key(node, s)
-        )
+        self._sync_memos()
+        ordered = self._ordered.get(node)
+        if ordered is None:
+            ordered = sorted(
+                self.successors(node),
+                key=lambda s: self._successor_sort_key(node, s),
+            )
+            self._ordered[node] = ordered
+        return list(ordered)
+
+    def _sync_memos(self) -> None:
+        """Drop the order-derived memos when either order's version moved."""
+        stamp = self.order_stamp()
+        if stamp != self._memo_stamp:
+            self._memo_stamp = stamp
+            self._chain_pos = None
+            self._ordered.clear()
+            self._addable.clear()
 
     def _successor_sort_key(
         self, node: Assignment, successor: Assignment
@@ -421,9 +480,9 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         return (3, 0, 0, repr(successor))
 
     def _chain_position(self, value: Term) -> Tuple[int, int]:
-        """Chain coordinates of ``value`` across both orders (memoized)."""
-        stamp = self.order_stamp()
-        if stamp != self._chain_stamp:
+        """Chain coordinates of ``value`` across both orders (memoized at
+        the stamp :meth:`_sync_memos` last saw)."""
+        if self._chain_pos is None:
             element_chains = self.vocabulary.element_order.chain_partition()
             relation_chains = self.vocabulary.relation_order.chain_partition()
             offset = len(element_chains)
@@ -431,7 +490,6 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
             for term, (chain_id, position) in relation_chains.items():
                 merged[term] = (chain_id + offset, position)
             self._chain_pos = merged
-            self._chain_stamp = stamp
         return self._chain_pos.get(value, (-1, 0))
 
     def propose_more_fact(self, node: Assignment, fact: Fact) -> Optional[Assignment]:
@@ -441,9 +499,11 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         MORE facts at every assignment (which would multiply the question
         load), extensions enter the DAG only when a member volunteers one;
         the extension is then verified with concrete questions like any
-        other assignment.  Returns the extended assignment, or None when the
-        query has no MORE clause, the extension budget is exhausted, or the
-        fact adds nothing.
+        other assignment.  When ``node`` is already expanded, the extension
+        joins the end of its successor list through the checks expansion
+        applies, so the list equals a fresh expansion's.  Returns the
+        extended assignment, or None when the query has no MORE clause, the
+        extension budget is exhausted, or the fact adds nothing.
         """
         if not self.satisfying.more or len(node.more) >= self.max_more_facts:
             return None
@@ -453,7 +513,15 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         bucket = self._proposed_more.setdefault(node, [])
         if extended not in bucket:
             bucket.append(extended)
-            self._succ_cache.pop(node, None)
+            cached = self._succ_cache.get(node)
+            if (
+                cached is not None
+                and extended not in cached
+                and self._admits(node, extended)
+            ):
+                cached.append(extended)
+                self._ordered.pop(node, None)
+                _obs_count("lattice.successors.generated")
         return extended
 
     def predecessors(self, node: Assignment) -> List[Assignment]:
@@ -679,39 +747,40 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         *witness* values among the valid tuples, then search for a coherent
         witness grid: one witness set per variable whose full cross product
         consists of valid tuples (this is exactly what a valid assignment
-        with multiplicities looks like, by Proposition 5.1).  Free variables
-        and MORE facts are unconstrained.
+        with multiplicities looks like, by Proposition 5.1; see
+        :meth:`_witness_grid_exists`).  Free variables and MORE facts are
+        unconstrained, so the verdict is computed once per projection of
+        ``node`` onto the WHERE-bound variables.
         """
-        cached = self._expansion_cache.get(node)
-        if cached is not None:
-            return cached
-        result = self._compute_in_expansion(node)
-        self._expansion_cache[node] = result
-        _obs_count("lattice.expansion.checks")
-        return result
+        projection = tuple(node.get(name) for name in self._shared_vars)
+        cached = self._expansion_cache.get(projection)
+        if cached is None:
+            cached = self._compute_in_expansion(projection)
+            self._expansion_cache[projection] = cached
+            _obs_count("lattice.expansion.checks")
+        return cached
 
-    def _compute_in_expansion(self, node: Assignment) -> bool:
-        dropped = frozenset(
-            name for name in self._shared_vars if not node.get(name)
-        )
+    def _compute_in_expansion(self, projection: Tuple[FrozenSet[Term], ...]) -> bool:
+        values = dict(zip(self._shared_vars, projection))
+        dropped = frozenset(name for name, vals in values.items() if not vals)
         constrained, tuples = self._reduced_solutions(dropped)
-        relevant = [name for name in constrained if node.get(name)]
+        relevant = [name for name in constrained if values[name]]
         if not relevant or not tuples:
             return bool(tuples) or not relevant
         index = self._get_tuple_index(dropped, constrained, tuples)
-        multi = [name for name in relevant if len(node.get(name)) > 1]
+        multi = [name for name in relevant if len(values[name]) > 1]
         if not multi:
             # single-valued: one dominating tuple suffices — AND the
             # per-(var, value) domination masks and test for a survivor
             surviving = -1
             for name in relevant:
-                (value,) = node.get(name)
+                (value,) = values[name]
                 _, dominated = self._witness_info(dropped, index, name, value)
                 surviving &= dominated
                 if not surviving:
                     return False
             return True
-        return self._witness_grid_exists(node, relevant, dropped, index)
+        return self._witness_grid_exists(values, relevant, dropped, index)
 
     def _get_tuple_index(
         self,
@@ -774,61 +843,47 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         self._witness_memo[key] = result
         return result
 
-    def _witness_grid_exists(self, node, relevant, dropped, index) -> bool:
-        """Search for per-variable witness sets whose grid is all-valid."""
-        # witness options per (variable, value)
-        options: List[Tuple[str, Tuple[Term, ...]]] = []
+    def _witness_grid_exists(self, values, relevant, dropped, index) -> bool:
+        """Is there a coherent witness grid for the multi-valued ``values``?
+
+        A grid picks one witness per (variable, value); it is coherent when
+        every selection of one picked witness per variable is a valid
+        tuple, so the picks form a valid assignment with multiplicities
+        that dominates ``values`` (Prop. 5.1).  A depth-first search makes
+        the picks one variable at a time and keeps, per selection over the
+        variables picked so far, the mask of the tuples realizing it: a pick
+        that empties one of those masks ends its branch, since every
+        selection extending it fails too.  The variable with the most
+        witness combinations goes last, where each of its values needs just
+        one witness meeting every partial mask: a scan, not a product.  Past
+        20,000 witness combinations the looser per-selection test decides.
+        """
+        per_var: List[List[Tuple[int, ...]]] = []
+        total = 1
         for name in relevant:
-            for value in sorted(node.get(name), key=lambda t: t.name):
+            bits = index[name]
+            options = []
+            for value in sorted(values[name], key=lambda t: t.name):
                 witnesses, _ = self._witness_info(dropped, index, name, value)
                 if not witnesses:
                     return False
-                options.append((name, witnesses))
+                options.append(tuple(bits[w] for w in witnesses))
+                total *= len(witnesses)
+            per_var.append(options)
+        if total > 20000:
+            return self._selectionwise_dominated(values, relevant, dropped, index)
+        # most witness combinations last
+        per_var.sort(key=lambda options: math.prod(map(len, options)))
+        return _grid_search(per_var[:-1], per_var[-1], (-1,))
 
-        def grid_ok(choice: Dict[str, Set[Term]]) -> bool:
-            # every cross-product selection of the chosen witness values
-            # must be realized by some tuple: AND the exact-value masks
-            value_lists = [
-                sorted(choice[n], key=lambda t: t.name) for n in relevant
-            ]
-            for combo in itertools.product(*value_lists):
-                mask = -1
-                for name, value in zip(relevant, combo):
-                    mask &= index[name].get(value, 0)
-                    if not mask:
-                        return False
-            return True
-
-        # brute force over witness choices with a safety cap
-        total = 1
-        for _, witnesses in options:
-            total *= len(witnesses)
-            if total > 20000:
-                # fall back to the (slightly looser) per-selection test
-                return self._selectionwise_dominated(node, relevant, dropped, index)
-        tried: Set[Tuple[Tuple[Term, ...], ...]] = set()
-        for combo in itertools.product(*(w for _, w in options)):
-            choice: Dict[str, Set[Term]] = {}
-            for (name, _), witness in zip(options, combo):
-                choice.setdefault(name, set()).add(witness)
-            fingerprint = tuple(
-                tuple(sorted(choice[n], key=lambda t: t.name)) for n in relevant
-            )
-            if fingerprint in tried:
-                continue
-            tried.add(fingerprint)
-            if grid_ok(choice):
-                return True
-        return False
-
-    def _selectionwise_dominated(self, node, relevant, dropped, index) -> bool:
+    def _selectionwise_dominated(self, values, relevant, dropped, index) -> bool:
         """Looser fallback: every single-value selection has a witness tuple."""
         masks: Dict[Tuple[str, Term], int] = {}
         for name in relevant:
-            for value in node.get(name):
+            for value in values[name]:
                 _, dominated = self._witness_info(dropped, index, name, value)
                 masks[(name, value)] = dominated
-        value_lists = [sorted(node.get(name)) for name in relevant]
+        value_lists = [sorted(values[name]) for name in relevant]
         for combo in itertools.product(*value_lists):
             surviving = -1
             for name, value in zip(relevant, combo):
@@ -866,21 +921,30 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
     def _addable_values(
         self, name: str, current: FrozenSet[Term]
     ) -> List[Term]:
-        """Most general universe values incomparable to all current values."""
-        universe = self.universe(name)
-        incomparable = [
-            u
-            for u in universe
-            if all(not self.vocabulary.comparable(u, v) for v in current)
-        ]
-        tops = [
-            u
-            for u in incomparable
-            if not any(
-                u != w and self.vocabulary.leq(w, u) for w in incomparable
-            )
-        ]
-        return sorted(tops, key=lambda t: t.name)
+        """Most general universe values incomparable to all current values
+        (memoized per (variable, value set) at the order stamp)."""
+        self._sync_memos()
+        key = (name, current)
+        cached = self._addable.get(key)
+        if cached is not None:
+            return cached
+        orders = (self.vocabulary.element_order, self.vocabulary.relation_order)
+        # the ids comparable to some current value, per order (a value the
+        # orders do not register is comparable only to itself)
+        related = [0, 0]
+        for value in current:
+            kind = 0 if isinstance(value, Element) else 1
+            order = orders[kind]
+            related[kind] |= order.ancestors_bits(value) | order.descendants_bits(value)
+        incomparable = []
+        for u in self.universe(name):
+            kind = 0 if isinstance(u, Element) else 1
+            tid = orders[kind].term_id(u)
+            if u not in current and (tid is None or not related[kind] >> tid & 1):
+                incomparable.append(u)
+        result = sorted(self._most_general(incomparable), key=lambda t: t.name)
+        self._addable[key] = result
+        return result
 
     def instantiate(self, node: Assignment) -> FactSet:
         """``φ(A_SAT)`` for this query's (blank-resolved) SATISFYING clause."""
@@ -917,6 +981,34 @@ def _more_leq(left_more: tuple, right_more: tuple) -> bool:
         else:
             return False
     return True
+
+
+def _grid_search(
+    head: List[List[Tuple[int, ...]]],
+    last: List[Tuple[int, ...]],
+    masks: Tuple[int, ...],
+) -> bool:
+    """Can one witness per value be picked, variable by variable, so that
+    every selection keeps a tuple?  ``masks`` are the tuple masks of the
+    selections over the variables picked so far; each variable is a list
+    of per-value witness masks, and ``last`` needs only a scan."""
+    if not head:
+        return all(
+            any(all(m & bits for m in masks) for bits in witnesses)
+            for witnesses in last
+        )
+    options, rest = head[0], head[1:]
+
+    def pick(k: int, grid: FrozenSet[int]) -> bool:
+        if k == len(options):
+            return _grid_search(rest, last, tuple(grid))
+        for bits in options[k]:
+            extended = [m & bits for m in masks]
+            if all(extended) and pick(k + 1, grid.union(extended)):
+                return True
+        return False
+
+    return pick(0, frozenset())
 
 
 _NO_VALUES: FrozenSet[Term] = frozenset()

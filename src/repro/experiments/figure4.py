@@ -225,7 +225,5 @@ def _generated_valid_count(space: QueryAssignmentSpace) -> int:
     the lazy generator during the run.
     """
     generated = set(space.valid_base_assignments())
-    generated.update(space._succ_cache)
-    for successors in space._succ_cache.values():
-        generated.update(successors)
+    generated.update(space.materialized_nodes())
     return sum(1 for node in generated if space.is_valid(node))

@@ -94,9 +94,7 @@ def plant_targets(
 def count_generated_nodes(space: QueryAssignmentSpace) -> int:
     """Nodes the lazy generator actually materialized during a run."""
     generated = set(space.roots())
-    generated.update(space._succ_cache)
-    for successors in space._succ_cache.values():
-        generated.update(successors)
+    generated.update(space.materialized_nodes())
     return len(generated)
 
 

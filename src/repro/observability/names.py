@@ -206,7 +206,8 @@ SPAN_NAMES: FrozenSet[str] = frozenset(
 
 #: every registered latency-histogram name (``Tracer.observe``); the
 #: ``gateway.latency.*`` family is one histogram per HTTP endpoint plus
-#: the MCP dispatch surface (see ``docs/GATEWAY.md``)
+#: the MCP dispatch surface (see ``docs/GATEWAY.md``), and
+#: ``lattice.latency.expand`` times each cold successor expansion
 HISTOGRAM_NAMES: FrozenSet[str] = frozenset(
     {
         "gateway.latency.activate",
@@ -220,6 +221,7 @@ HISTOGRAM_NAMES: FrozenSet[str] = frozenset(
         "gateway.latency.query",
         "gateway.latency.result",
         "gateway.poll.wait",
+        "lattice.latency.expand",
     }
 )
 

@@ -6,9 +6,14 @@ every other variable.  A per-selection check is not enough; these tests pin
 the difference down.
 """
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.assignments import Assignment, QueryAssignmentSpace
+from repro.assignments.generator import _grid_search
 from repro.oassisql import parse_query
 from repro.ontology import Fact, Ontology
 from repro.vocabulary import Element
@@ -87,3 +92,57 @@ class TestWitnessGrid:
     def test_traversal_never_generates_incoherent_combos(self, space):
         for node in space.all_nodes():
             assert space.in_expansion(node), node
+
+
+@st.composite
+def grid_problems(draw):
+    """Valid tuples over 2–4 variables, and per variable 1–2 values, each
+    with a list of witness values."""
+    domains = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    tuples = draw(
+        st.sets(
+            st.tuples(*[st.integers(0, size - 1) for size in domains]),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    witnesses = [
+        draw(
+            st.lists(
+                st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True),
+                min_size=1,
+                max_size=2,
+            )
+        )
+        for size in domains
+    ]
+    return tuples, witnesses
+
+
+@given(grid_problems())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_grid_search_equals_enumerating_every_pick(problem):
+    """Every variable order the search may take gives the enumeration's
+    verdict: some pick of one witness per value makes every selection
+    of one picked witness per variable a valid tuple."""
+    tuples, witnesses = problem
+    bit = {t: 1 << i for i, t in enumerate(sorted(tuples))}
+    masks = [
+        {w: sum(b for t, b in bit.items() if t[var] == w) for w in range(3)}
+        for var in range(len(witnesses))
+    ]
+    slots = [(var, options) for var, values in enumerate(witnesses) for options in values]
+    expected = False
+    for picks in itertools.product(*(options for _, options in slots)):
+        chosen = [set() for _ in witnesses]
+        for (var, _), w in zip(slots, picks):
+            chosen[var].add(w)
+        if all(sel in tuples for sel in itertools.product(*chosen)):
+            expected = True
+            break
+    per_var = [
+        [tuple(masks[var][w] for w in options) for options in values]
+        for var, values in enumerate(witnesses)
+    ]
+    for order in itertools.permutations(per_var):
+        assert _grid_search(list(order[:-1]), order[-1], (-1,)) == expected

@@ -250,6 +250,20 @@ class TestUniverses:
         assert fragment_space.top_values("y") == {E("Activity")}
 
 
+class TestMaterializedNodes:
+    def test_expanded_nodes_and_their_successors(self):
+        ontology = running_example.build_ontology()
+        space = QueryAssignmentSpace(
+            ontology, parse_query(running_example.FRAGMENT_QUERY), max_values_per_var=2
+        )
+        assert space.materialized_nodes() == set()
+        root = space.roots()[0]
+        first = space.successors(root)
+        assert space.materialized_nodes() == {root, *first}
+        second = space.successors(first[0])
+        assert space.materialized_nodes() == {root, *first, *second}
+
+
 class TestDigestLeq:
     """space.leq must equal the semantic Assignment.leq on real lattices."""
 

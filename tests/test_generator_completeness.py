@@ -3,7 +3,9 @@
 If the successor rules missed a member of the expansion set, the miner
 could silently miss MSPs.  These tests brute-force the expansion set of
 small random query spaces and check every member is reachable from the
-roots via ``successors``.
+roots via ``successors``.  Membership itself is held to Algorithm 1's
+definition by exhaustive enumeration, and the pruned witness-grid search
+to the enumeration it replaced, on seeded crowd runs.
 """
 
 import itertools
@@ -28,6 +30,10 @@ SATISFYING
   $x+ servedWith $y
 WITH SUPPORT = 0.5
 """
+
+#: both variables multi-valued: the witness-grid search picks across two
+#: variables, so it prunes between them and scans the last one
+TWO_PLUS_QUERY = QUERY.replace("$x+ servedWith $y", "$x+ servedWith $y+")
 
 
 @st.composite
@@ -64,28 +70,104 @@ def random_spaces(draw):
     for f, d in pairs:
         ontology.add(Fact(f"F{f}", "goesWith", f"D{d}"))
     ontology.vocabulary.add_relation("servedWith")
-    query = parse_query(QUERY)
+    query = parse_query(draw(st.sampled_from([QUERY, TWO_PLUS_QUERY])))
     return QueryAssignmentSpace(ontology, query, max_values_per_var=2)
+
+
+def value_sets(space: QueryAssignmentSpace, name: str):
+    """Singletons of ``name``'s universe, and pairs where its multiplicity
+    admits two values."""
+    universe = sorted(space.universe(name), key=str)
+    sets = [frozenset({v}) for v in universe]
+    (var,) = [v for v in space.satisfying.variables() if v.name == name]
+    if space.satisfying.multiplicity_of(var).admits(2):
+        sets += [frozenset(pair) for pair in itertools.combinations(universe, 2)]
+    return sets
+
+
+def candidate_nodes(space: QueryAssignmentSpace):
+    """Every canonical node over ``value_sets`` of ``x`` and ``y``."""
+    vocab = space.vocabulary
+    for x_values in value_sets(space, "x"):
+        for y_values in value_sets(space, "y"):
+            node = Assignment.make(vocab, {"x": x_values, "y": y_values})
+            # skip non-canonical value sets (comparable pairs collapse)
+            if len(node.get("x")) == len(x_values) and len(node.get("y")) == len(y_values):
+                yield node
 
 
 def brute_force_expansion(space: QueryAssignmentSpace):
     """All multiplicity-respecting members of ``A`` by exhaustive search."""
+    return [node for node in candidate_nodes(space) if space.in_expansion(node)]
+
+
+def dominated_by_a_valid_assignment(space: QueryAssignmentSpace, node) -> bool:
+    """Algorithm 1, line 1, by exhaustive enumeration: does some valid
+    assignment with multiplicities dominate ``node``?  Valid means every
+    selection of one value per variable is a WHERE tuple (Prop. 5.1)."""
     vocab = space.vocabulary
-    x_universe = sorted(space.universe("x"), key=str)
-    y_universe = sorted(space.universe("y"), key=str)
-    members = []
-    x_sets = [frozenset({v}) for v in x_universe] + [
-        frozenset(pair) for pair in itertools.combinations(x_universe, 2)
-    ]
-    for x_values in x_sets:
-        for y_value in y_universe:
-            node = Assignment.make(vocab, {"x": set(x_values), "y": {y_value}})
-            # skip non-canonical value sets (comparable pairs collapse)
-            if len(node.get("x")) != len(x_values):
-                continue
-            if space.in_expansion(node):
-                members.append(node)
-    return members
+    tuples = {(row.get("x"), row.get("y")) for row in space.where_solutions()}
+
+    def subsets(values):
+        values = sorted(values, key=str)
+        for size in range(1, len(values) + 1):
+            yield from itertools.combinations(values, size)
+
+    def dominates(grid_values, node_values):
+        return all(any(vocab.leq(v, w) for w in grid_values) for v in node_values)
+
+    for xs in subsets({x for x, _ in tuples}):
+        if not dominates(xs, node.get("x")):
+            continue
+        for ys in subsets({y for _, y in tuples}):
+            if dominates(ys, node.get("y")) and all(
+                pair in tuples for pair in itertools.product(xs, ys)
+            ):
+                return True
+    return False
+
+
+def enumerated_grid_exists(space, values, relevant, dropped, index) -> bool:
+    """The witness-grid test the pruned search replaced: every combination
+    of one witness per (variable, value), each checked as a whole grid,
+    with the same 20,000-combination cap and fallback."""
+    options = []
+    for name in relevant:
+        for value in sorted(values[name], key=lambda t: t.name):
+            witnesses, _ = space._witness_info(dropped, index, name, value)
+            if not witnesses:
+                return False
+            options.append((name, witnesses))
+
+    def grid_ok(choice):
+        value_lists = [sorted(choice[n], key=lambda t: t.name) for n in relevant]
+        for combo in itertools.product(*value_lists):
+            mask = -1
+            for name, value in zip(relevant, combo):
+                mask &= index[name].get(value, 0)
+                if not mask:
+                    return False
+        return True
+
+    total = 1
+    for _, witnesses in options:
+        total *= len(witnesses)
+        if total > 20000:
+            return space._selectionwise_dominated(values, relevant, dropped, index)
+    tried = set()
+    for combo in itertools.product(*(w for _, w in options)):
+        choice = {}
+        for (name, _), witness in zip(options, combo):
+            choice.setdefault(name, set()).add(witness)
+        fingerprint = tuple(
+            tuple(sorted(choice[n], key=lambda t: t.name)) for n in relevant
+        )
+        if fingerprint in tried:
+            continue
+        tried.add(fingerprint)
+        if grid_ok(choice):
+            return True
+    return False
 
 
 @given(random_spaces())
@@ -121,3 +203,58 @@ def test_valid_base_reachable(space):
     reachable = set(space.all_nodes())
     for base in space.valid_base_assignments():
         assert base in reachable
+
+
+@given(random_spaces())
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_in_expansion_is_algorithm_1_line_1(space):
+    for node in candidate_nodes(space):
+        assert space.in_expansion(node) == dominated_by_a_valid_assignment(
+            space, node
+        ), node
+
+
+@pytest.mark.parametrize(
+    "domain,threshold,max_values",
+    [("travel", 0.5, 2), ("travel", 0.3, 3), ("culinary", 0.3, 3)],
+)
+def test_search_matches_enumeration_on_seeded_runs(
+    monkeypatch, domain, threshold, max_values
+):
+    """Every multi-valued verdict of a seeded crowd run equals the
+    enumeration's, members and non-members of ``A`` alike."""
+    from repro.crowd import CrowdCache
+    from repro.engine.config import EngineConfig
+    from repro.engine.engine import OassisEngine
+    from repro.service.simulation import DOMAINS
+
+    verdicts = []
+    search = QueryAssignmentSpace._witness_grid_exists
+
+    def checked(self, values, relevant, dropped, index):
+        found = search(self, values, relevant, dropped, index)
+        expected = enumerated_grid_exists(self, values, relevant, dropped, index)
+        assert found == expected, values
+        verdicts.append(found)
+        return found
+
+    monkeypatch.setattr(QueryAssignmentSpace, "_witness_grid_exists", checked)
+    dataset = DOMAINS[domain]()
+    engine = OassisEngine(
+        dataset.ontology,
+        config=EngineConfig(max_values_per_var=max_values, max_more_facts=1),
+    )
+    result = engine.execute(
+        dataset.query(threshold),
+        dataset.build_crowd(size=6, seed=1000),
+        sample_size=3,
+        cache=CrowdCache(),
+        more_pool=dataset.more_pool,
+    )
+    assert result.questions > 0
+    assert True in verdicts

@@ -8,6 +8,7 @@ from repro.datasets import running_example
 from repro.engine.adapters import MemberUser
 from repro.mining import MultiUserMiner
 from repro.oassisql import parse_query
+from repro.observability import tracing
 from repro.ontology import Fact, fact_set
 from repro.vocabulary import Element
 from repro.vocabulary.terms import ANY_ELEMENT
@@ -72,6 +73,65 @@ class TestProposeMoreFact:
         assert space.propose_more_fact(
             node, Fact("Rent Bikes", "doAt", "Boathouse")
         ) is None
+
+
+class TestProposalsExtendTheExpansion:
+    """A tip on an expanded node joins the end of its successor list, as
+    a fresh expansion with the same proposals would list it."""
+
+    TIPS = (
+        Fact("Rent Bikes", "doAt", "Boathouse"),
+        Fact("Pasta", "eatAt", "Pine"),
+    )
+
+    def test_extended_lists_equal_a_fresh_space(self, space, biking_node):
+        expanded = list(space.successors(biking_node))
+        space.ordered_successors(biking_node)
+        for tip in self.TIPS:
+            space.propose_more_fact(biking_node, tip)
+        fresh = QueryAssignmentSpace(
+            space.ontology, space.query, max_values_per_var=2, max_more_facts=1
+        )
+        for tip in self.TIPS:
+            fresh.propose_more_fact(biking_node, tip)
+        assert space.successors(biking_node) == fresh.successors(biking_node)
+        assert space.successors(biking_node)[: len(expanded)] == expanded
+        assert len(space.successors(biking_node)) == len(expanded) + 2
+        assert space.ordered_successors(biking_node) == fresh.ordered_successors(
+            biking_node
+        )
+
+    def test_repeated_or_non_extending_tips_change_nothing(self, biking_node):
+        ontology = running_example.build_ontology()
+        space = QueryAssignmentSpace(
+            ontology,
+            parse_query(running_example.SAMPLE_QUERY),
+            max_values_per_var=2,
+            max_more_facts=2,
+        )
+        node = space.propose_more_fact(biking_node, self.TIPS[0])
+        listed = space.successors(node)
+        ordered = space.ordered_successors(node)
+        # the fact node already holds, and a wildcard generalization of it,
+        # extend nothing
+        assert space.propose_more_fact(node, self.TIPS[0]) is None
+        assert space.propose_more_fact(
+            node, Fact(ANY_ELEMENT, "doAt", "Boathouse")
+        ) is None
+        extended = space.propose_more_fact(node, self.TIPS[1])
+        assert space.propose_more_fact(node, self.TIPS[1]) == extended
+        assert space.successors(node) == listed + [extended]
+        assert space.ordered_successors(node) == ordered + [extended]
+
+    def test_generated_counts_the_extension_once(self, space, biking_node):
+        with tracing() as tracer:
+            listed = space.successors(biking_node)
+            assert tracer.value("lattice.successors.generated") == len(listed)
+            space.propose_more_fact(biking_node, self.TIPS[0])
+            space.successors(biking_node)
+            space.ordered_successors(biking_node)
+        assert tracer.value("lattice.successors.generated") == len(listed) + 1
+        assert tracer.value("lattice.succ_cache.misses") == 1
 
 
 class TestMemberTips:

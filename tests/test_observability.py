@@ -302,6 +302,17 @@ class TestEngineIntegration:
         )
         assert total > 0
 
+    def test_cold_expansions_fill_the_latency_histogram(self, traced):
+        # one sample per successor-cache miss: the expansions a member's
+        # next question waited on
+        tracer, result = traced
+        misses = tracer.value("lattice.succ_cache.misses")
+        assert misses > 0
+        assert tracer.histograms["lattice.latency.expand"].count == misses
+        summary = result.stats["histograms"]["lattice.latency.expand"]
+        assert summary["count"] == misses
+        assert 0.0 < summary["p99_s"] <= summary["max_s"]
+
     def test_render_report_on_real_run(self, traced):
         tracer, _ = traced
         text = render_report(tracer.report())
