@@ -3,8 +3,9 @@
 OASSIS's QueueManager hands out one question at a time; you answer on the
 paper's five-point frequency scale (never / rarely / sometimes / often /
 very often), can *specify* more detail implicitly by answering the follow-up
-questions the traversal generates, and can prune irrelevant values.  As
-answers accumulate, the confirmed recommendations update live.
+questions the traversal generates, and can prune irrelevant values by
+name, as the question shows them (``prune Ball Game``).  As answers
+accumulate, the confirmed recommendations update live.
 
 Run interactively::
 
@@ -23,28 +24,39 @@ from repro.datasets import running_example
 from repro.nlg import render_assignment
 
 
-def answer_interactively(question):
+def answer_interactively(text, vocab):
+    """Read one answer: ("support", s), ("prune", term) or ("quit", None)."""
     print()
-    print(f"Q: {question.text}")
+    print(f"Q: {text}")
     options = ", ".join(label for label, _ in FREQUENCY_SCALE)
     print(f"   ({options}; or 'prune <Value>' / 'quit')")
     while True:
-        raw = input("> ").strip().lower()
-        if raw in dict(FREQUENCY_SCALE):
-            return ("support", frequency_to_support(raw))
-        if raw.startswith("prune "):
-            return ("prune", raw[len("prune "):].strip())
-        if raw == "quit":
+        raw = input("> ").strip()
+        label = raw.lower()
+        if label in dict(FREQUENCY_SCALE):
+            return ("support", frequency_to_support(label))
+        if label.startswith("prune "):
+            # the value keeps its case: vocabulary names are case-sensitive
+            name = raw[len("prune "):].strip()
+            if vocab.has_element(name):
+                return ("prune", vocab.element(name))
+            if vocab.has_relation(name):
+                return ("prune", vocab.relation(name))
+            print(f"unknown value {name!r}; type it as the ontology names it, "
+                  "e.g. 'prune Ball Game'")
+            continue
+        if label == "quit":
             return ("quit", None)
         print("please answer with one of the frequency labels")
 
 
-def main():
+def main(argv=None):
+    """Run one session; returns its QueueManager."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--auto", action="store_true",
                         help="answer automatically from Table 3's u1+u2 average")
     parser.add_argument("--max-questions", type=int, default=40)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     ontology = running_example.build_ontology()
     engine = OassisEngine(
@@ -59,8 +71,7 @@ def main():
     databases = running_example.build_personal_databases()
     vocab = ontology.vocabulary
 
-    def auto_answer(question):
-        facts = qm.space.instantiate(question.assignment)
+    def auto_answer(facts):
         supports = [db.support(facts, vocab) for db in databases.values()]
         return sum(supports) / len(supports)
 
@@ -71,26 +82,27 @@ def main():
     member_id = "you"
     answered = 0
     while answered < args.max_questions:
-        question = qm.next_question(member_id)
-        if question is None:
+        batch = qm.next_batch(member_id)
+        if not batch:
             print("\nNo more questions — everything relevant is classified!")
             break
+        (node,) = batch
+        facts = qm.space.instantiate(node)
+        text = engine.templates.concrete_question(facts)
         if args.auto:
-            support = auto_answer(question)
-            print(f"Q: {question.text}")
+            support = auto_answer(facts)
+            print(f"Q: {text}")
             print(f"   (auto-answer: {support:.2f})")
-            qm.submit_support(member_id, support)
+            qm.submit_support(member_id, support, node)
         else:
-            kind, value = answer_interactively(question)
+            kind, value = answer_interactively(text, vocab)
             if kind == "quit":
                 break
             if kind == "prune":
-                from repro.vocabulary import Element
-
-                qm.submit_prune(member_id, Element(value))
-                print(f"   pruned everything involving {value!r}")
+                qm.submit_prune(member_id, value, node)
+                print(f"   pruned everything involving {value.name!r}")
             else:
-                qm.submit_support(member_id, value)
+                qm.submit_support(member_id, value, node)
         answered += 1
         msps = qm.current_msps()
         if msps:
@@ -102,6 +114,7 @@ def main():
     print("Final recommendations:")
     for msp in qm.current_msps():
         print(f"  * {render_assignment(msp)}")
+    return qm
 
 
 if __name__ == "__main__":

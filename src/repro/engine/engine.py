@@ -322,7 +322,10 @@ class OassisEngine:
         cache: Optional[CrowdCache] = None,
         more_pool: Optional[Iterable[Fact]] = None,
     ) -> QueueManager:
-        """An interactive QueueManager for UI-style integration."""
+        """The served walk over ``query``'s assignment space.
+
+        Callers render question text themselves (``self.templates``).
+        """
         run = self.config.override(sample_size=sample_size)
         parsed = self._as_query(query)
         space = self.build_space(
@@ -331,9 +334,7 @@ class OassisEngine:
         aggregator = FixedSampleAggregator(
             parsed.threshold, sample_size=run.sample_size
         )
-        return QueueManager(
-            space, aggregator, cache=cache, templates=self.config.templates
-        )
+        return QueueManager(space, aggregator, cache=cache)
 
     def session_manager(self, **options):
         """A :class:`~repro.service.SessionManager` serving this engine.

@@ -1,24 +1,26 @@
-"""QueueManager: the interactive question-queue façade (Section 6.1).
+"""QueueManager: the served walk (Section 6.1).
 
 Where :class:`~repro.mining.multiuser.MultiUserMiner` drives simulated
-members itself, :class:`QueueManager` inverts control for interactive use
-(the UI example and the :mod:`repro.service` session layer): callers pull
-questions for a member and push the member's answers back.  Internally it
-maintains the same global classification state, aggregator-driven
-inference and per-member traversal stacks, and prunes queued assignments
-that become irrelevant.
+members itself, :class:`QueueManager` inverts control for serving (the
+:mod:`repro.service` session layer, the shard coordinator and the
+interactive demo): callers pop askable nodes for a member and push the
+member's answers back.  Internally it keeps the same global
+classification state, aggregator-driven inference and per-member
+:class:`~repro.mining.multiuser.MemberWalk` as the batch walk.
 
-The pull/push surface speaks the *session vocabulary*:
+The pull/push surface:
 
-* :meth:`next_batch` hands out up to ``k`` questions at once (several may
-  be in flight per member); :meth:`next_question` is the ``k=1`` wrapper;
-* :meth:`submit_support` / :meth:`submit_prune` return an explicit
-  :class:`AnswerOutcome` instead of bare ``None``;
-* :meth:`expire_pending` requeues handed-out questions that timed out,
-  :meth:`skip_node` abandons a question for one member after retries are
-  exhausted, :meth:`requeue_for` reassigns an abandoned assignment to
-  another member, and :meth:`detach_member` releases every per-member
-  structure when a member departs — without it the stacks and visited
+* :meth:`next_batch` pops up to ``k`` askable nodes off the member's
+  stack and marks them visited; it keeps no record of the handed-out
+  node — the caller holds it (:class:`repro.service.manager.
+  SessionManager` alone records which member holds which node);
+* :meth:`submit_support` / :meth:`submit_prune` take the member's
+  answer for a node and return an explicit :class:`AnswerOutcome`; a
+  second answer from the same member for the same node is ``STALE``;
+* :meth:`expire_pending` puts a handed-out node back on the member's
+  stack unvisited (timeout path), :meth:`requeue_for` queues a node
+  another member abandoned, and :meth:`detach_member` releases the
+  member's walk when they depart — without it the stacks and visited
   sets of members that never answer leak for the lifetime of the run.
 
 Thread-safety: a QueueManager is *not* internally synchronized.  One
@@ -37,9 +39,7 @@ from ..crowd.aggregator import Aggregator
 from ..crowd.cache import CrowdCache
 from ..mining.multiuser import CrowdWalk, MemberWalk
 from ..mining.state import Status
-from ..nlg.templates import DEFAULT_TEMPLATES, QuestionTemplates
 from ..observability import count as _obs_count
-from ..ontology.facts import FactSet
 from ..vocabulary.terms import Term
 
 
@@ -50,11 +50,11 @@ class AnswerOutcome(enum.Enum):
     RECORDED = "recorded"
     #: the pruning click was recorded and the subtree dropped
     PRUNED = "pruned"
-    #: no matching pending question — a late answer for a question that
-    #: was already expired, reassigned or answered (service retry paths)
+    #: no matching question — a late answer for a question that was
+    #: already expired, reassigned or answered (service retry paths)
     STALE = "stale"
     #: the member explicitly declined the question (service layer only:
-    #: the node is abandoned for them via :meth:`QueueManager.skip_node`)
+    #: the node stays visited and unanswered for them)
     PASSED = "passed"
     #: the answer failed validation (out-of-range/NaN support) and was
     #: discarded; the question is requeued as if it had timed out
@@ -62,52 +62,19 @@ class AnswerOutcome(enum.Enum):
     REJECTED = "rejected"
 
 
-class PendingQuestion:
-    """A question handed to a member, awaiting their answer.
-
-    ``fact_set`` carries the instantiated assignment so answering code
-    (e.g. a simulated member, or a remote one behind the gateway) never
-    needs to touch the shared assignment space.
-    """
-
-    def __init__(
-        self,
-        member_id: str,
-        assignment: Assignment,
-        text: str,
-        fact_set: Optional[FactSet] = None,
-    ):
-        self.member_id = member_id
-        self.assignment = assignment
-        self.text = text
-        self.fact_set = fact_set
-
-    def __repr__(self) -> str:
-        return f"PendingQuestion({self.member_id!r}, {self.assignment!r})"
-
-
-class _MemberQueue(MemberWalk[Assignment]):
-    """A served member's walk plus the questions handed to them."""
-
-    def __init__(self, roots: List[Assignment]):
-        super().__init__(roots)
-        # assignment -> PendingQuestion, in hand-out order
-        self.pending: Dict[Assignment, PendingQuestion] = {}
-
-
 class QueueManager(CrowdWalk[Assignment]):
-    """Per-member question queues over a query assignment space."""
+    """The served walk: per-member stacks over a query assignment space."""
+
+    space: QueryAssignmentSpace
 
     def __init__(
         self,
         space: QueryAssignmentSpace,
         aggregator: Aggregator,
         cache: Optional[CrowdCache] = None,
-        templates: QuestionTemplates = DEFAULT_TEMPLATES,
-    ):
+    ) -> None:
         super().__init__(space, aggregator, cache)
-        self.templates = templates
-        self._walks: Dict[str, _MemberQueue] = {}
+        self._walks: Dict[str, MemberWalk[Assignment]] = {}
 
     @property
     def questions_asked(self) -> int:
@@ -117,21 +84,19 @@ class QueueManager(CrowdWalk[Assignment]):
     # -------------------------------------------------------------- members
 
     def register_member(self, member_id: str) -> None:
-        """Open a queue for ``member_id`` (idempotent)."""
+        """Open a walk for ``member_id`` (idempotent)."""
         if member_id not in self._walks:
-            self._walks[member_id] = _MemberQueue(self.space.roots())
+            self._walks[member_id] = MemberWalk(self.space.roots())
 
-    def detach_member(self, member_id: str) -> List[Assignment]:
-        """Release every structure held for ``member_id`` (departure).
+    def detach_member(self, member_id: str) -> None:
+        """Release the walk held for ``member_id`` (departure).
 
-        Returns the assignments of the member's pending questions so the
-        caller can reassign them (:meth:`requeue_for`).  Detaching an
-        unknown member returns ``[]``.  The member's recorded answers
-        remain in the aggregator and cache — departure abandons *future*
-        work, it does not unwind history.
+        The member's recorded answers remain in the aggregator and cache
+        — departure abandons *future* work, it does not unwind history.
+        Reassigning the nodes the member held is the holder's business
+        (:meth:`repro.service.manager.SessionManager.detach_member`).
         """
-        walk = self._walks.pop(member_id, None)
-        return list(walk.pending) if walk is not None else []
+        self._walks.pop(member_id, None)
 
     def is_registered(self, member_id: str) -> bool:
         return member_id in self._walks
@@ -146,48 +111,25 @@ class QueueManager(CrowdWalk[Assignment]):
         member_id: str,
         k: int = 1,
         *,
-        fresh_only: bool = False,
         exclude: Iterable[Assignment] = (),
-    ) -> List[PendingQuestion]:
-        """Up to ``k`` questions for ``member_id``; ``[]`` when dry.
+    ) -> List[Assignment]:
+        """Up to ``k`` askable nodes for ``member_id``; ``[]`` when dry.
 
-        Previously handed-out, unanswered questions are re-delivered first
-        (oldest first) unless ``fresh_only`` is set — the service layer
-        tracks its own in-flight set and asks only for new work.
-        ``exclude`` defers specific assignments without consuming them
-        (the retry-backoff window: the node stays queued but is not handed
-        out in this call).
+        Each node comes off the member's stack marked visited, so it is
+        not handed to them again unless :meth:`expire_pending` or
+        :meth:`requeue_for` puts it back.  ``exclude`` defers specific
+        nodes without consuming them (the retry-backoff window: the node
+        stays queued but is not handed out in this call).
         """
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
         self.register_member(member_id)
-        walk = self._walks[member_id]
-        batch = [] if fresh_only else list(walk.pending.values())[:k]
-        for node in self._pop(walk, k - len(batch), exclude):
-            fact_set = self.space.instantiate(node)
-            question = PendingQuestion(
-                member_id,
-                node,
-                self.templates.concrete_question(fact_set),
-                fact_set=fact_set,
-            )
-            walk.pending[node] = question
-            batch.append(question)
-        return batch
-
-    def next_question(self, member_id: str) -> Optional[PendingQuestion]:
-        """The next question for ``member_id``; None when their queue is dry.
-
-        A previously handed-out, unanswered question is returned again.
-        Equivalent to ``next_batch(member_id, k=1)``.
-        """
-        batch = self.next_batch(member_id, 1)
-        return batch[0] if batch else None
+        return self._pop(self._walks[member_id], k, exclude)
 
     def has_fresh_work(
         self, member_id: str, exclude: Iterable[Assignment] = ()
     ) -> bool:
-        """Would ``next_batch(fresh_only=True)`` yield anything for the member?
+        """Would :meth:`next_batch` yield anything for the member?
 
         The completion probe of the service layer.  Dead nodes encountered
         on the way (classified, personally pruned, already answered) are
@@ -204,7 +146,7 @@ class QueueManager(CrowdWalk[Assignment]):
 
     def _pop(
         self,
-        walk: _MemberQueue,
+        walk: MemberWalk[Assignment],
         k: int,
         exclude: Iterable[Assignment],
         peek: bool = False,
@@ -249,49 +191,36 @@ class QueueManager(CrowdWalk[Assignment]):
         stack.extend(reversed(deferred))
         return askable
 
-    def pending_for(self, member_id: str) -> List[PendingQuestion]:
-        """The member's handed-out, unanswered questions (oldest first)."""
-        walk = self._walks.get(member_id)
-        return list(walk.pending.values()) if walk is not None else []
+    def _answering(
+        self, member_id: str, node: Assignment
+    ) -> Optional[MemberWalk[Assignment]]:
+        """The walk an answer for ``node`` lands on; None when it is stale.
 
-    def _take_pending(
-        self, member_id: str, assignment: Optional[Assignment]
-    ) -> Optional[PendingQuestion]:
-        """Pop the addressed pending question; None signals a stale answer."""
+        Stale: the member has no walk (never registered, or departed) or
+        has already answered ``node``.
+        """
         walk = self._walks.get(member_id)
-        pending = walk.pending if walk is not None else {}
-        if assignment is None:
-            if not pending:
-                raise RuntimeError(f"no pending question for {member_id!r}")
-            assignment = next(iter(pending))
-        elif assignment not in pending:
+        if walk is None or node in walk.answers:
             _obs_count("crowd.answers.stale")
             return None
-        return pending.pop(assignment)
+        return walk
 
     def submit_support(
-        self,
-        member_id: str,
-        support: float,
-        assignment: Optional[Assignment] = None,
+        self, member_id: str, support: float, node: Assignment
     ) -> AnswerOutcome:
-        """Record a support answer for one of the member's pending questions.
+        """Record the member's support answer for ``node``.
 
-        ``assignment`` addresses the question being answered; omitted, the
-        oldest pending question is assumed (the pre-batching behaviour).
-        Answers addressed to a question no longer pending — expired and
-        reassigned while the member dawdled — are dropped as ``STALE``.
+        A second answer from the same member for the same node is dropped
+        as ``STALE``.
         """
         if not 0.0 <= support <= 1.0:
             raise ValueError(f"support must be in [0, 1], got {support}")
-        pending = self._take_pending(member_id, assignment)
-        if pending is None:
+        walk = self._answering(member_id, node)
+        if walk is None:
             return AnswerOutcome.STALE
         self.questions += 1
         _obs_count("crowd.questions")
         _obs_count("crowd.questions.concrete")
-        node = pending.assignment
-        walk = self._walks[member_id]
         walk.answers[node] = support
         self._record(node, member_id, support)
         if (
@@ -302,86 +231,52 @@ class QueueManager(CrowdWalk[Assignment]):
         return AnswerOutcome.RECORDED
 
     def submit_prune(
-        self,
-        member_id: str,
-        value: Term,
-        assignment: Optional[Assignment] = None,
+        self, member_id: str, value: Term, node: Assignment
     ) -> AnswerOutcome:
-        """Record a user-guided pruning click on a pending question.
+        """Record a user-guided pruning click on ``node``.
 
-        The pending question is answered with support 0 and every
-        assignment involving ``value`` (or a specialization) is dropped
-        from the member's queue (:meth:`Assignment.involves`).
+        ``node`` is answered with support 0 and every assignment
+        involving ``value`` (or a specialization) is dropped from the
+        member's walk (:meth:`Assignment.involves`).
         """
-        pending = self._take_pending(member_id, assignment)
-        if pending is None:
+        walk = self._answering(member_id, node)
+        if walk is None:
             return AnswerOutcome.STALE
         self.questions += 1
         _obs_count("crowd.questions")
         _obs_count("crowd.pruning_clicks")
-        walk = self._walks[member_id]
         walk.prune_tokens.append(value)
-        walk.answers[pending.assignment] = 0.0
-        self._record(pending.assignment, member_id, 0.0)
+        walk.answers[node] = 0.0
+        self._record(node, member_id, 0.0)
         return AnswerOutcome.PRUNED
 
     # ------------------------------------------------- timeout / reassignment
 
-    def expire_pending(
-        self, member_id: str, assignment: Optional[Assignment] = None
-    ) -> List[Assignment]:
-        """Return pending question(s) to the member's queue (timeout path).
+    def expire_pending(self, member_id: str, node: Assignment) -> None:
+        """Put a handed-out ``node`` back on the member's stack, unvisited.
 
-        The expired assignments go back onto the member's stack unvisited,
-        so a later :meth:`next_batch` hands them out again — combined with
-        its ``exclude`` window this implements retry-with-backoff.  With
-        ``assignment=None`` every pending question of the member expires.
-        Returns the expired assignments (``[]`` for unknown members).
+        The timeout path: a later :meth:`next_batch` hands it out again —
+        combined with its ``exclude`` window this implements
+        retry-with-backoff.  Unknown members are ignored.
         """
         walk = self._walks.get(member_id)
-        if walk is None or not walk.pending:
-            return []
-        pending = walk.pending
-        if assignment is None:
-            targets = list(pending)
-        elif assignment in pending:
-            targets = [assignment]
-        else:
-            return []
-        for node in targets:
-            del pending[node]
+        if walk is not None:
             walk.visited.discard(node)
             walk.stack.append(node)
-        return targets
 
-    def skip_node(self, member_id: str, assignment: Assignment) -> None:
-        """Abandon ``assignment`` for ``member_id`` (retries exhausted).
-
-        The node counts as visited-without-an-answer for this member: it
-        will not be handed to them again and its subtree is not explored
-        on their behalf.  Other members' traversals are unaffected.
-        """
-        walk = self._walks.get(member_id)
-        if walk is None:
-            return
-        walk.pending.pop(assignment, None)
-        walk.visited.add(assignment)
-
-    def requeue_for(self, member_id: str, assignment: Assignment) -> bool:
-        """Queue ``assignment`` for ``member_id`` (reassignment path).
+    def requeue_for(self, member_id: str, node: Assignment) -> bool:
+        """Queue ``node`` for ``member_id`` (reassignment path).
 
         Used when another member abandoned the node; it jumps to the top
         of this member's stack.  Returns False when the member has already
-        answered it (nothing to do), True when it was (re)queued.
+        answered it (nothing to do), True when it was queued.
         """
         self.register_member(member_id)
         walk = self._walks[member_id]
-        if assignment in walk.answers:
+        if node in walk.answers:
             return False
-        if assignment in walk.pending:
-            return True  # already handed out to them
-        walk.visited.discard(assignment)
-        walk.stack.append(assignment)
+        walk.visited.discard(node)
+        walk.stack.append(node)
         return True
 
     # --------------------------------------------------------------- results
@@ -422,13 +317,9 @@ class QueueManager(CrowdWalk[Assignment]):
         self.tracker.refresh(force=True)
         return sorted(self.tracker.confirmed_valid(), key=repr)
 
-    def has_pending(self) -> bool:
-        """Is any question currently handed out and unanswered?"""
-        return any(walk.pending for walk in self._walks.values())
-
     # --------------------------------------------------------------- helpers
 
-    def _push_successors(self, walk: _MemberQueue, node: Assignment) -> None:
+    def _push_successors(self, walk: MemberWalk[Assignment], node: Assignment) -> None:
         # this walk's push order: as listed, so the last successor pops
         # first (the batch walk pushes reversed chain order)
         visited, stack = walk.visited, walk.stack

@@ -38,7 +38,6 @@ from .chaos import (
     run_scenario,
 )
 from .plan import (
-    DuplicateDelivery,
     FaultKind,
     FaultPlan,
     FaultSpec,
@@ -51,7 +50,6 @@ __all__ = [
     "BreakerState",
     "ChaosReport",
     "CircuitBreaker",
-    "DuplicateDelivery",
     "FaultKind",
     "FaultPlan",
     "FaultSpec",

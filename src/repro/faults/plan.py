@@ -75,18 +75,6 @@ class FaultKind(enum.Enum):
     SLOW_CLIENT = "slow_client"
 
 
-class DuplicateDelivery:
-    """A member answer that must be submitted twice by the runner."""
-
-    __slots__ = ("support",)
-
-    def __init__(self, support: float) -> None:
-        self.support = support
-
-    def __repr__(self) -> str:
-        return f"DuplicateDelivery({self.support!r})"
-
-
 #: the support value malformed answers carry (far outside [0, 1])
 MALFORMED_SUPPORT = 7.5
 

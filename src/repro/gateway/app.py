@@ -195,8 +195,9 @@ class GatewayApp:
     def _restore(self, state: GatewayLogState) -> None:
         """Rebuild the serving state a journal describes (crash recovery).
 
-        Mirrors ``activate_dataset``: the dataset's engine/manager pair is
-        rebuilt and members re-attach with their *original* tokens.  Each
+        The dataset's engine/manager pair is rebuilt as
+        ``activate_dataset`` builds it (:meth:`_install`) and members
+        re-attach with their *original* tokens.  Each
         session is re-created by
         :func:`~repro.service.recovery.resume_session`, the rebuild that
         ``restore_session`` uses too: its journaled answers are resolved
@@ -212,16 +213,7 @@ class GatewayApp:
                 f"registered: {sorted(self.datasets)}"
             )
         with _obs_span("gateway.restore"):
-            dataset = self.datasets[name]()
-            engine = OassisEngine(dataset.ontology)  # type: ignore[attr-defined]
-            cfg = self.config
-            manager = engine.session_manager(
-                question_timeout=cfg.question_timeout,
-                max_attempts=cfg.max_attempts,
-                backoff_base=cfg.backoff_base,
-                in_flight_limit=cfg.in_flight_limit,
-                batch_size=cfg.batch_size,
-            )
+            manager = self._install(name)
             for member_id, token in state.members.items():
                 record = _MemberRecord(member_id=member_id, token=token)
                 self._members_by_token[token] = record
@@ -257,10 +249,6 @@ class GatewayApp:
                 answers_restored += restored
                 sessions_restored += 1
                 self._sessions.add(session_id)
-            self._active = name
-            self._dataset = dataset
-            self._engine = engine
-            self._manager = manager
             self._answered = dict(state.answered)
             self._idempotency = dict(state.idempotency)
             self._minted = dict(state.mints)
@@ -317,20 +305,7 @@ class GatewayApp:
                 "cannot switch datasets while sessions are open; "
                 "finish or cancel them first"
             )
-        dataset = self.datasets[name]()
-        engine = OassisEngine(dataset.ontology)  # type: ignore[attr-defined]
-        cfg = self.config
-        fresh = engine.session_manager(
-            question_timeout=cfg.question_timeout,
-            max_attempts=cfg.max_attempts,
-            backoff_base=cfg.backoff_base,
-            in_flight_limit=cfg.in_flight_limit,
-            batch_size=cfg.batch_size,
-        )
-        self._active = name
-        self._dataset = dataset
-        self._engine = engine
-        self._manager = fresh
+        self._install(name)
         self._members_by_token.clear()
         self._members_by_id.clear()
         self._sessions.clear()
@@ -342,6 +317,25 @@ class GatewayApp:
             self.journal.log_activate(name)
         _obs_count("gateway.datasets.activated")
         return ActivateResponse(name=name, activated=True)
+
+    def _install(self, name: str) -> SessionManager:
+        """Build dataset ``name``, its engine and session manager; make them active."""
+        dataset = self.datasets[name]()
+        engine = OassisEngine(dataset.ontology)  # type: ignore[attr-defined]
+        cfg = self.config
+        manager = SessionManager(
+            engine,
+            question_timeout=cfg.question_timeout,
+            max_attempts=cfg.max_attempts,
+            backoff_base=cfg.backoff_base,
+            in_flight_limit=cfg.in_flight_limit,
+            batch_size=cfg.batch_size,
+        )
+        self._active = name
+        self._dataset = dataset
+        self._engine = engine
+        self._manager = manager
+        return manager
 
     def _require_manager(self) -> SessionManager:
         manager = self._manager
@@ -457,15 +451,13 @@ class GatewayApp:
         except KeyError as error:
             raise ForbiddenError(str(error)) from error
         now = manager.clock()
+        templates = manager.engine.templates
         questions: List[QuestionDTO] = []
         mints: List[Tuple[str, str, str, str]] = []
         for dispatched in batch:
             self._next_qid += 1
             qid = f"q{self._next_qid}"
             self._questions[qid] = dispatched
-            facts: Tuple[Tuple[str, str, str], ...] = ()
-            if dispatched.fact_set is not None:
-                facts = facts_to_wire(dispatched.fact_set)
             mints.append(
                 (
                     qid,
@@ -478,8 +470,8 @@ class GatewayApp:
                 QuestionDTO(
                     qid=qid,
                     session_id=dispatched.session_id,
-                    text=dispatched.text,
-                    facts=facts,
+                    text=templates.concrete_question(dispatched.fact_set),
+                    facts=facts_to_wire(dispatched.fact_set),
                     deadline_s=max(0.0, dispatched.deadline - now),
                     attempt=dispatched.attempt,
                 )

@@ -23,7 +23,7 @@ from typing import Collection, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..assignments.assignment import Assignment
 from ..crowd.cache import CrowdCache
-from ..engine.queue_manager import AnswerOutcome, PendingQuestion, QueueManager
+from ..engine.queue_manager import AnswerOutcome, QueueManager
 from ..engine.results import QueryResult, build_result
 from ..oassisql.ast import Query
 from ..observability import atomic_write_json, count as _obs_count
@@ -125,13 +125,11 @@ class QuerySession:
 
     def next_fresh(
         self, member_id: str, k: int, exclude: Collection[Assignment] = ()
-    ) -> List[PendingQuestion]:
-        """Up to ``k`` not-yet-dispatched questions for ``member_id``."""
+    ) -> List[Assignment]:
+        """Up to ``k`` not-yet-dispatched nodes for ``member_id``."""
         if self.state is not SessionState.OPEN:
             return []
-        return self.queue.next_batch(
-            member_id, k, fresh_only=True, exclude=exclude
-        )
+        return self.queue.next_batch(member_id, k, exclude=exclude)
 
     def submit(
         self, member_id: str, assignment: Assignment, support: float
@@ -153,13 +151,9 @@ class QuerySession:
             self._note_recorded()
         return outcome
 
-    def expire(self, member_id: str, assignment: Assignment) -> bool:
+    def expire(self, member_id: str, assignment: Assignment) -> None:
         """Return a timed-out question to the member's queue."""
-        return bool(self.queue.expire_pending(member_id, assignment))
-
-    def skip(self, member_id: str, assignment: Assignment) -> None:
-        """Abandon the node for this member (retries exhausted / passed)."""
-        self.queue.skip_node(member_id, assignment)
+        self.queue.expire_pending(member_id, assignment)
 
     def reassign(self, member_id: str, assignment: Assignment) -> bool:
         """Queue an abandoned node for another member."""
@@ -167,20 +161,19 @@ class QuerySession:
             return False
         return self.queue.requeue_for(member_id, assignment)
 
-    def detach(self, member_id: str) -> List[Assignment]:
-        """Release the member's structures; returns their abandoned nodes."""
-        return self.queue.detach_member(member_id)
+    def detach(self, member_id: str) -> None:
+        """Release the member's traversal structures."""
+        self.queue.detach_member(member_id)
 
     # ------------------------------------------------------------ completion
 
     def has_work(self, member_ids: Iterable[str]) -> bool:
-        """Is there anything left to dispatch or wait for?
+        """Could any of the given members still be asked something fresh?
 
-        True when a question is still handed out, or any of the given
-        members could still be asked something fresh.
+        Questions still handed out are the caller's to check
+        (:meth:`SessionManager._maybe_complete` looks at its in-flight
+        table first).
         """
-        if self.queue.has_pending():
-            return True
         return any(self.queue.has_fresh_work(m) for m in member_ids)
 
     # --------------------------------------------------------------- results

@@ -4,8 +4,8 @@ The coordinator owns everything per-query — parsing, the lazy assignment
 lattice, classification state, aggregator and :class:`~repro.mining.
 trace.MspTracker` — by driving one ordinary
 :class:`~repro.engine.queue_manager.QueueManager` per session with a
-single *virtual member*.  Where a real member would answer a pending
-question, the coordinator splits the node's ``sample_size`` answer quota
+single *virtual member*.  Where a real member would answer a handed-out
+node, the coordinator splits the node's ``sample_size`` answer quota
 across shard processes (proportional to their consistent-hash member
 partitions), ships asks over the length-prefixed protocol, and feeds the
 returned per-member support answers back through
@@ -64,7 +64,8 @@ from collections import deque
 
 from ...datasets.base import DomainDataset
 from ...engine.engine import OassisEngine
-from ...engine.queue_manager import PendingQuestion, QueueManager
+from ...assignments.assignment import Assignment
+from ...engine.queue_manager import QueueManager
 from ...observability import count as _obs_count, span as _obs_span
 from .closures import SharedClosures
 from .hashring import DEFAULT_REPLICAS, HashRing, split_quota
@@ -161,6 +162,8 @@ class _Session:
         self.queue = queue
         self.answers = 0
         self.nodes = 0
+        #: asks handed out by the queue and not yet fed back
+        self.unfed = 0
         self.complete = False
 
     @property
@@ -353,13 +356,11 @@ class ShardCoordinator:
             if session.complete:
                 continue
             while self._queued() < high_water:
-                batch = session.queue.next_batch(
-                    VIRTUAL_MEMBER, self.batch_size, fresh_only=True
-                )
+                batch = session.queue.next_batch(VIRTUAL_MEMBER, self.batch_size)
                 if not batch:
                     break
-                for pending in batch:
-                    self._enqueue(session, pending)
+                for node in batch:
+                    self._enqueue(session, node)
                     progressed = True
                 if len(batch) < self.batch_size:
                     break
@@ -372,26 +373,26 @@ class ShardCoordinator:
             h.outstanding for h in self._handles
         )
 
-    def _enqueue(self, session: _Session, pending: PendingQuestion) -> None:
-        key = repr(pending.assignment)
+    def _enqueue(self, session: _Session, node: Assignment) -> None:
+        key = repr(node)
         qid = self._qids.get((session.session_id, key))
         if qid is None:
             qid = self._next_qid
             self._next_qid += 1
             self._qids[(session.session_id, key)] = qid
-        assert pending.fact_set is not None
         facts = [
             [fact.subject.name, fact.relation.name, fact.obj.name]
-            for fact in sorted(pending.fact_set)
+            for fact in sorted(session.queue.space.instantiate(node))
         ]
         starts = {
             shard: qid % len(self.partitions[shard])
             for shard, quota in enumerate(self.quotas)
             if quota > 0
         }
-        ask = _NodeAsk(session.session_id, pending.assignment, key, qid, facts, starts)
+        ask = _NodeAsk(session.session_id, node, key, qid, facts, starts)
         self._asks[qid] = (session, ask)
         session.nodes += 1
+        session.unfed += 1
         for shard in ask.waiting:
             self._sendq[shard].append(qid)
         _obs_count("shard.nodes.asked")
@@ -552,6 +553,7 @@ class ShardCoordinator:
         queue.mark_answered(VIRTUAL_MEMBER, ask.node, average)
         queue.expire_pending(VIRTUAL_MEMBER, ask.node)
         ask.fed = True
+        session.unfed -= 1
         session.answers += merged
         self.nodes_classified += 1
         self._asks.pop(ask.qid, None)
@@ -563,8 +565,7 @@ class ShardCoordinator:
         for session in self._sessions.values():
             if session.complete:
                 continue
-            queue = session.queue
-            if queue.has_pending() or queue.has_fresh_work(VIRTUAL_MEMBER):
+            if session.unfed or session.queue.has_fresh_work(VIRTUAL_MEMBER):
                 all_complete = False
                 continue
             session.complete = True

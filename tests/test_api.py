@@ -43,6 +43,13 @@ class TestSessionStyle:
         assert isinstance(result, ResultResponse)
         assert result.session_id == accepted.session_id
 
+    def test_question_text_is_natural_language(self, client):
+        client.join(member_id="m0")
+        client.pose_query(threshold=0.4)
+        (question,) = client.next_questions(member_id="m0", k=1).questions
+        assert question.text.startswith("How often do you")
+        assert "Attraction" in question.text
+
     def test_client_is_the_only_export(self):
         assert api.__all__ == ["Client"]
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro import CrowdCache, CrowdMember, EngineConfig, OassisEngine
 from repro.datasets import running_example
+from repro.engine import AnswerOutcome
 from repro.mining.vertical import find_minimal_unclassified
 from repro.oassisql import ValidationError
 from repro.vocabulary import Element
@@ -136,13 +137,12 @@ class TestQueueManager:
         member = members[0]
         answered = 0
         while answered < 500:
-            question = qm.next_question(member.member_id)
-            if question is None:
+            batch = qm.next_batch(member.member_id)
+            if not batch:
                 break
-            support = member.true_support(
-                qm.space.instantiate(question.assignment)
-            )
-            qm.submit_support(member.member_id, support)
+            (node,) = batch
+            support = member.true_support(qm.space.instantiate(node))
+            qm.submit_support(member.member_id, support, node)
             answered += 1
         assert find_minimal_unclassified(qm.space, qm.state) is None
         msps = qm.current_msps()
@@ -153,36 +153,20 @@ class TestQueueManager:
             vocab, {"x": {E("Central Park")}, "y": {E("Biking")}}
         ) in msps
 
-    def test_pending_question_returned_again(self, setting):
-        engine, members = setting
-        qm = engine.queue_manager(running_example.FRAGMENT_QUERY, sample_size=1)
-        first = qm.next_question("u")
-        second = qm.next_question("u")
-        assert first is second
-
-    def test_submit_without_pending_raises(self, setting):
+    def test_answer_from_unknown_member_is_stale(self, setting):
         engine, _ = setting
         qm = engine.queue_manager(running_example.FRAGMENT_QUERY)
-        with pytest.raises(RuntimeError):
-            qm.submit_support("ghost", 0.5)
-
-    def test_question_text_is_natural_language(self, setting):
-        engine, _ = setting
-        qm = engine.queue_manager(running_example.FRAGMENT_QUERY)
-        question = qm.next_question("u")
-        assert question.text.startswith("How often do you")
+        (root,) = qm.space.roots()
+        assert qm.submit_support("ghost", 0.5, root) is AnswerOutcome.STALE
+        assert qm.questions_asked == 0
 
     def test_prune_click(self, setting):
         engine, members = setting
         qm = engine.queue_manager(running_example.FRAGMENT_QUERY, sample_size=1)
-        question = qm.next_question("u")
+        (node,) = qm.next_batch("u")
         # prune the whole Activity subtree: queue should dry up quickly
-        qm.submit_prune("u", E("Activity"))
-        remaining = 0
-        while qm.next_question("u") is not None and remaining < 100:
-            qm.submit_support("u", 0.0)
-            remaining += 1
-        assert remaining == 0
+        qm.submit_prune("u", E("Activity"), node)
+        assert qm.next_batch("u", 100) == []
 
 
 class TestMemberScreening:

@@ -359,8 +359,8 @@ def test_served_msps_are_decided_by_their_sample(data):
         queue.submit_support(member, support, in_flight[member].pop(index))
 
     def dispatch(member):
-        batch = queue.next_batch(member, 1, fresh_only=True)
-        in_flight[member].extend(question.assignment for question in batch)
+        batch = queue.next_batch(member, 1)
+        in_flight[member].extend(batch)
         return bool(batch)
 
     for _ in range(data.draw(st.integers(min_value=0, max_value=120), label="steps")):
