@@ -59,11 +59,14 @@ gateway-smoke:
 chaos:
 	PYTHONPATH=src $(PYTHON) -m repro chaos --seeds 0,1,2
 
+# every example; the interactive demo runs twice, answering by itself and
+# then typed from a scripted stdin (an answer, a pruning click, quit)
 examples:
 	PYTHONPATH=src $(PYTHON) examples/quickstart.py
 	PYTHONPATH=src $(PYTHON) examples/culinary_menu.py
 	PYTHONPATH=src $(PYTHON) examples/self_treatment_survey.py
 	PYTHONPATH=src $(PYTHON) examples/interactive_demo.py --auto --max-questions 20
+	printf 'sometimes\nprune Ball Game\nquit\n' | PYTHONPATH=src $(PYTHON) examples/interactive_demo.py
 
 figures:
 	PYTHONPATH=src $(PYTHON) -m repro figures fig5
