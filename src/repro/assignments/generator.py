@@ -78,22 +78,19 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
             if v.name not in self._hidden_values
         )
 
-        self._engine = SparqlEngine(ontology)
-        with _obs_span("sparql.match"):
-            self._solutions: List[Binding] = (
-                list(self._engine.solutions(query.where))
-                if query.where is not None
-                else []
-            )
         where_vars = {v.name for v in query.where_variables()}
         self._shared_vars = tuple(v for v in self._sat_vars if v in where_vars)
         self._free_vars = tuple(v for v in self._sat_vars if v not in where_vars)
 
+        self._engine = SparqlEngine(ontology)
+        # dropped-subset -> (constrained remaining vars, set of value tuples)
+        self._reduced_cache: Dict[FrozenSet[str], Tuple[Tuple[str, ...], Set[Tuple]]] = {}
+        with _obs_span("sparql.match"):
+            self._reduced_solutions(frozenset())
+
         self._caps = self._compute_caps()
         self._universes: Dict[str, FrozenSet[Term]] = {}
         self._top_cache: Dict[str, FrozenSet[Term]] = {}
-        # dropped-subset -> (constrained remaining vars, set of value tuples)
-        self._reduced_cache: Dict[FrozenSet[str], Tuple[Tuple[str, ...], Set[Tuple]]] = {}
         # memoized traversal structure: regenerating successors dominates the
         # mining runtime otherwise (every BFS pass re-derives them)
         self._succ_cache: Dict[Assignment, List[Assignment]] = {}
@@ -133,8 +130,14 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
     # ------------------------------------------------------------ valid base
 
     def where_solutions(self) -> List[Binding]:
-        """The raw WHERE-clause solutions (all WHERE variables bound)."""
-        return list(self._solutions)
+        """The raw WHERE-clause solutions (all WHERE variables bound).
+
+        Evaluated on each call: the space itself only keeps the distinct
+        projections onto the SATISFYING variables.
+        """
+        if self.query.where is None:
+            return []
+        return list(self._engine.solutions(self.query.where))
 
     def valid_base_assignments(self) -> List[Assignment]:
         """The multiplicity-1 valid assignments (the SPARQL results)."""
@@ -155,48 +158,30 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
     def _reduced_solutions(
         self, dropped: FrozenSet[str]
     ) -> Tuple[Tuple[str, ...], Set[Tuple]]:
-        """WHERE solutions with patterns mentioning ``dropped`` removed."""
+        """WHERE solutions with patterns mentioning ``dropped`` removed,
+        as the distinct value tuples of the constrained remaining shared
+        variables (``SELECT DISTINCT`` over them)."""
         cached = self._reduced_cache.get(dropped)
         if cached is not None:
             return cached
         remaining = tuple(v for v in self._shared_vars if v not in dropped)
-        if self.query.where is None or not remaining:
-            result: Tuple[Tuple[str, ...], Set[Tuple]] = (remaining, set())
-            self._reduced_cache[dropped] = result
-            return result
-        if not dropped:
-            tuples = {
-                tuple(solution.get(name) for name in remaining)
-                for solution in self._solutions
-                if all(name in solution for name in remaining)
-            }
-            result = (remaining, tuples)
-            self._reduced_cache[dropped] = result
-            return result
         patterns = [
             p
-            for p in self.query.where
+            for p in self.query.where or ()
             if not any(
                 isinstance(part, Var) and part.name in dropped
                 for part in (p.subject, p.relation.term, p.obj)
             )
         ]
-        if not patterns:
-            result = (remaining, set())
-            self._reduced_cache[dropped] = result
-            return result
-        reduced_bgp = BGP(patterns)
-        constrained = tuple(
-            name
-            for name in remaining
-            if any(name == v.name for v in reduced_bgp.variables())
-        )
-        tuples = {
-            tuple(solution.get(name) for name in constrained)
-            for solution in self._engine.solutions(reduced_bgp)
-            if all(name in solution for name in constrained)
-        }
-        result = (constrained, tuples)
+        result: Tuple[Tuple[str, ...], Set[Tuple]] = (remaining, set())
+        if remaining and patterns:
+            reduced_bgp = BGP(patterns)
+            named = {v.name for v in reduced_bgp.variables()}
+            constrained = tuple(name for name in remaining if name in named)
+            result = (
+                constrained,
+                set(self._engine.solutions(reduced_bgp, constrained)),
+            )
         self._reduced_cache[dropped] = result
         return result
 
@@ -273,10 +258,10 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         return frozenset(self.vocabulary.elements - {ANY_ELEMENT})
 
     def _shared_universe(self, name: str) -> FrozenSet[Term]:
-        index = self._shared_vars.index(name)
-        base_values: Set[Term] = set()
-        for values in self._base_tuples(frozenset()):
-            base_values.add(values[index])
+        # the base values are the tuple index's keys for ``name``: the
+        # index numbers the valid tuples for the expansion checks anyway
+        constrained, tuples = self._reduced_solutions(frozenset())
+        base_values = self._get_tuple_index(frozenset(), constrained, tuples)[name]
         closure: Set[Term] = set()
         for value in base_values:
             closure.update(self.vocabulary.ancestors(value))

@@ -103,6 +103,7 @@ class ExplicitDAG(AssignmentSpace[Node]):
         self._succ: Dict[Node, Set[Node]] = {}
         self._pred: Dict[Node, Set[Node]] = {}
         self._desc_cache: Dict[Node, FrozenSet[Node]] = {}
+        self._depths: Optional[Dict[Node, int]] = None
         for node in nodes:
             self.add_node(node)
         for parent, child in edges:
@@ -116,6 +117,7 @@ class ExplicitDAG(AssignmentSpace[Node]):
             self._succ[node] = set()
             self._pred[node] = set()
             self._desc_cache.clear()
+            self._depths = None
 
     def add_edge(self, parent: Node, child: Node) -> None:
         """Add the immediate-successor edge ``parent ⋖ child``."""
@@ -126,6 +128,7 @@ class ExplicitDAG(AssignmentSpace[Node]):
         self._succ[parent].add(child)
         self._pred[child].add(parent)
         self._desc_cache.clear()
+        self._depths = None
 
     def set_valid(self, valid: Iterable[Node]) -> None:
         """Declare the set of valid nodes (default: all nodes valid)."""
@@ -202,31 +205,25 @@ class ExplicitDAG(AssignmentSpace[Node]):
 
     def depth(self, node: Node) -> int:
         """Longest distance from a root (roots have depth 0)."""
-        best = 0
-        order = self._topological_ancestors(node)
-        depths: Dict[Node, int] = {}
-        for current in order:
-            parents = self._pred.get(current, ())
-            depths[current] = 1 + max((depths[p] for p in parents), default=-1)
-        return depths[node]
+        if self._depths is None:
+            self._depths = self._all_depths()
+        return self._depths[node]
 
-    def _topological_ancestors(self, node: Node) -> List[Node]:
-        visited: Set[Node] = set()
-        order: List[Node] = []
-        stack: List[Tuple[Node, bool]] = [(node, False)]
-        while stack:
-            current, processed = stack.pop()
-            if processed:
-                order.append(current)
-                continue
-            if current in visited:
-                continue
-            visited.add(current)
-            stack.append((current, True))
-            for parent in self._pred.get(current, ()):
-                if parent not in visited:
-                    stack.append((parent, False))
-        return order
+    def _all_depths(self) -> Dict[Node, int]:
+        """Every node's depth, in one topological pass from the roots."""
+        waiting = {node: len(parents) for node, parents in self._pred.items()}
+        depths = {node: 0 for node, count in waiting.items() if not count}
+        ready = list(depths)
+        while ready:
+            current = ready.pop()
+            below = depths[current] + 1
+            for child in self._succ[current]:
+                if depths.get(child, -1) < below:
+                    depths[child] = below
+                waiting[child] -= 1
+                if not waiting[child]:
+                    ready.append(child)
+        return depths
 
     def width(self) -> int:
         """Size of the largest depth level (a simple width measure)."""

@@ -268,14 +268,18 @@ class QueueManager(CrowdWalk[Assignment]):
         """Queue ``node`` for ``member_id`` (reassignment path).
 
         Used when another member abandoned the node; it jumps to the top
-        of this member's stack.  Returns False when the member has already
-        answered it (nothing to do), True when it was queued.
+        of this member's stack, and a copy already queued there is moved
+        rather than left below (it would only be popped as visited).
+        Returns False when the member has already answered it (nothing to
+        do), True when it was queued.
         """
         self.register_member(member_id)
         walk = self._walks[member_id]
         if node in walk.answers:
             return False
         walk.visited.discard(node)
+        if node in walk.stack:
+            walk.stack[:] = [queued for queued in walk.stack if queued != node]
         walk.stack.append(node)
         return True
 

@@ -15,23 +15,31 @@ BindingValue = Union[Element, Relation, str]
 
 
 class Binding(Mapping[str, BindingValue]):
-    """An immutable variable assignment (one SPARQL solution row)."""
+    """An immutable variable assignment (one SPARQL solution row).
 
-    __slots__ = ("_items",)
+    Lookups (``[]``, ``get``, ``in``) go to a dict; hash, equality,
+    iteration order and ``repr`` are those of the items sorted by name.
+    """
+
+    __slots__ = ("_items", "_map")
 
     def __init__(self, mapping: Mapping[str, BindingValue]):
         self._items: Tuple[Tuple[str, BindingValue], ...] = tuple(
             sorted(mapping.items())
         )
+        self._map: Dict[str, BindingValue] = dict(self._items)
 
     def __getitem__(self, key: str) -> BindingValue:
-        for name, value in self._items:
-            if name == key:
-                return value
-        raise KeyError(key)
+        return self._map[key]
+
+    def get(self, key, default=None):
+        return self._map.get(key, default)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._map
 
     def __iter__(self) -> Iterator[str]:
-        return (name for name, _ in self._items)
+        return iter(self._map)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -43,11 +51,11 @@ class Binding(Mapping[str, BindingValue]):
         if isinstance(other, Binding):
             return self._items == other._items
         if isinstance(other, Mapping):
-            return dict(self._items) == dict(other)
+            return self._map == dict(other)
         return NotImplemented
 
     def as_dict(self) -> Dict[str, BindingValue]:
-        return dict(self._items)
+        return dict(self._map)
 
     def project(self, names) -> "Binding":
         """Restrict to the given variable names (missing names are dropped)."""

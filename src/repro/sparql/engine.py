@@ -11,13 +11,22 @@ search each component again for every row of the components before it
 (the travel query's ``$y subClassOf* Activity`` shares no variable with
 its other six patterns).
 
+:meth:`SparqlEngine.solutions` can select variables, as SPARQL's
+``SELECT DISTINCT`` list does: each variable belongs to exactly one
+component, so the distinct projections are the cross product of each
+component's own distinct projection, and a component none of whose
+variables is selected is searched only for its first row.
+
 A component is searched by a backtracking join with a greedy selectivity
 heuristic: at each step it picks the not-yet-evaluated pattern with the
-most bound positions under the current partial binding (label patterns
-and fully-concrete patterns first).  A pattern never rebinds a variable:
-a bound position keeps its value, and an extension that disagrees with a
-binding already made (``$a hasLabel $a``) is dropped, so the rows do not
-depend on the order in which patterns are searched.
+most bound positions under the current partial binding, and among those
+the one with the fewest extensions (its *fan-out*): a fully bound pattern
+is a filter and goes first, a pattern with one free end costs the length
+of its cached candidate list, and any other pattern comes last, in list
+order.  A pattern never rebinds a variable: a bound position keeps its
+value, and an extension that disagrees with a binding already made
+(``$a hasLabel $a``) is dropped, so the rows do not depend on the order
+in which patterns are searched.
 
 Relation patterns match *semantically*: a pattern naming relation ``r``
 matches asserted edges labeled with any ``r' ≥R r`` (see
@@ -31,7 +40,9 @@ stock SPARQL engine for the WHERE clause.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+import math
+from operator import itemgetter
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..observability import get_tracer
 from ..ontology.graph import HAS_LABEL, Ontology
@@ -77,30 +88,34 @@ class SparqlEngine:
 
     # ------------------------------------------------------------ public API
 
-    def solutions(self, bgp: BGP) -> Iterator[Binding]:
-        """All solution bindings of ``bgp``, projected to named variables.
+    def solutions(
+        self, bgp: BGP, variables: Optional[Sequence[str]] = None
+    ) -> Iterator[Any]:
+        """The solutions of ``bgp``, without duplicates.
 
-        Blank nodes are treated as existentials: they are bound during the
-        search but dropped from the output, and duplicate projections are
-        suppressed.
+        Without ``variables``, one :class:`Binding` per row, projected to
+        the named variables: blank nodes are existentials, bound during
+        the search and dropped from the output.  With ``variables`` (the
+        ``SELECT DISTINCT`` list), one tuple per distinct projection onto
+        them, in their order; a variable no pattern names is unbound, and
+        its slot is None.
         """
-        self._obs = get_tracer()
+        tracer = self._obs = get_tracer()
         self._check_caches()
+        produced = 0
         try:
-            parts: List[List[Binding]] = []
-            for component in _components(bgp.patterns):
-                rows = self._component_rows(component)
-                if not rows:
-                    return
-                parts.append(rows)
-            for combination in itertools.product(*parts):
-                row: Dict[str, BindingValue] = {}
-                for part in combination:
-                    row.update(part.as_dict())
-                if self._obs is not None:
-                    self._obs.count("sparql.solutions")
-                yield Binding(row)
+            if variables is None:
+                names = sorted({v.name for v in bgp.variables()})
+                for row in self._projections(bgp, names):
+                    produced += 1
+                    yield Binding(dict(zip(names, row)))
+            else:
+                for row in self._projections(bgp, variables):
+                    produced += 1
+                    yield row
         finally:
+            if tracer is not None and produced:
+                tracer.count("sparql.solutions", produced)
             self._obs = None
 
     def ask(self, bgp: BGP) -> bool:
@@ -148,17 +163,42 @@ class SparqlEngine:
 
     # --------------------------------------------------------------- search
 
-    def _component_rows(self, patterns: List[TriplePattern]) -> List[Binding]:
-        """One component's distinct rows, projected to its named variables."""
-        named = {v.name for v in BGP(patterns).variables()}
-        seen: Set[Binding] = set()
-        rows: List[Binding] = []
-        for env in self._search(patterns, {}):
-            projected = Binding({k: v for k, v in env.items() if k in named})
-            if projected not in seen:
-                seen.add(projected)
-                rows.append(projected)
-        return rows
+    def _projections(
+        self, bgp: BGP, names: Sequence[str]
+    ) -> Iterator[Tuple[Optional[BindingValue], ...]]:
+        """The distinct projections of ``bgp``'s rows onto ``names``."""
+        factors: List[List[tuple]] = []
+        order: List[str] = []
+        for component in _components(bgp.patterns):
+            named = {v.name for pattern in component for v in pattern.variables()}
+            keep = [name for name in names if name in named]
+            rows = self._component_rows(component, keep)
+            if not rows:
+                return iter(())
+            if keep:
+                factors.append(rows)
+                order.extend(keep)
+        unbound = [name for name in names if name not in order]
+        if unbound:
+            factors.append([(None,) * len(unbound)])
+            order.extend(unbound)
+        projected: Iterator[tuple] = map(
+            tuple, map(itertools.chain.from_iterable, itertools.product(*factors))
+        )
+        if order != list(names):
+            projected = map(itemgetter(*(order.index(name) for name in names)), projected)
+        return projected
+
+    def _component_rows(
+        self, patterns: List[TriplePattern], keep: Sequence[str]
+    ) -> List[tuple]:
+        """One component's distinct projections onto ``keep``, in search
+        order; with nothing to keep, one empty row if the component has any
+        row at all (found by searching for its first)."""
+        search = self._search(patterns, {})
+        if not keep:
+            return [()] if next(search, None) is not None else []
+        return list(dict.fromkeys(tuple(env[name] for name in keep) for env in search))
 
     def _search(
         self, remaining: List[TriplePattern], env: Dict[str, BindingValue]
@@ -178,26 +218,58 @@ class SparqlEngine:
     def _pick_pattern(
         self, patterns: List[TriplePattern], env: Dict[str, BindingValue]
     ) -> int:
-        def bound_score(pattern: TriplePattern) -> int:
-            score = 0
-            for part in (pattern.subject, pattern.relation.term, pattern.obj):
-                if isinstance(part, (Concrete, StringLiteral)):
-                    score += 2
-                elif isinstance(part, Var) and part.name in env:
-                    score += 2
-                elif isinstance(part, Blank):
-                    score += 0
-                else:
-                    score -= 1
-            return score
-
-        best = 0
-        best_score = bound_score(patterns[0])
-        for i, pattern in enumerate(patterns[1:], start=1):
-            score = bound_score(pattern)
-            if score > best_score:
-                best, best_score = i, score
+        """The pattern to search next: the most bound positions first, then
+        the smallest fan-out, then list order."""
+        scores = [_bound_score(pattern, env) for pattern in patterns]
+        top = max(scores)
+        tied = [i for i, score in enumerate(scores) if score == top]
+        best, best_cost = tied[0], math.inf
+        if len(tied) > 1:
+            for i in tied:
+                cost = self._fan_out(patterns[i], env)
+                if cost < best_cost:
+                    best, best_cost = i, cost
+                    if not cost:
+                        break
         return best
+
+    def _fan_out(self, pattern: TriplePattern, env: Dict[str, BindingValue]) -> float:
+        """How many extensions ``pattern`` has under ``env``.
+
+        A fully bound pattern is a filter (0); a pattern with one free end
+        costs the length of the cached candidate list its match walks; a
+        free relation or two free ends is not estimated (infinite).  A
+        bound value of the wrong kind matches nothing (0).
+        """
+        subject = self._resolve_node(pattern.subject, env)
+        obj = self._resolve_node(pattern.obj, env)
+        rel_term = pattern.relation.term
+        mod = pattern.relation.mod
+        if isinstance(rel_term, Concrete):
+            relation: Optional[BindingValue] = Relation(rel_term.name)
+            exact = False
+        else:
+            relation = env.get(_var_name(rel_term))
+            exact = True
+            if relation is None:
+                return math.inf
+        if subject is not None and obj is not None:
+            return 0
+        if subject is None and obj is None:
+            return math.inf
+        if isinstance(rel_term, Concrete) and rel_term.name == HAS_LABEL:
+            if subject is not None:
+                return len(self._labels_of(subject)) if isinstance(subject, Element) else 0
+            return len(self._label_candidates_of(obj)) if isinstance(obj, str) else 0
+        if not isinstance(relation, Relation):
+            return 0
+        if subject is not None:
+            if not isinstance(subject, Element):
+                return 0
+            return len(self._forward_targets(subject, relation, mod, exact))
+        if not isinstance(obj, Element):
+            return 0
+        return len(self._backward_sources(obj, relation, mod, exact))
 
     # ------------------------------------------------------ pattern matching
 
@@ -226,14 +298,7 @@ class SparqlEngine:
                 if self.ontology.has_label(subject, obj):
                     yield ()
                 return
-            candidates = self._cached(
-                self._label_candidates,
-                obj,
-                lambda: sorted(
-                    self.ontology.elements_with_label(obj), key=lambda e: e.name
-                ),
-            )
-            for element in candidates:
+            for element in self._label_candidates_of(obj):
                 yield _bind(pattern.subject, element)
             return
         # object is an unbound var/blank: enumerate labels of the subject(s)
@@ -253,6 +318,15 @@ class SparqlEngine:
         for element in self._labeled_elements:
             for label in self._labels_of(element):
                 yield _bind(pattern.subject, element) + _bind(pattern.obj, label)
+
+    def _label_candidates_of(self, label: str) -> List[Element]:
+        return self._cached(
+            self._label_candidates,
+            label,
+            lambda: sorted(
+                self.ontology.elements_with_label(label), key=lambda e: e.name
+            ),
+        )
 
     def _labels_of(self, element: Element) -> List[str]:
         return self._cached(
@@ -421,6 +495,19 @@ def _var_name(node) -> Optional[str]:
     if isinstance(node, Blank):
         return node.as_var().name
     return None
+
+
+def _bound_score(pattern: TriplePattern, env: Dict[str, BindingValue]) -> int:
+    """2 per fixed or bound position, 0 per blank, -1 per free variable."""
+    score = 0
+    for part in (pattern.subject, pattern.relation.term, pattern.obj):
+        if isinstance(part, (Concrete, StringLiteral)):
+            score += 2
+        elif isinstance(part, Var) and part.name in env:
+            score += 2
+        elif not isinstance(part, Blank):
+            score -= 1
+    return score
 
 
 def _bind(node, value: BindingValue) -> Extension:

@@ -5,7 +5,9 @@ could silently miss MSPs.  These tests brute-force the expansion set of
 small random query spaces and check every member is reachable from the
 roots via ``successors``.  Membership itself is held to Algorithm 1's
 definition by exhaustive enumeration, and the pruned witness-grid search
-to the enumeration it replaced, on seeded crowd runs.
+to the enumeration it replaced, on seeded crowd runs.  The valid tuples
+the space selects from the WHERE clause part by part are held to the
+ones it used to read off the full WHERE rows.
 """
 
 import itertools
@@ -16,8 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.assignments import Assignment, QueryAssignmentSpace
+from repro.datasets import culinary, health, travel
 from repro.oassisql import parse_query
 from repro.ontology import Fact, Ontology
+from repro.sparql import BGP, SparqlEngine, Var
 from repro.vocabulary import Element
 
 QUERY = """
@@ -258,3 +262,128 @@ def test_search_matches_enumeration_on_seeded_runs(
     )
     assert result.questions > 0
     assert True in verdicts
+
+
+# ------------------------------------------------ set-up from the WHERE rows
+
+
+def reduced_from_rows(space: QueryAssignmentSpace, dropped):
+    """``_reduced_solutions`` as it was computed from full WHERE rows: one
+    pass over every row, reading each variable through the Binding."""
+    remaining = tuple(v for v in space._shared_vars if v not in dropped)
+    where = space.query.where
+    if where is None or not remaining:
+        return remaining, set()
+    if not dropped:
+        return remaining, {
+            tuple(row.get(name) for name in remaining)
+            for row in space.where_solutions()
+            if all(name in row for name in remaining)
+        }
+    patterns = [
+        p
+        for p in where
+        if not any(
+            isinstance(part, Var) and part.name in dropped
+            for part in (p.subject, p.relation.term, p.obj)
+        )
+    ]
+    if not patterns:
+        return remaining, set()
+    reduced = BGP(patterns)
+    constrained = tuple(
+        name for name in remaining if any(name == v.name for v in reduced.variables())
+    )
+    return constrained, {
+        tuple(row.get(name) for name in constrained)
+        for row in SparqlEngine(space.ontology).solutions(reduced)
+        if all(name in row for name in constrained)
+    }
+
+
+class RowSpace(QueryAssignmentSpace):
+    """The space with its valid tuples and universes read off full rows."""
+
+    def _reduced_solutions(self, dropped):
+        cached = self._reduced_cache.get(dropped)
+        if cached is None:
+            cached = self._reduced_cache[dropped] = reduced_from_rows(self, dropped)
+        return cached
+
+    def _shared_universe(self, name):
+        index = self._shared_vars.index(name)
+        base_values = {values[index] for values in self._base_tuples(frozenset())}
+        closure = set()
+        for value in base_values:
+            closure.update(self.vocabulary.ancestors(value))
+        caps = self._caps.get(name)
+        if caps:
+            allowed = set()
+            for cap in caps:
+                if cap in self.vocabulary.element_order:
+                    allowed.update(self.vocabulary.descendants(cap))
+            closure &= allowed
+        return frozenset(closure)
+
+
+def assert_same_setup(space: QueryAssignmentSpace, oracle: RowSpace):
+    shared = space._shared_vars
+    for size in range(len(shared) + 1):
+        for dropped in itertools.combinations(shared, size):
+            dropped = frozenset(dropped)
+            assert space._reduced_solutions(dropped) == reduced_from_rows(
+                space, dropped
+            ), dropped
+    for name in space._sat_vars:
+        assert space.universe(name) == oracle.universe(name), name
+    assert space.roots() == oracle.roots()
+    base = space.valid_base_assignments()
+    assert len(base) == len(set(base))
+    assert set(base) == set(oracle.valid_base_assignments())
+
+
+#: travel's attractions and restaurants, with an optional restaurant:
+#: dropping ``$z`` leaves ``$x`` in no pattern, and is a reachable node
+OPTIONAL_RESTAURANT = """
+SELECT FACT-SETS
+WHERE
+  $z instanceOf Restaurant .
+  $z nearBy $x .
+  $y subClassOf* Activity
+SATISFYING
+  $y doAt $x .
+  [] eatAt $z*
+WITH SUPPORT = 0.5
+"""
+
+
+@pytest.mark.parametrize(
+    "module, text",
+    [
+        (travel, None),
+        (travel, OPTIONAL_RESTAURANT),
+        (culinary, None),
+        (health, None),
+    ],
+    ids=["travel", "travel-optional-restaurant", "culinary", "self-treatment"],
+)
+def test_domain_setup_equals_the_full_row_computation(module, text):
+    dataset = module.build_dataset()
+    query = parse_query(text or dataset.query(0.5))
+    space = QueryAssignmentSpace(dataset.ontology, query)
+    oracle = RowSpace(dataset.ontology, query)
+    assert_same_setup(space, oracle)
+    # the walk below the roots reads the dropped-variable tuples too
+    assert space.all_nodes(max_nodes=300) == oracle.all_nodes(max_nodes=300)
+
+
+@given(random_spaces())
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_random_setup_equals_the_full_row_computation(space):
+    oracle = RowSpace(space.ontology, space.query, max_values_per_var=2)
+    assert_same_setup(space, oracle)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.assignments import ExplicitDAG
+from repro.synth import generate_dag
 
 
 @pytest.fixture()
@@ -72,6 +73,41 @@ class TestShapeMetrics:
 
     def test_width(self, diamond):
         assert diamond.width() == 2  # level 1 holds nodes 1 and 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_depths_equal_the_per_node_walk(self, seed):
+        dag = generate_dag(width=80, depth=5, root_count=4, seed=seed)
+        for node in dag.nodes():
+            assert dag.depth(node) == walked_depth(dag, node)
+
+    def test_depths_follow_new_edges(self, diamond):
+        assert diamond.depth(4) == 3
+        diamond.add_edge(4, 5)
+        diamond.add_edge(0, 4)
+        assert diamond.depth(5) == 4
+        assert diamond.height() == 4
+        diamond.add_node(6)
+        assert diamond.depth(6) == 0
+
+
+def walked_depth(dag: ExplicitDAG, node) -> int:
+    """Longest distance from a root, by walking ``node``'s ancestors."""
+    order, visited = [], set()
+    stack = [(node, False)]
+    while stack:
+        current, processed = stack.pop()
+        if processed:
+            order.append(current)
+        elif current not in visited:
+            visited.add(current)
+            stack.append((current, True))
+            stack.extend((parent, False) for parent in dag.predecessors(current))
+    depths = {}
+    for current in order:
+        depths[current] = 1 + max(
+            (depths[p] for p in dag.predecessors(current)), default=-1
+        )
+    return depths[node]
 
 
 class TestTraversal:

@@ -115,6 +115,19 @@ class TestQueueExpiryRaces:
         assert node not in qm.next_batch("u", 4)
 
 
+class TestRequeue:
+    def test_requeue_moves_a_queued_node_to_the_top(self, engine):
+        qm = engine.queue_manager(running_example.FRAGMENT_QUERY, sample_size=1)
+        (root,) = qm.next_batch("u")
+        assert qm.submit_support("u", 1.0, root) is AnswerOutcome.RECORDED
+        stack = qm._walks["u"].stack
+        assert len(stack) >= 2
+        bottom = stack[0]
+        assert qm.requeue_for("u", bottom)
+        assert stack.count(bottom) == 1
+        assert qm.next_batch("u") == [bottom]
+
+
 class TestLateAnswersOnClassifiedNodes:
     """In-flight answers for a node the closure already classified."""
 

@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 
 from repro.datasets import running_example
-from repro.sparql import SparqlEngine, parse_bgp
+from repro.sparql import Binding, SparqlEngine, parse_bgp
 from repro.vocabulary import Element, Relation
 
 
@@ -189,3 +189,29 @@ class TestPatternOrder:
         }
         assert ("Central Park", "inside", "NYC") in triples
         assert ("Central Park", "nearBy", "NYC") not in triples
+
+
+class TestBinding:
+    def test_lookups_agree_with_as_dict(self):
+        binding = Binding({"y": Element("Zoo"), "p": Relation("inside"), "x": "label"})
+        as_dict = binding.as_dict()
+        assert len(binding) == len(as_dict) == 3
+        for name, value in as_dict.items():
+            assert binding[name] == value
+            assert binding.get(name) == value
+            assert name in binding
+        assert "z" not in binding
+        assert binding.get("z") is None
+        assert binding.get("z", "default") == "default"
+        with pytest.raises(KeyError):
+            binding["z"]
+
+    def test_identity_is_that_of_the_sorted_items(self):
+        items = [("y", Element("Zoo")), ("p", Relation("inside")), ("x", "label")]
+        binding = Binding(dict(items))
+        reordered = Binding(dict(reversed(items)))
+        assert list(binding) == ["p", "x", "y"]
+        assert binding == reordered == dict(items)
+        assert hash(binding) == hash(reordered) == hash(tuple(sorted(items)))
+        assert repr(binding) == repr(reordered) == "Binding(p=inside, x=label, y=Zoo)"
+        assert binding != Binding({"x": "label"})

@@ -1,5 +1,7 @@
 """Tests for the synthetic DAG and MSP-placement generators."""
 
+import hashlib
+
 import pytest
 
 from repro.synth import (
@@ -102,6 +104,24 @@ class TestPlaceMsps:
         for policy in ("uniform", "nearby", "far"):
             planted = place_msps(dag, 5, policy=policy, seed=6)
             assert len(planted.msps) == 5
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (1000, "55244b503213ddc9"),
+            (1001, "4665f77402e2ba92"),
+            (1002, "c6408afe6e1413fe"),
+            (1003, "64605965c056503e"),
+        ],
+    )
+    def test_paper_dag_placements_are_pinned(self, seed, digest):
+        """The MSPs of perfbench's paper-dag units (seed 1), in placement
+        order: the depth sort of the pool picks them, so a depth that
+        moved would move the workload's questions."""
+        dag = generate_dag(width=1350, depth=7, root_count=170, seed=seed)
+        planted = place_msps(dag, round(0.05 * len(dag)), seed=seed)
+        assert len(dag) == 4775 and len(planted.msps) == 239
+        assert hashlib.sha256(repr(planted.msps).encode()).hexdigest()[:16] == digest
 
     def test_unknown_policy_rejected(self):
         dag = generate_dag(width=50, depth=3, seed=0)
