@@ -1,17 +1,21 @@
 """Tests for crowd-proposed MORE extensions (the UI's "more" button)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.assignments import Assignment, QueryAssignmentSpace
-from repro.crowd import CrowdMember, FixedSampleAggregator
-from repro.datasets import running_example
+from repro.crowd import CrowdMember, FixedSampleAggregator, PersonalDatabase
+from repro.datasets import running_example, travel
 from repro.engine.adapters import MemberUser
+from repro.engine.config import EngineConfig
+from repro.engine.engine import OassisEngine
 from repro.mining import MultiUserMiner
 from repro.oassisql import parse_query
 from repro.observability import tracing
-from repro.ontology import Fact, fact_set
-from repro.vocabulary import Element
-from repro.vocabulary.terms import ANY_ELEMENT
+from repro.ontology import Fact, FactSet, fact_set
+from repro.vocabulary import Element, Relation, Vocabulary
+from repro.vocabulary.terms import ANY_ELEMENT, ANY_RELATION_WILDCARD
 
 
 def E(name):
@@ -169,6 +173,138 @@ class TestMemberTips:
                              more_tip_ratio=0.0)
         target = fact_set(("Biking", "doAt", "Central Park"))
         assert member.suggest_more_fact(target) is None
+
+
+def scan_tip(member, fact_set):
+    """The tip by the per-occurrence scan: each occurrence of a fact in a
+    supporting transaction is compared with every pattern fact before it
+    is counted, and the most frequent survivor must reach half of the
+    supporting transactions.  The oracle for the counting pass."""
+    vocabulary = member.vocabulary
+    supporting = member.database.supporting_transactions(fact_set, vocabulary)
+    if not supporting:
+        return None
+    counts = {}
+    for transaction in supporting:
+        for fact in transaction.facts:
+            if any(
+                fact.leq(g, vocabulary) or g.leq(fact, vocabulary) for g in fact_set
+            ):
+                continue
+            counts[fact] = counts.get(fact, 0) + 1
+    if not counts:
+        return None
+    best = max(sorted(counts, key=str), key=lambda f: counts[f])
+    if counts[best] < max(1, len(supporting) // 2):
+        return None
+    return best
+
+
+@st.composite
+def tip_problems(draw):
+    """A personal database over a random taxonomy, and a pattern to tip on.
+
+    Elements e0..e{n-1} form a tree under e0 and relations r0..r{m-1} one
+    under r0; ``x0`` and ``q0`` lie outside both orders.  Pattern
+    components may be the wildcards.  A transaction may hold a
+    specialization of every pattern fact (so it supports the pattern), a
+    generalization of one pattern fact, and random facts.
+    """
+    vocabulary = Vocabulary()
+    vocabulary.add_element("e0")
+    for i in range(1, draw(st.integers(2, 7))):
+        vocabulary.specialize_element(f"e{draw(st.integers(0, i - 1))}", f"e{i}")
+    vocabulary.add_relation("r0")
+    for i in range(1, draw(st.integers(1, 3))):
+        vocabulary.specialize_relation(f"r{draw(st.integers(0, i - 1))}", f"r{i}")
+    elements = sorted(vocabulary.elements) + [Element("x0")]
+    relations = sorted(vocabulary.relations) + [Relation("q0")]
+
+    def term(pool, wildcard):
+        return draw(st.sampled_from(pool + [wildcard]))
+
+    def moved(value, pool, wildcard, closure):
+        # a specialization (closure: descendants) or generalization
+        # (ancestors) of one component; the wildcard is above everything
+        if value == wildcard:
+            return draw(st.sampled_from(pool)) if closure == "descendants" else value
+        options = sorted(getattr(vocabulary, closure)(value))
+        if closure == "ancestors":
+            options.append(wildcard)
+        return draw(st.sampled_from(options))
+
+    def shifted(fact, closure):
+        return Fact(
+            moved(fact.subject, elements, ANY_ELEMENT, closure),
+            moved(fact.relation, relations, ANY_RELATION_WILDCARD, closure),
+            moved(fact.obj, elements, ANY_ELEMENT, closure),
+        )
+
+    pattern = FactSet(
+        Fact(
+            term(elements, ANY_ELEMENT),
+            term(relations, ANY_RELATION_WILDCARD),
+            term(elements, ANY_ELEMENT),
+        )
+        for _ in range(draw(st.integers(1, 2)))
+    )
+    transactions = []
+    for _ in range(draw(st.integers(1, 8))):
+        facts = [
+            Fact(
+                draw(st.sampled_from(elements)),
+                draw(st.sampled_from(relations)),
+                draw(st.sampled_from(elements)),
+            )
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        if draw(st.booleans()):
+            facts.extend(shifted(g, "descendants") for g in pattern)
+        if draw(st.booleans()):
+            facts.append(shifted(draw(st.sampled_from(sorted(pattern))), "ancestors"))
+        transactions.append(facts)
+    database = PersonalDatabase.from_fact_sets(transactions)
+    return CrowdMember("m", database, vocabulary), pattern
+
+
+class TestTipEqualsTheScan:
+    """Counting first, then comparing only the facts that reach the floor,
+    picks the tip the per-occurrence scan picks."""
+
+    @given(tip_problems())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_random_databases(self, problem):
+        member, pattern = problem
+        assert member.suggest_more_fact(pattern, force=True) == scan_tip(
+            member, pattern
+        )
+
+    def test_forced_tips_of_travel_crowds(self, monkeypatch):
+        """Every tip a travel run could ask for, forced (no rng draw)."""
+        dataset = travel.build_dataset()
+        engine = OassisEngine(
+            dataset.ontology,
+            config=EngineConfig(max_values_per_var=2, max_more_facts=1),
+        )
+        suggest = CrowdMember.suggest_more_fact
+        tips = []
+
+        def checked(member, fact_set, force=False):
+            tips.append(
+                (suggest(member, fact_set, force=True), scan_tip(member, fact_set))
+            )
+            return suggest(member, fact_set, force)
+
+        monkeypatch.setattr(CrowdMember, "suggest_more_fact", checked)
+        for seed in range(3):
+            engine.execute(
+                dataset.query(0.5),
+                dataset.build_crowd(size=6, seed=seed),
+                sample_size=3,
+                more_pool=dataset.more_pool,
+            )
+        assert sum(tip is not None for tip, _ in tips) > 300
+        assert all(tip == expected for tip, expected in tips)
 
 
 class TestEndToEndProposedMore:
