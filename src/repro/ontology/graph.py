@@ -135,9 +135,8 @@ class Ontology:
                 yield Fact(subject, relation, o)
             return
         if relation is not None and obj is not None:
-            for s, objs in self._pos.get(relation, {}).items():
-                if obj in objs:
-                    yield Fact(s, relation, obj)
+            for s in self.subjects(relation, obj):
+                yield Fact(s, relation, obj)
             return
         if subject is not None and obj is not None:
             for r in self._osp.get(obj, {}).get(subject, ()):
@@ -165,10 +164,16 @@ class Ontology:
         return frozenset(self._spo.get(subject, {}).get(relation, ()))
 
     def subjects(self, relation: Relation, obj: Element) -> FrozenSet[Element]:
-        """All ``s`` with ``<s, relation, obj>`` asserted."""
-        return frozenset(
-            s for s, objs in self._pos.get(relation, {}).items() if obj in objs
-        )
+        """All ``s`` with ``<s, relation, obj>`` asserted.
+
+        Reads whichever index side is smaller: the subjects of ``obj``
+        (OSP) or the subjects of ``relation`` (POS).
+        """
+        by_object = self._osp.get(obj, {})
+        by_relation = self._pos.get(relation, {})
+        if len(by_object) <= len(by_relation):
+            return frozenset(s for s, rels in by_object.items() if relation in rels)
+        return frozenset(s for s, objs in by_relation.items() if obj in objs)
 
     def holds(self, fact: FactLike) -> bool:
         """Is ``fact`` semantically implied by the ontology (``{f} ≤ O``)?

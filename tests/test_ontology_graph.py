@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datasets import culinary, health, travel
 from repro.ontology import Fact, Ontology, fact_set
 from repro.vocabulary import Element, Relation
 
@@ -75,6 +76,32 @@ class TestMatching:
     def test_objects_subjects_helpers(self, onto):
         assert onto.objects(Element("Central Park"), Relation("inside")) == {Element("NYC")}
         assert onto.subjects(Relation("inside"), Element("NYC")) == {Element("Central Park")}
+
+
+class TestIndexSides:
+    """``subjects`` and ``match(relation=, obj=)`` read the smaller of the
+    object's and the relation's index; both must equal a full scan."""
+
+    def test_bound_relation_and_object_equal_a_scan(self):
+        object_side = relation_side = 0
+        for domain in (travel, culinary, health):
+            ontology = domain.build_ontology()
+            facts = list(ontology)
+            for relation in sorted({f.relation for f in facts}):
+                for obj in sorted({f.obj for f in facts}):
+                    scanned = {
+                        f for f in facts if f.relation == relation and f.obj == obj
+                    }
+                    assert ontology.subjects(relation, obj) == {
+                        f.subject for f in scanned
+                    }
+                    assert set(ontology.match(relation=relation, obj=obj)) == scanned
+                    if len(ontology._osp[obj]) <= len(ontology._pos[relation]):
+                        object_side += 1
+                    else:
+                        relation_side += 1
+        # the pairs exercise both index sides
+        assert object_side and relation_side
 
 
 class TestSemantics:
