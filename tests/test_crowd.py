@@ -1,9 +1,14 @@
 """Unit tests for the crowd substrate: DBs, questions, members, aggregation."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.assignments import Assignment
 from repro.crowd import (
     ConcreteQuestion,
@@ -178,6 +183,34 @@ class TestCrowdMember:
         assert member.prunable_value(swimming_node) == Element("Water Sport")
         biking_node = Assignment.make(vocab, {"y": {Element("Biking")}})
         assert member.prunable_value(biking_node) is None
+
+    def test_pruning_token_is_independent_of_hash_seed(self):
+        # a travel node involving two of the member's irrelevant values,
+        # asked in two interpreters: the token must not follow set order
+        src = str(Path(repro.__file__).resolve().parents[1])
+        script = (
+            "from repro.assignments import Assignment\n"
+            "from repro.crowd import CrowdMember, PersonalDatabase\n"
+            "from repro.datasets import travel\n"
+            "from repro.vocabulary import Element\n"
+            "dataset = travel.build_dataset()\n"
+            "vocab = dataset.ontology.vocabulary\n"
+            "member = CrowdMember('m', PersonalDatabase(), vocab, pruning_ratio=1.0,\n"
+            "                     irrelevant_values=dataset.irrelevant_values)\n"
+            "node = Assignment.make(vocab, {'y': {Element('Kayaking'), Element('Climbing')}})\n"
+            "print(member.prunable_value(node))\n"
+        )
+        tokens = []
+        for hash_seed in ("0", "1"):
+            run = subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src),
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            tokens.append(run.stdout.strip())
+        assert tokens == ["Climbing", "Climbing"]
 
     def test_oracle_member(self, setting):
         vocab, _ = setting
