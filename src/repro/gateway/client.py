@@ -54,6 +54,7 @@ from .schema import (
     QueryRequest,
     QuestionBatch,
     ResultResponse,
+    SchemaError,
     facts_from_wire,
 )
 
@@ -319,6 +320,9 @@ def _member_loop(
                     time.sleep(0.01)  # backpressure: let answers drain
                     continue
                 errors.append(f"{member.member_id}: {error}")
+                return
+            except SchemaError as error:
+                errors.append(f"{member.member_id}: undecodable batch: {error}")
                 return
             for question in batch.questions:
                 fact_set = facts_from_wire(question.facts)

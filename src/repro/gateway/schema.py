@@ -279,11 +279,11 @@ class QuestionDTO:
             if not (
                 isinstance(triple, list)
                 and len(triple) == 3
-                and all(isinstance(part, str) for part in triple)
+                and all(isinstance(part, str) and part for part in triple)
             ):
                 raise SchemaError(
                     "field 'facts' must be a list of [subject, relation, "
-                    f"object] string triples, got {triple!r}"
+                    f"object] non-empty string triples, got {triple!r}"
                 )
             facts.append((triple[0], triple[1], triple[2]))
         return cls(

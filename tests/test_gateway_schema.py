@@ -1,10 +1,17 @@
 """The gateway wire schema: versioned DTOs, typed decode, fact triples."""
 
+import http.server
+import json
+import threading
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gateway.schema import (
     SCHEMA_VERSION,
     ActivateRequest,
+    ActivateResponse,
     AnswerRequest,
     AnswerResponse,
     DatasetList,
@@ -21,7 +28,10 @@ from repro.gateway.schema import (
     facts_from_wire,
     facts_to_wire,
 )
+from repro.crowd import CrowdMember, PersonalDatabase
+from repro.gateway.client import _member_loop
 from repro.ontology.facts import Fact, FactSet
+from repro.vocabulary import Vocabulary
 
 
 class TestVersioning:
@@ -136,3 +146,128 @@ class TestFactTriples:
         ((s, r, o),) = facts_to_wire(facts)
         assert (s, r, o) == ("a", "r", "b")
         assert all(isinstance(part, str) for part in (s, r, o))
+
+    def test_empty_term_name_is_a_schema_error(self):
+        payload = QuestionDTO("q1", "s", "t", (("a", "r", "b"),), 5.0, 1).to_wire()
+        for position in range(3):
+            triple = ["a", "r", "b"]
+            triple[position] = ""
+            payload["facts"] = [triple]
+            with pytest.raises(SchemaError):
+                QuestionDTO.from_wire(payload)
+
+
+# ------------------------------------------------------------------ fuzzing
+
+_QUESTION = QuestionDTO("q1", "s1", "How often?", (("a", "doAt", "b"),), 1.5, 1)
+
+#: one valid wire payload per decoder, the seed of its near-valid inputs
+_SAMPLES = {
+    ActivateRequest: ActivateRequest("travel").to_wire(),
+    ActivateResponse: ActivateResponse("travel", True).to_wire(),
+    AnswerRequest: AnswerRequest("q1", 0.5, "k", 2.0).to_wire(),
+    AnswerResponse: AnswerResponse("q1", "recorded").to_wire(),
+    DatasetList: DatasetList(("demo", "travel"), "demo").to_wire(),
+    ErrorResponse: ErrorResponse("bad_request", "x", 1.0).to_wire(),
+    JoinRequest: JoinRequest("m0").to_wire(),
+    JoinResponse: JoinResponse("m0", "tok").to_wire(),
+    QueryAccepted: QueryAccepted("s1", "SELECT").to_wire(),
+    QueryRequest: QueryRequest("SELECT", 0.4, 3, "s1").to_wire(),
+    QuestionBatch: QuestionBatch((_QUESTION,), 0.5).to_wire(),
+    QuestionDTO: _QUESTION.to_wire(),
+    ResultResponse: ResultResponse("s1", "done", True, 3, ("m",), ("m",)).to_wire(),
+}
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_triples = st.lists(
+    st.lists(st.text(max_size=2), min_size=3, max_size=3), min_size=1, max_size=3
+)
+
+
+@st.composite
+def _mutated(draw, payload):
+    """``payload`` with up to three fields dropped or replaced by arbitrary
+    JSON or name triples; the objects of a list are mutated the same way."""
+    out = dict(payload)
+    keys = draw(
+        st.lists(st.sampled_from(sorted(out) + ["extra"]), max_size=3, unique=True)
+    )
+    for key in keys:
+        action = draw(st.sampled_from(["drop", "json", "triples"]))
+        if action == "drop":
+            out.pop(key, None)
+        elif action == "json":
+            out[key] = draw(_json)
+        else:
+            out[key] = draw(_triples)
+    for key, value in list(out.items()):
+        if isinstance(value, list) and value and all(
+            isinstance(item, dict) for item in value
+        ):
+            out[key] = [draw(_mutated(item)) for item in value]
+    return out
+
+
+@pytest.mark.parametrize("decoder", list(_SAMPLES), ids=lambda c: c.__name__)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_decoders_return_or_raise_schema_error(decoder, data):
+    """Any JSON value, or a valid payload with fields dropped or replaced,
+    decodes or raises SchemaError; a decoded question's facts rebuild."""
+    payload = data.draw(st.one_of(_json, _mutated(_SAMPLES[decoder])))
+    try:
+        decoded = decoder.from_wire(payload)
+    except SchemaError:
+        return
+    if isinstance(decoded, QuestionBatch):
+        questions = decoded.questions
+    elif isinstance(decoded, QuestionDTO):
+        questions = (decoded,)
+    else:
+        questions = ()
+    for question in questions:
+        facts_from_wire(question.facts)
+
+
+def test_campaign_member_records_an_undecodable_batch():
+    """A member thread that cannot decode its batch records the error
+    and stops, rather than dying with nothing in ``errors``."""
+    question = _QUESTION.to_wire()
+    question["facts"] = [["", "doAt", "b"]]
+    body = json.dumps({"v": 1, "questions": [question]}).encode()
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    errors = []
+    try:
+        member = CrowdMember("m0", PersonalDatabase(), Vocabulary())
+        _member_loop(
+            "127.0.0.1",
+            server.server_address[1],
+            "tok",
+            member,
+            threading.Event(),
+            0.0,
+            errors,
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert len(errors) == 1
+    assert "undecodable batch" in errors[0]
