@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint doclint typecheck bench-suite perfbench perfbench-test gateway-smoke chaos examples figures stats clean
+.PHONY: install test lint doclint typecheck bench-suite determinism perfbench perfbench-test gateway-smoke chaos examples figures stats clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -34,6 +34,32 @@ typecheck:
 # figure's series and asserts the trend the paper reports
 bench-suite:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# the figures, and a traced run of each domain at threshold 0.3 with six
+# members (where MORE tips and pruning clicks happen, which the figures'
+# runs never make), at PYTHONHASHSEED 0 and 1; fails when the figures,
+# the printed answers or the stats report's counters and derived
+# sections differ between the two
+DETERMINISM_DIR = .determinism
+
+determinism:
+	rm -rf $(DETERMINISM_DIR) && mkdir -p $(DETERMINISM_DIR)
+	set -e; for seed in 0 1; do \
+	  PYTHONHASHSEED=$$seed $(MAKE) --no-print-directory figures > $(DETERMINISM_DIR)/figures-$$seed.txt; \
+	  for domain in travel culinary health; do \
+	    PYTHONHASHSEED=$$seed PYTHONPATH=src $(PYTHON) -m repro run --domain $$domain \
+	      --threshold 0.3 --crowd-size 6 --stats-json $(DETERMINISM_DIR)/stats.json \
+	      > $(DETERMINISM_DIR)/$$domain-$$seed.txt; \
+	    $(PYTHON) -c 'import json, sys; r = json.load(open(sys.argv[1])); \
+	      print(json.dumps({k: r[k] for k in ("counters", "derived")}, indent=1, sort_keys=True))' \
+	      $(DETERMINISM_DIR)/stats.json > $(DETERMINISM_DIR)/$$domain-$$seed.stats; \
+	  done; \
+	done
+	set -e; cd $(DETERMINISM_DIR); diff figures-0.txt figures-1.txt; \
+	for domain in travel culinary health; do \
+	  diff $$domain-0.txt $$domain-1.txt; diff $$domain-0.stats $$domain-1.stats; \
+	done
+	rm -rf $(DETERMINISM_DIR)
 
 # the end-to-end benchmark declared in BENCHMARK.json (perfbench/README.md):
 # all four seeded workloads, each untraced (end-to-end metrics) and then
