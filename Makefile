@@ -35,11 +35,13 @@ typecheck:
 bench-suite:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# the figures, and a traced run of each domain at threshold 0.3 with six
+# the figures, a traced run of each domain at threshold 0.3 with six
 # members (where MORE tips and pruning clicks happen, which the figures'
-# runs never make), at PYTHONHASHSEED 0 and 1; fails when the figures,
-# the printed answers or the stats report's counters and derived
-# sections differ between the two
+# runs never make), and four travel sessions served in one process (one
+# shared lattice, checked by the serial oracle), at PYTHONHASHSEED 0 and
+# 1; fails when the figures, the printed answers, the stats report's
+# counters and derived sections, or the serving report less its three
+# wall-clock rates differ between the two
 DETERMINISM_DIR = .determinism
 
 determinism:
@@ -54,11 +56,19 @@ determinism:
 	      print(json.dumps({k: r[k] for k in ("counters", "derived")}, indent=1, sort_keys=True))' \
 	      $(DETERMINISM_DIR)/stats.json > $(DETERMINISM_DIR)/$$domain-$$seed.stats; \
 	  done; \
+	  PYTHONHASHSEED=$$seed PYTHONPATH=src $(PYTHON) -m repro serve-sim --domain travel \
+	    --sessions 4 --crowd-size 6 --json > $(DETERMINISM_DIR)/serve.json; \
+	  $(PYTHON) -c 'import json, sys; r = json.load(open(sys.argv[1])); \
+	    assert r["verified"], r["mismatches"]; \
+	    [r.pop(k) for k in ("elapsed_seconds", "questions_per_second", "sessions_per_second")]; \
+	    print(json.dumps(r, indent=1, sort_keys=True))' \
+	    $(DETERMINISM_DIR)/serve.json > $(DETERMINISM_DIR)/serve-$$seed.json; \
 	done
 	set -e; cd $(DETERMINISM_DIR); diff figures-0.txt figures-1.txt; \
 	for domain in travel culinary health; do \
 	  diff $$domain-0.txt $$domain-1.txt; diff $$domain-0.stats $$domain-1.stats; \
-	done
+	done; \
+	diff serve-0.json serve-1.json
 	rm -rf $(DETERMINISM_DIR)
 
 # the end-to-end benchmark declared in BENCHMARK.json (perfbench/README.md):

@@ -52,8 +52,131 @@ from .assignment import Assignment
 from .lattice import AssignmentSpace
 
 
+class QueryLattice:
+    """The crowd-independent part of a query's expanded assignment DAG.
+
+    Algorithm 1's DAG depends only on the ontology and on the query's
+    WHERE and SATISFYING parts (with the MORE pool and the value caps of
+    its space), never on the support threshold or on the crowd.  A
+    lattice holds what a :class:`QueryAssignmentSpace` derives from them:
+    the WHERE tuples per dropped-variable subset, the caps, universes and
+    top values, the tuple index and witness memo, the expansion and
+    validity verdicts, the roots, the base successor and predecessor
+    lists, and the order-derived memos (``leq`` digests, ordered
+    successors, addable values, chain positions), each with the order
+    stamp it was built at.  Every entry is a pure function of its key,
+    whichever space computed it; crowd answers and crowd-proposed MORE
+    extensions never enter it.
+
+    A space builds its lattice in its constructor, or shares one passed
+    in: :meth:`repro.engine.engine.OassisEngine.build_space` retains a
+    few under :func:`lattice_key`, so the runs, replays and sessions of
+    one query shape evaluate its WHERE clause once and expand each node
+    once.  The space's methods fill the lattice; they stay on the space,
+    where a subclass can override one computation and traced runs wrap
+    them by name.  Not synchronized, like :class:`WitnessIndex`: every
+    runtime drives an engine from one thread.
+    """
+
+    def __init__(self, ontology: Ontology, query: Query) -> None:
+        self.engine = SparqlEngine(ontology)
+        self.caps = _where_caps(query.where)
+        # dropped-subset -> (constrained remaining vars, set of value tuples)
+        self.reduced: Dict[FrozenSet[str], Tuple[Tuple[str, ...], Set[Tuple]]] = {}
+        self.universes: Dict[str, FrozenSet[Term]] = {}
+        self.top: Dict[str, FrozenSet[Term]] = {}
+        self.roots: Optional[List[Assignment]] = None
+        # memoized traversal structure: regenerating successors dominates the
+        # mining runtime otherwise (every BFS pass re-derives them).  A
+        # successor list is the node's expansion without any run's proposals
+        self.successors: Dict[Assignment, List[Assignment]] = {}
+        self.predecessors: Dict[Assignment, List[Assignment]] = {}
+        self.valid: Dict[Assignment, bool] = {}
+        # in_expansion verdicts per shared-variable value projection: MORE
+        # facts and free variables never enter the verdict
+        self.expansion: Dict[Tuple[FrozenSet[Term], ...], bool] = {}
+        # per-dropped-subset inverted index: var -> value -> tuple bitmask,
+        # making expansion checks bitwise-AND work instead of per-tuple leq
+        self.tuple_index: Dict[FrozenSet[str], Dict[str, Dict[Term, int]]] = {}
+        # (dropped, var, value) -> (witness values, domination mask): the
+        # concrete tuple values the assignment value generalizes, and the
+        # OR of their tuple masks.  Memoized across expansion checks — the
+        # same few hundred (var, value) pairs recur for every candidate
+        # node, and recomputing them per node used to dominate travel runs
+        self.witness_memo: Dict[
+            Tuple[FrozenSet[str], str, Term], Tuple[Tuple[Term, ...], int]
+        ] = {}
+        # per-assignment leq digests (see QueryAssignmentSpace.leq);
+        # invalidated when either order's version stamp moves, like every
+        # closure-derived cache
+        self.digest_stamp: Tuple[int, int] = (-1, -1)
+        self.left_digest: Dict[Assignment, tuple] = {}
+        self.right_digest: Dict[Assignment, tuple] = {}
+        # memos derived from the orders, dropped when their stamp moves:
+        # chain-partition sort keys (lazy), ordered_successors lists, and
+        # addable values per (variable, value set)
+        self.memo_stamp: Tuple[int, int] = (-1, -1)
+        self.chain_pos: Optional[Dict[Term, Tuple[int, int]]] = None
+        self.ordered: Dict[Assignment, List[Assignment]] = {}
+        self.addable: Dict[Tuple[str, FrozenSet[Term]], List[Term]] = {}
+
+
+def lattice_key(
+    ontology: Ontology,
+    query: Query,
+    more_pool: Sequence[Fact],
+    max_values_per_var: int,
+    max_more_facts: int,
+) -> tuple:
+    """The query shape a :class:`QueryLattice` is valid for.
+
+    The versions of the ontology and of both orders, the WHERE patterns,
+    the SATISFYING meta-facts with their blanks resolved, the MORE flag,
+    the MORE pool and the two value caps; never the support threshold.
+    Blanks compare by identity, so two parses of one text differ in them:
+    a WHERE blank keys as ``None`` (each occurrence is its own
+    existential), a SATISFYING blank as the hidden variable it resolves to.
+    """
+    vocabulary = ontology.vocabulary
+    where = None
+    if query.where is not None:
+        where = tuple(
+            (
+                _blankless(p.subject),
+                _blankless(p.relation.term),
+                p.relation.mod,
+                _blankless(p.obj),
+            )
+            for p in query.where
+        )
+    satisfying = _resolve_blanks(query.satisfying)
+    return (
+        (
+            ontology.version,
+            vocabulary.element_order.version,
+            vocabulary.relation_order.version,
+        ),
+        where,
+        tuple(satisfying.meta_facts),
+        satisfying.more,
+        tuple(more_pool),
+        max_values_per_var,
+        max_more_facts,
+    )
+
+
+def _blankless(term):
+    return None if isinstance(term, Blank) else term
+
+
 class QueryAssignmentSpace(AssignmentSpace[Assignment]):
-    """The expanded assignment DAG of an OASSIS-QL query, built lazily."""
+    """One run's view of a query's expanded assignment DAG, built lazily.
+
+    The structure lives in a :class:`QueryLattice` that other runs of the
+    same query shape may share; the space adds what one run contributes:
+    its crowd-proposed MORE extensions (:meth:`propose_more_fact`) and the
+    record of the nodes it expanded (:meth:`materialized_nodes`).
+    """
 
     def __init__(
         self,
@@ -62,6 +185,8 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         more_pool: Iterable[Fact] = (),
         max_values_per_var: int = 3,
         max_more_facts: int = 2,
+        *,
+        lattice: Optional[QueryLattice] = None,
     ):
         self.ontology = ontology
         self.vocabulary = ontology.vocabulary
@@ -82,50 +207,41 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         self._shared_vars = tuple(v for v in self._sat_vars if v in where_vars)
         self._free_vars = tuple(v for v in self._sat_vars if v not in where_vars)
 
-        self._engine = SparqlEngine(ontology)
-        # dropped-subset -> (constrained remaining vars, set of value tuples)
-        self._reduced_cache: Dict[FrozenSet[str], Tuple[Tuple[str, ...], Set[Tuple]]] = {}
+        # ``lattice`` must come from a space of the same lattice_key
+        if lattice is None:
+            lattice = QueryLattice(ontology, query)
+        self.lattice = lattice
+        # the lattice's containers under the names the methods read (bound
+        # once, never rebound: clearing one clears it for every sharer)
+        self._engine = lattice.engine
+        self._caps = lattice.caps
+        self._reduced_cache = lattice.reduced
+        self._universes = lattice.universes
+        self._top_cache = lattice.top
+        self._succ_cache = lattice.successors
+        self._pred_cache = lattice.predecessors
+        self._valid_cache = lattice.valid
+        self._expansion_cache = lattice.expansion
+        self._tuple_index = lattice.tuple_index
+        self._witness_memo = lattice.witness_memo
+        self._left_digest = lattice.left_digest
+        self._right_digest = lattice.right_digest
+        self._ordered = lattice.ordered
+        self._addable = lattice.addable
+
+        # what this run adds.  MORE facts proposed by the crowd (the UI's
+        # "more" button): extra successors registered per node, verified
+        # like any other assignment
+        self._proposed_more: Dict[Assignment, List[Assignment]] = {}
+        # the successor list this run reads per node it expanded: the
+        # lattice's list, or a copy extended by the run's proposals
+        self._expanded: Dict[Assignment, List[Assignment]] = {}
+        # ordered lists of the nodes holding proposals, at _own_stamp
+        self._own_ordered: Dict[Assignment, List[Assignment]] = {}
+        self._own_stamp: Tuple[int, int] = (-1, -1)
+
         with _obs_span("sparql.match"):
             self._reduced_solutions(frozenset())
-
-        self._caps = self._compute_caps()
-        self._universes: Dict[str, FrozenSet[Term]] = {}
-        self._top_cache: Dict[str, FrozenSet[Term]] = {}
-        # memoized traversal structure: regenerating successors dominates the
-        # mining runtime otherwise (every BFS pass re-derives them)
-        self._succ_cache: Dict[Assignment, List[Assignment]] = {}
-        self._pred_cache: Dict[Assignment, List[Assignment]] = {}
-        self._valid_cache: Dict[Assignment, bool] = {}
-        # in_expansion verdicts per shared-variable value projection: MORE
-        # facts and free variables never enter the verdict
-        self._expansion_cache: Dict[Tuple[FrozenSet[Term], ...], bool] = {}
-        self._roots_cache: Optional[List[Assignment]] = None
-        # MORE facts proposed by the crowd (the UI's "more" button): extra
-        # successors registered per node, verified like any other assignment
-        self._proposed_more: Dict[Assignment, List[Assignment]] = {}
-        # per-dropped-subset inverted index: var -> value -> tuple bitmask,
-        # making expansion checks bitwise-AND work instead of per-tuple leq
-        self._tuple_index: Dict[FrozenSet[str], Dict[str, Dict[Term, int]]] = {}
-        # (dropped, var, value) -> (witness values, domination mask): the
-        # concrete tuple values the assignment value generalizes, and the
-        # OR of their tuple masks.  Memoized across expansion checks — the
-        # same few hundred (var, value) pairs recur for every candidate
-        # node, and recomputing them per node used to dominate travel runs
-        self._witness_memo: Dict[
-            Tuple[FrozenSet[str], str, Term], Tuple[Tuple[Term, ...], int]
-        ] = {}
-        # per-assignment leq digests (see leq()); invalidated when either
-        # order's version stamp moves, like every closure-derived cache
-        self._digest_stamp: Tuple[int, int] = (-1, -1)
-        self._left_digest: Dict[Assignment, tuple] = {}
-        self._right_digest: Dict[Assignment, tuple] = {}
-        # memos derived from the orders, dropped when their stamp moves:
-        # chain-partition sort keys (lazy), ordered_successors lists, and
-        # addable values per (variable, value set)
-        self._memo_stamp: Tuple[int, int] = (-1, -1)
-        self._chain_pos: Optional[Dict[Term, Tuple[int, int]]] = None
-        self._ordered: Dict[Assignment, List[Assignment]] = {}
-        self._addable: Dict[Tuple[str, FrozenSet[Term]], List[Term]] = {}
 
     # ------------------------------------------------------------ valid base
 
@@ -194,43 +310,6 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         return Assignment.make(self.vocabulary, mapping)
 
     # ------------------------------------------------------------- universes
-
-    def _compute_caps(self) -> Dict[str, FrozenSet[Element]]:
-        """Per-variable generalization caps inferred from the WHERE clause.
-
-        ``$v subClassOf* C`` and ``$v instanceOf C`` cap ``v`` at ``C``;
-        ``$v instanceOf $w`` inherits ``w``'s cap.  Variables without a
-        discovered cap fall back to the element-order roots.
-        """
-        caps: Dict[str, Set[Element]] = {}
-        if self.query.where is None:
-            return {}
-        # first pass: direct caps
-        for pattern in self.query.where:
-            rel = pattern.relation.term
-            if not isinstance(rel, Concrete):
-                continue
-            if not isinstance(pattern.subject, Var):
-                continue
-            if isinstance(pattern.obj, Concrete) and rel.name in (
-                SUBCLASS_OF,
-                INSTANCE_OF,
-            ):
-                caps.setdefault(pattern.subject.name, set()).add(Element(pattern.obj.name))
-        # second pass: $v instanceOf $w picks up $w's cap
-        for pattern in self.query.where:
-            rel = pattern.relation.term
-            if (
-                isinstance(rel, Concrete)
-                and rel.name == INSTANCE_OF
-                and isinstance(pattern.subject, Var)
-                and isinstance(pattern.obj, Var)
-                and pattern.obj.name in caps
-            ):
-                caps.setdefault(pattern.subject.name, set()).update(
-                    caps[pattern.obj.name]
-                )
-        return {name: frozenset(values) for name, values in caps.items()}
 
     def universe(self, name: str) -> FrozenSet[Term]:
         """All candidate values for variable ``name`` in the expanded space.
@@ -318,8 +397,9 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
 
     def roots(self) -> List[Assignment]:
         """Most general assignments: top values for mandatory variables."""
-        if self._roots_cache is not None:
-            return list(self._roots_cache)
+        lattice = self.lattice
+        if lattice.roots is not None:
+            return list(lattice.roots)
         mandatory: List[str] = []
         for name in self._sat_vars:
             if self._min_multiplicity(name) >= 1:
@@ -337,30 +417,56 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
             if assignment not in seen and self.in_expansion(assignment):
                 seen.add(assignment)
                 roots.append(assignment)
-        self._roots_cache = roots
+        lattice.roots = roots
         return list(roots)
 
     def successors(self, node: Assignment) -> List[Assignment]:
+        """The node's expansion, then this run's admitted MORE proposals.
+
+        A cache hit is the run's own list or one the lattice already
+        holds, possibly from another run's expansion; a miss expands.
+        """
         tracer = get_tracer()
-        cached = self._succ_cache.get(node)
-        if cached is not None:
-            if tracer is not None:
+        mine = self._expanded.get(node)
+        if mine is None:
+            base = self._succ_cache.get(node)
+            if base is None:
+                base = self._succ_cache[node] = self._expand_traced(node, tracer)
+            elif tracer is not None:
                 tracer.count("lattice.succ_cache.hits")
-            return list(cached)
+            mine = self._expanded[node] = self._with_proposals(node, base)
+        elif tracer is not None:
+            tracer.count("lattice.succ_cache.hits")
+        return list(mine)
+
+    def _expand_traced(self, node: Assignment, tracer) -> List[Assignment]:
+        """A cold expansion, counted and timed when a tracer is active."""
         if tracer is None:
+            return self._expand(node)
+        tracer.count("lattice.succ_cache.misses")
+        start = time.perf_counter()
+        with tracer.span("lattice.expand"):
             out = self._expand(node)
-        else:
-            tracer.count("lattice.succ_cache.misses")
-            start = time.perf_counter()
-            with tracer.span("lattice.expand"):
-                out = self._expand(node)
-            # a cold expansion sits between a member's answer and their
-            # next question: its tail is what the question gap feels
-            tracer.observe("lattice.latency.expand", time.perf_counter() - start)
-            if out:
-                tracer.count("lattice.successors.generated", len(out))
-        self._succ_cache[node] = out
-        return list(out)
+        # a cold expansion sits between a member's answer and their
+        # next question: its tail is what the question gap feels
+        tracer.observe("lattice.latency.expand", time.perf_counter() - start)
+        if out:
+            tracer.count("lattice.successors.generated", len(out))
+        return out
+
+    def _with_proposals(
+        self, node: Assignment, base: List[Assignment]
+    ) -> List[Assignment]:
+        """``base`` extended by this run's proposals for ``node`` that pass
+        the checks expansion applies, in proposal order."""
+        proposed = self._proposed_more.get(node)
+        if not proposed:
+            return base
+        extra = [p for p in proposed if p not in base and self._admits(node, p)]
+        if not extra:
+            return base
+        _obs_count("lattice.successors.generated", len(extra))
+        return base + extra
 
     def _expand(self, node: Assignment) -> List[Assignment]:
         """Generate the successors of ``node`` (the uncached path)."""
@@ -395,24 +501,24 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         if self.satisfying.more and len(node.more) < self.max_more_facts:
             for fact in self.more_pool:
                 emit(node.with_more_fact(self.vocabulary, fact))
-        # (iv) crowd-proposed MORE extensions (the UI's "more" button)
-        for proposed in self._proposed_more.get(node, ()):
-            emit(proposed)
         return out
 
     def _admits(self, node: Assignment, candidate: Assignment) -> bool:
         """Is ``candidate`` a successor of ``node``: strictly more specific
-        and inside the expansion ``A``?"""
+        and inside the expansion ``A``?  Membership is asked first, so a
+        candidate outside ``A`` compiles no ``leq`` digest for the lattice
+        to keep."""
         return (
             candidate != node
-            and self.leq(node, candidate)
             and self.in_expansion(candidate)
+            and self.leq(node, candidate)
         )
 
     def materialized_nodes(self) -> Set[Assignment]:
-        """Every node expanded so far and every successor it generated."""
-        nodes = set(self._succ_cache)
-        for successors in self._succ_cache.values():
+        """Every node this run expanded and every successor it read there
+        (a lattice shared with other runs holds more)."""
+        nodes = set(self._expanded)
+        for successors in self._expanded.values():
             nodes.update(successors)
         return nodes
 
@@ -425,26 +531,32 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         first (ordered by chain, then position), then added incomparable
         values, then MORE extensions.  The order is fully deterministic —
         ties break on ``repr`` — which also makes runs reproducible across
-        interpreter hash seeds.  Each node is sorted once per order stamp.
+        interpreter hash seeds.  Each node is sorted once per order stamp:
+        in the lattice, or in this run when it proposed MORE facts there.
         """
         self._sync_memos()
-        ordered = self._ordered.get(node)
+        memo = self._own_ordered if node in self._proposed_more else self._ordered
+        ordered = memo.get(node)
         if ordered is None:
             ordered = sorted(
                 self.successors(node),
                 key=lambda s: self._successor_sort_key(node, s),
             )
-            self._ordered[node] = ordered
+            memo[node] = ordered
         return list(ordered)
 
     def _sync_memos(self) -> None:
         """Drop the order-derived memos when either order's version moved."""
         stamp = self.order_stamp()
-        if stamp != self._memo_stamp:
-            self._memo_stamp = stamp
-            self._chain_pos = None
+        lattice = self.lattice
+        if stamp != lattice.memo_stamp:
+            lattice.memo_stamp = stamp
+            lattice.chain_pos = None
             self._ordered.clear()
             self._addable.clear()
+        if stamp != self._own_stamp:
+            self._own_stamp = stamp
+            self._own_ordered.clear()
 
     def _successor_sort_key(
         self, node: Assignment, successor: Assignment
@@ -468,15 +580,16 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
     def _chain_position(self, value: Term) -> Tuple[int, int]:
         """Chain coordinates of ``value`` across both orders (memoized at
         the stamp :meth:`_sync_memos` last saw)."""
-        if self._chain_pos is None:
+        lattice = self.lattice
+        if lattice.chain_pos is None:
             element_chains = self.vocabulary.element_order.chain_partition()
             relation_chains = self.vocabulary.relation_order.chain_partition()
             offset = len(element_chains)
             merged = dict(element_chains)
             for term, (chain_id, position) in relation_chains.items():
                 merged[term] = (chain_id + offset, position)
-            self._chain_pos = merged
-        return self._chain_pos.get(value, (-1, 0))
+            lattice.chain_pos = merged
+        return lattice.chain_pos.get(value, (-1, 0))
 
     def propose_more_fact(self, node: Assignment, fact: Fact) -> Optional[Assignment]:
         """Register a crowd-proposed MORE extension of ``node``.
@@ -485,11 +598,11 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         MORE facts at every assignment (which would multiply the question
         load), extensions enter the DAG only when a member volunteers one;
         the extension is then verified with concrete questions like any
-        other assignment.  When ``node`` is already expanded, the extension
-        joins the end of its successor list through the checks expansion
-        applies, so the list equals a fresh expansion's.  Returns the
-        extended assignment, or None when the query has no MORE clause, the
-        extension budget is exhausted, or the fact adds nothing.
+        other assignment.  The extension is this run's: it joins the end of
+        ``node``'s successor list in this space only, through the checks
+        expansion applies, whether or not the run expanded ``node`` yet.
+        Returns the extended assignment, or None when the query has no MORE
+        clause, the extension budget is exhausted, or the fact adds nothing.
         """
         if not self.satisfying.more or len(node.more) >= self.max_more_facts:
             return None
@@ -499,14 +612,15 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         bucket = self._proposed_more.setdefault(node, [])
         if extended not in bucket:
             bucket.append(extended)
-            cached = self._succ_cache.get(node)
+            mine = self._expanded.get(node)
             if (
-                cached is not None
-                and extended not in cached
+                mine is not None
+                and extended not in mine
                 and self._admits(node, extended)
             ):
-                cached.append(extended)
-                self._ordered.pop(node, None)
+                # a new list: the old one may be the lattice's
+                self._expanded[node] = mine + [extended]
+                self._own_ordered.pop(node, None)
                 _obs_count("lattice.successors.generated")
         return extended
 
@@ -522,10 +636,12 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
                 seen.add(candidate)
                 out.append(candidate)
 
+        # values and MORE facts in sorted order, like _expand: the lists
+        # are shared and must not move with PYTHONHASHSEED
         for name in self._sat_vars:
             universe = self.universe(name)
             current = node.get(name)
-            for value in current:
+            for value in sorted(current):
                 # (i) generalize one value by one taxonomy edge
                 for parent in self.vocabulary.parents_sorted(value):
                     if parent in universe:
@@ -539,7 +655,7 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
                     remaining = dict(node.values)
                     remaining[name] = frozenset(v for v in current if v != value)
                     emit(Assignment(remaining, node.more))
-        for fact in node.more:
+        for fact in sorted(node.more):
             remaining_more = frozenset(f for f in node.more if f != fact)
             emit(Assignment(node.values, remaining_more))
         self._pred_cache[node] = out
@@ -561,10 +677,11 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         if a is b:
             return True
         stamp = self.order_stamp()
-        if stamp != self._digest_stamp:
+        lattice = self.lattice
+        if stamp != lattice.digest_stamp:
             self._left_digest.clear()
             self._right_digest.clear()
-            self._digest_stamp = stamp
+            lattice.digest_stamp = stamp
         left = self._left_digest.get(a)
         if left is None:
             left = self._compile_left_digest(a)
@@ -1158,6 +1275,44 @@ class WitnessIndex:
                     bits |= 1 << i
             entry[0], entry[1] = bits, n
         return bits
+
+
+def _where_caps(where: Optional[BGP]) -> Dict[str, FrozenSet[Element]]:
+    """Per-variable generalization caps inferred from the WHERE clause.
+
+    ``$v subClassOf* C`` and ``$v instanceOf C`` cap ``v`` at ``C``;
+    ``$v instanceOf $w`` inherits ``w``'s cap.  Variables without a
+    discovered cap fall back to the element-order roots.
+    """
+    caps: Dict[str, Set[Element]] = {}
+    if where is None:
+        return {}
+    # first pass: direct caps
+    for pattern in where:
+        rel = pattern.relation.term
+        if not isinstance(rel, Concrete):
+            continue
+        if not isinstance(pattern.subject, Var):
+            continue
+        if isinstance(pattern.obj, Concrete) and rel.name in (
+            SUBCLASS_OF,
+            INSTANCE_OF,
+        ):
+            caps.setdefault(pattern.subject.name, set()).add(Element(pattern.obj.name))
+    # second pass: $v instanceOf $w picks up $w's cap
+    for pattern in where:
+        rel = pattern.relation.term
+        if (
+            isinstance(rel, Concrete)
+            and rel.name == INSTANCE_OF
+            and isinstance(pattern.subject, Var)
+            and isinstance(pattern.obj, Var)
+            and pattern.obj.name in caps
+        ):
+            caps.setdefault(pattern.subject.name, set()).update(
+                caps[pattern.obj.name]
+            )
+    return {name: frozenset(values) for name, values in caps.items()}
 
 
 def _resolve_blanks(satisfying: SatisfyingClause) -> SatisfyingClause:

@@ -20,10 +20,11 @@ the configured values.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from ..assignments.assignment import Assignment
-from ..assignments.generator import QueryAssignmentSpace
+from ..assignments.generator import QueryAssignmentSpace, QueryLattice, lattice_key
 from ..crowd.aggregator import FixedSampleAggregator
 from ..crowd.cache import CrowdCache
 from ..crowd.member import CrowdMember
@@ -35,13 +36,16 @@ from ..nlg.templates import QuestionTemplates
 from ..oassisql.ast import Query
 from ..oassisql.parser import parse_query
 from ..oassisql.validator import ensure_valid
-from ..observability import get_tracer, span as _obs_span
+from ..observability import count as _obs_count, get_tracer, span as _obs_span
 from ..ontology.facts import Fact
 from ..ontology.graph import Ontology
 from .adapters import MemberUser
 from .config import EngineConfig
 from .queue_manager import QueueManager
 from .results import QueryResult, build_result
+
+#: query lattices an engine retains, the least recently posed evicted first
+RETAINED_LATTICES = 4
 
 
 class OassisEngine:
@@ -50,6 +54,8 @@ class OassisEngine:
     def __init__(self, ontology: Ontology, *, config: Optional[EngineConfig] = None):
         self.ontology = ontology
         self.config = config if config is not None else EngineConfig()
+        # lattice_key -> the lattice of the spaces built for it
+        self._lattices: "OrderedDict[tuple, QueryLattice]" = OrderedDict()
 
     # ----------------------------------------------------- config accessors
 
@@ -80,16 +86,47 @@ class OassisEngine:
     def build_space(
         self, query: Union[str, Query], more_pool: Iterable[Fact] = ()
     ) -> QueryAssignmentSpace:
-        """The lazy assignment space for ``query``."""
+        """A fresh run's lazy assignment space for ``query``.
+
+        Spaces of one query shape (:func:`~repro.assignments.generator.
+        lattice_key`: no threshold, no crowd) share one
+        :class:`~repro.assignments.generator.QueryLattice`, so a later
+        run, replay or session of the query finds its WHERE clause
+        evaluated and its nodes expanded; each space keeps its own MORE
+        proposals.  The engine retains the ``RETAINED_LATTICES`` most
+        recently posed shapes, and drops a lattice once the ontology or
+        an order has changed since it was built.
+        """
         parsed = self._as_query(query)
+        pool = tuple(more_pool)
+        config = self.config
         with _obs_span("lattice.build"):
-            return QueryAssignmentSpace(
+            key = lattice_key(
                 self.ontology,
                 parsed,
-                more_pool=more_pool,
-                max_values_per_var=self.config.max_values_per_var,
-                max_more_facts=self.config.max_more_facts,
+                pool,
+                config.max_values_per_var,
+                config.max_more_facts,
             )
+            retained = self._lattices
+            # a key starts with the ontology and order versions
+            for stale in [k for k in retained if k[0] != key[0]]:
+                del retained[stale]
+            lattice = retained.pop(key, None)
+            if lattice is not None:
+                _obs_count("lattice.reused")
+            space = QueryAssignmentSpace(
+                self.ontology,
+                parsed,
+                more_pool=pool,
+                max_values_per_var=config.max_values_per_var,
+                max_more_facts=config.max_more_facts,
+                lattice=lattice,
+            )
+            retained[key] = space.lattice
+            if len(retained) > RETAINED_LATTICES:
+                retained.popitem(last=False)
+            return space
 
     # ------------------------------------------------------------ execution
 

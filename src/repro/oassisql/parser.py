@@ -69,6 +69,8 @@ def parse_query(text: str) -> Query:
     _parse_support_operator(stream)
     number = stream.expect("NUMBER")
     threshold = float(number.text)
+    if not 0.0 < threshold <= 1.0:
+        raise ParseError(f"support threshold must be in (0, 1], got {threshold}", number)
     stream.expect("EOF")
 
     satisfying = SatisfyingClause(meta_facts, more, threshold)

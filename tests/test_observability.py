@@ -61,17 +61,20 @@ class AverageMember(CrowdMember):
         return sum(supports) / len(supports)
 
 
+def _engine(ontology):
+    return OassisEngine(
+        ontology, config=EngineConfig(max_values_per_var=2, max_more_facts=1)
+    )
+
+
 @pytest.fixture(scope="module")
 def setting():
     ontology = running_example.build_ontology()
     dbs = running_example.build_personal_databases()
-    engine = OassisEngine(
-        ontology, config=EngineConfig(max_values_per_var=2, max_more_facts=1)
-    )
     members = [
         AverageMember(f"avg-{i}", dbs, ontology.vocabulary) for i in range(5)
     ]
-    return engine, members
+    return _engine(ontology), members
 
 
 class TestSpans:
@@ -258,9 +261,11 @@ class TestReport:
 class TestEngineIntegration:
     @pytest.fixture(scope="class")
     def traced(self, setting):
+        # a fresh engine: the module's engine may have posed the query
+        # before, and then shares its expanded lattice with this run
         engine, members = setting
         with tracing() as tracer:
-            result = engine.execute(
+            result = _engine(engine.ontology).execute(
                 running_example.FRAGMENT_QUERY, members, sample_size=5
             )
         return tracer, result
@@ -312,6 +317,27 @@ class TestEngineIntegration:
         summary = result.stats["histograms"]["lattice.latency.expand"]
         assert summary["count"] == misses
         assert 0.0 < summary["p99_s"] <= summary["max_s"]
+
+    def test_a_warm_run_expands_nothing_the_first_one_did(self, setting):
+        # the second execution of the query on one engine finds every node
+        # the first expanded in the shared lattice, and asks the same
+        _, members = setting
+        engine = _engine(running_example.build_ontology())
+        runs = []
+        for _ in range(2):
+            with tracing() as tracer:
+                result = engine.execute(
+                    running_example.FRAGMENT_QUERY, members, sample_size=5
+                )
+            runs.append((tracer, result))
+        (cold, first), (warm, second) = runs
+        assert cold.value("lattice.succ_cache.misses") > 0
+        assert warm.value("lattice.reused") == 1
+        assert warm.value("lattice.succ_cache.misses") == 0
+        assert "lattice.latency.expand" not in warm.histograms
+        assert warm.value("lattice.succ_cache.hits") > 0
+        assert second.questions == first.questions
+        assert second.render() == first.render()
 
     def test_render_report_on_real_run(self, traced):
         tracer, _ = traced
