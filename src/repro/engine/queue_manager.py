@@ -4,9 +4,10 @@ Where :class:`~repro.mining.multiuser.MultiUserMiner` drives simulated
 members itself, :class:`QueueManager` inverts control for serving (the
 :mod:`repro.service` session layer, the shard coordinator and the
 interactive demo): callers pop askable nodes for a member and push the
-member's answers back.  Internally it keeps the same global
-classification state, aggregator-driven inference and per-member
-:class:`~repro.mining.multiuser.MemberWalk` as the batch walk.
+member's answers back.  Internally it is the batch walk's
+:class:`~repro.mining.multiuser.CrowdWalk`: the same global
+classification state, aggregator-driven inference, per-member
+:class:`~repro.mining.multiuser.MemberWalk`, pop loop and answer step.
 
 The pull/push surface:
 
@@ -38,8 +39,7 @@ from ..assignments.generator import QueryAssignmentSpace
 from ..crowd.aggregator import Aggregator
 from ..crowd.cache import CrowdCache
 from ..mining.multiuser import CrowdWalk, MemberWalk
-from ..mining.state import Status
-from ..observability import count as _obs_count
+from ..observability import count as _obs_count, get_tracer
 from ..vocabulary.terms import Term
 
 
@@ -123,72 +123,51 @@ class QueueManager(CrowdWalk[Assignment]):
         """
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
-        self.register_member(member_id)
-        return self._pop(self._walks[member_id], k, exclude)
+        return self._take(member_id, k, exclude)
 
     def has_fresh_work(
         self, member_id: str, exclude: Iterable[Assignment] = ()
     ) -> bool:
         """Would :meth:`next_batch` yield anything for the member?
 
-        The completion probe of the service layer.  Dead nodes encountered
-        on the way (classified, personally pruned, already answered) are
-        consumed exactly as :meth:`next_batch` would consume them, but the
-        first askable candidate is left queued and unvisited.  Nodes in
-        ``exclude`` count as work (they are merely deferred by a backoff
-        window, not gone).
+        The completion probe of the service layer: it consumes dead nodes
+        as :meth:`next_batch` does but leaves the first askable one queued
+        and unvisited.  Nodes in ``exclude`` count as work (a backoff
+        window defers them; they are not gone).
         """
-        self.register_member(member_id)
-        walk = self._walks[member_id]
-        self._pop(walk, 1, exclude, peek=True)
+        self._take(member_id, 1, exclude, peek=True)
         # all that is left queued is the peeked candidate and deferred nodes
-        return bool(walk.stack)
+        return bool(self._walks[member_id].stack)
 
-    def _pop(
+    def _take(
         self,
-        walk: MemberWalk[Assignment],
+        member_id: str,
         k: int,
         exclude: Iterable[Assignment],
         peek: bool = False,
     ) -> List[Assignment]:
-        """Pop up to ``k`` askable nodes off ``walk``'s stack.
+        """Pop up to ``k`` askable nodes (:meth:`_pop`), ``exclude`` put back.
 
-        Dead nodes on the way are consumed: already visited, classified
-        insignificant, pruned by the member, or answered by them (a
-        significant answer pushes the node's successors).  Nodes in
-        ``exclude`` are popped and put back in their order.  With ``peek``
-        the askable nodes go back on the stack unvisited as well.
+        With ``peek`` the askable nodes go back on the stack unvisited too.
         """
+        self.register_member(member_id)
+        walk = self._walks[member_id]
+        # count on the tracer active at the call (a batch run reads it in run())
+        self._obs = get_tracer()
         excluded = set(exclude)
-        stack, visited, answers = walk.stack, walk.visited, walk.answers
-        tokens = walk.prune_tokens
-        status = self.state.status
-        vocabulary = self.space.vocabulary
         deferred: List[Assignment] = []
         askable: List[Assignment] = []
-        while stack and len(askable) < k:
-            node = stack.pop()
-            if node in excluded:
-                deferred.append(node)
-                continue
-            if node in visited:
-                continue
-            visited.add(node)
-            if status(node) is Status.INSIGNIFICANT:
-                continue
-            if tokens and any(node.involves(t, vocabulary) for t in tokens):
-                continue
-            if node in answers:
-                if answers[node] >= self.threshold:
-                    self._push_successors(walk, node)
-                continue
+        while len(askable) < k:
+            node = self._pop(walk, excluded, deferred)
+            if node is None:
+                break
             askable.append(node)
         if peek:
             for node in askable:
-                visited.discard(node)
-                stack.append(node)
+                walk.visited.discard(node)
+                walk.stack.append(node)
         # deferred nodes were popped top-first: restore original order
-        stack.extend(reversed(deferred))
+        walk.stack.extend(reversed(deferred))
         return askable
 
     def _answering(
@@ -203,6 +182,7 @@ class QueueManager(CrowdWalk[Assignment]):
         if walk is None or node in walk.answers:
             _obs_count("crowd.answers.stale")
             return None
+        self._obs = get_tracer()
         return walk
 
     def submit_support(
@@ -218,15 +198,7 @@ class QueueManager(CrowdWalk[Assignment]):
         walk = self._answering(member_id, node)
         if walk is None:
             return AnswerOutcome.STALE
-        self.questions += 1
-        _obs_count("crowd.questions")
-        _obs_count("crowd.questions.concrete")
-        walk.answers[node] = support
-        self._record(node, member_id, support)
-        if (
-            support >= self.threshold
-            and self.state.status(node) is not Status.INSIGNIFICANT
-        ):
+        if self._answer(walk, member_id, node, support):
             self._push_successors(walk, node)
         return AnswerOutcome.RECORDED
 
@@ -242,12 +214,7 @@ class QueueManager(CrowdWalk[Assignment]):
         walk = self._answering(member_id, node)
         if walk is None:
             return AnswerOutcome.STALE
-        self.questions += 1
-        _obs_count("crowd.questions")
-        _obs_count("crowd.pruning_clicks")
-        walk.prune_tokens.append(value)
-        walk.answers[node] = 0.0
-        self._record(node, member_id, 0.0)
+        self._answer(walk, member_id, node, 0.0, value)
         return AnswerOutcome.PRUNED
 
     # ------------------------------------------------- timeout / reassignment
@@ -330,3 +297,7 @@ class QueueManager(CrowdWalk[Assignment]):
         for successor in self.space.successors(node):
             if successor not in visited:
                 stack.append(successor)
+
+    def _pruned(self, walk: MemberWalk[Assignment], node: Assignment) -> bool:
+        vocabulary = self.space.vocabulary
+        return any(node.involves(token, vocabulary) for token in walk.prune_tokens)

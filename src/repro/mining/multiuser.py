@@ -16,12 +16,12 @@ implemented:
    assignment are classified insignificant.
 
 Traversal starts from the overall most general assignments even when they
-are already classified (the Section 4.2 refinement); by default users
+are already classified (the Section 4.2 refinement); in both walks members
 descend *without* being re-asked about assignments whose global verdict is
-already decided (set ``ask_decided_generals=True`` to spend the redundant
-questions on per-user routing instead — the ablation benchmark compares
-both).  The driver interleaves users round-robin, one question per turn,
-emulating members answering in parallel; it stops as soon as no
+already decided (the batch walk's ``ask_decided_generals=True`` spends the
+redundant questions on per-user routing instead — the ablation benchmark
+compares both).  The driver interleaves users round-robin, one question per
+turn, emulating members answering in parallel; it stops as soon as no
 globally-unclassified assignment remains reachable, so cached answers beyond
 that point are "not used" (the Section 6.3 accounting).
 """
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import (
     Callable,
+    Collection,
     Dict,
     Generic,
     Hashable,
@@ -161,12 +162,15 @@ class CrowdWalk(Probe[Node]):
     :class:`MultiUserMiner` drives simulated members itself;
     :class:`~repro.engine.queue_manager.QueueManager` lets callers pull
     questions and push answers.  Both keep a :class:`MemberWalk` per
-    member and classify through one verdict step, :meth:`_record`.  Three
-    things each walk keeps for itself until ROADMAP item 1 settles them:
-    the order it pushes successors in (``_push_successors``), whether it
-    skips nodes the aggregator has already decided, and the batch-only
-    answer kinds (specialization, "none of these", MORE tips).
+    member, pop it through :meth:`_pop`, take concrete answers and pruning
+    clicks through :meth:`_answer` and classify through :meth:`_record`.
+    Each keeps its push order (``_push_successors``) and its pruning test
+    (``_pruned``); the batch walk alone has the other answer kinds
+    (specialization, "none of these", MORE tips).
     """
+
+    #: ask nodes the aggregator has decided (only the ablation's batch walk)
+    ask_decided_generals = False
 
     def __init__(
         self,
@@ -178,6 +182,84 @@ class CrowdWalk(Probe[Node]):
         super().__init__(space, threshold=aggregator.threshold, **probe_options)
         self.aggregator = aggregator
         self.cache = cache
+
+    def _pop(
+        self,
+        walk: MemberWalk[Node],
+        excluded: Collection[Node] = (),
+        deferred: Optional[List[Node]] = None,
+    ) -> Optional[Node]:
+        """Pop ``walk``'s next askable node; None when its stack runs dry.
+
+        Dead nodes on the way are consumed: visited, insignificant, pruned
+        or answered by the member (a significant answer pushes the node's
+        successors), or decided by the aggregator (decided significant, its
+        successors are pushed without a question).  Nodes in ``excluded``
+        go to ``deferred`` unvisited.
+        """
+        stack, visited, answers = walk.stack, walk.visited, walk.answers
+        status = self.state.status
+        obs = self._obs
+        while stack:
+            node = stack.pop()
+            if node in excluded:
+                deferred.append(node)  # type: ignore[union-attr]
+                continue
+            if node in visited:
+                continue
+            visited.add(node)
+            if status(node) is Status.INSIGNIFICANT:
+                if obs is not None:
+                    obs.count("mining.skipped.insignificant")
+                continue
+            if walk.prune_tokens and self._pruned(walk, node):
+                if obs is not None:
+                    obs.count("mining.skipped.user_pruned")
+                continue
+            if node in answers:
+                if answers[node] >= self.threshold:
+                    self._push_successors(walk, node)
+                continue
+            if (
+                not self.ask_decided_generals
+                and self.aggregator.verdict(node) is not Verdict.UNDECIDED
+            ):
+                if obs is not None:
+                    obs.count("mining.skipped.decided")
+                if status(node) is Status.SIGNIFICANT:
+                    self._push_successors(walk, node)
+                continue
+            return node
+        return None
+
+    def _answer(
+        self,
+        walk: MemberWalk[Node],
+        member_id: str,
+        node: Node,
+        support: float,
+        token: Optional[object] = None,
+    ) -> bool:
+        """Record the member's answer for ``node``; True = descend below it.
+
+        With a ``token`` the answer is a pruning click: support 0, and
+        ``_pruned`` drops what the token covers from the member's walk.
+        """
+        self.questions += 1
+        kind = "crowd.questions.concrete"
+        if token is not None:
+            walk.prune_tokens.append(token)
+            support, kind = 0.0, "crowd.pruning_clicks"
+        if self._obs is not None:
+            self._obs.count("crowd.questions")
+            self._obs.count(kind)
+        walk.answers[node] = support
+        self._record(node, member_id, support)
+        # thresholds are positive, so a pruning click never descends
+        return (
+            support >= self.threshold
+            and self.state.status(node) is not Status.INSIGNIFICANT
+        )
 
     def _record(
         self, node: Node, member_id: str, support: float, fresh: bool = True
@@ -204,6 +286,12 @@ class CrowdWalk(Probe[Node]):
         if status is Status.SIGNIFICANT and verdict is Verdict.SIGNIFICANT:
             # a node the closure already made insignificant is no candidate
             self.tracker.note_significant(node)
+
+    def _push_successors(self, walk: MemberWalk[Node], node: Node) -> None:
+        raise NotImplementedError
+
+    def _pruned(self, walk: MemberWalk[Node], node: Node) -> bool:
+        raise NotImplementedError
 
 
 class QuestionStats:
@@ -328,76 +416,35 @@ class MultiUserMiner(CrowdWalk[Node]):
     # ------------------------------------------------------------ user turn
 
     def _user_turn(self, session: _Session[Node]) -> bool:
-        """Advance one user until a question is posed; False = user done."""
-        while session.stack:
-            node = session.stack.pop()
-            if node in session.visited:
-                continue
-            session.visited.add(node)
-            if self.state.status(node) is Status.INSIGNIFICANT:
-                if self._obs is not None:
-                    self._obs.count("mining.skipped.insignificant")
-                continue  # pruned globally (QueueManager)
-            if session.prune_tokens and any(
-                session.user.matches_prune(node, token)
-                for token in session.prune_tokens
-            ):
-                if self._obs is not None:
-                    self._obs.count("mining.skipped.user_pruned")
-                continue  # pruned for this user
-            if node in session.answers:
-                if session.answers[node] >= self.threshold:
-                    self._push_successors(session, node)
-                continue
-            # the decided-node skip: this walk's own, the served walk asks
-            decided = self.aggregator.verdict(node) is not Verdict.UNDECIDED
-            if decided and not self.ask_decided_generals:
-                # descend optimistically without spending a question
-                if self._obs is not None:
-                    self._obs.count("mining.skipped.decided")
-                if self.state.status(node) is Status.SIGNIFICANT:
-                    self._push_successors(session, node)
-                continue
-            self._pose_question(session, node)
-            return True
-        session.finish()
-        return False
+        """Pose the user's next question; False = the user is done."""
+        node = self._pop(session)
+        if node is None:
+            session.finish()
+            return False
+        self._pose_question(session, node)
+        return True
 
     def _pose_question(self, session: _Session[Node], node: Node) -> None:
-        support = session.user.support(node)
-        self.questions += 1
-        self.questions_per_user[session.user.member_id] = (
-            self.questions_per_user.get(session.user.member_id, 0) + 1
+        user = session.user
+        support = user.support(node)
+        self.questions_per_user[user.member_id] = (
+            self.questions_per_user.get(user.member_id, 0) + 1
         )
-        if self._obs is not None:
-            self._obs.count("crowd.questions")
-        session.answers[node] = support
-        token = session.user.prune_value(node)
+        # a pruning click answers support 0 and prunes the user's subtree
+        token = user.prune_value(node)
         if token is not None:
-            # the interaction was a pruning click: support 0, subtree pruned
             self.stats.pruning_clicks += 1
-            if self._obs is not None:
-                self._obs.count("crowd.pruning_clicks")
-            session.prune_tokens.append(token)
-            session.answers[node] = 0.0
-            self._record(node, session.user.member_id, 0.0)
+        else:
+            self.stats.concrete += 1
+        if not self._answer(session, user.member_id, node, support, token):
             self.sample()
             return
-        self.stats.concrete += 1
-        if self._obs is not None:
-            self._obs.count("crowd.questions.concrete")
-        self._record(node, session.user.member_id, support)
-        personally_significant = support >= self.threshold
-        overall_insignificant = self.state.status(node) is Status.INSIGNIFICANT
-        if personally_significant and not overall_insignificant:
-            self._maybe_propose_more(session, node)
-            if session.user.wants_specialization():
-                self.sample()
-                self._pose_specialization(session, node)
-            else:
-                self._push_successors(session, node)
-                self.sample()
+        self._maybe_propose_more(session, node)
+        if user.wants_specialization():
+            self.sample()
+            self._pose_specialization(session, node)
         else:
+            self._push_successors(session, node)
             self.sample()
 
     def _pose_specialization(self, session: _Session[Node], node: Node) -> None:
@@ -406,9 +453,7 @@ class MultiUserMiner(CrowdWalk[Node]):
             for s in self._ordered_successors(node)
             if self.state.status(s) is not Status.INSIGNIFICANT
             and s not in session.answers
-            and not any(
-                session.user.matches_prune(s, t) for t in session.prune_tokens
-            )
+            and not self._pruned(session, s)
         ]
         if not candidates:
             return
@@ -462,10 +507,14 @@ class MultiUserMiner(CrowdWalk[Node]):
             if self._obs is not None:
                 self._obs.count("crowd.more_tips")
 
-    def _push_successors(self, session: _Session[Node], node: Node) -> None:
+    def _push_successors(self, walk: MemberWalk[Node], node: Node) -> None:
         # this walk's push order: reversed, so the stack pops in
         # chain-partition order and a user walks one taxonomy chain to its
         # end before switching chains (the served walk pops the last first)
         for successor in reversed(self._ordered_successors(node)):
-            if successor not in session.visited:
-                session.stack.append(successor)
+            if successor not in walk.visited:
+                walk.stack.append(successor)
+
+    def _pruned(self, session: _Session[Node], node: Node) -> bool:  # type: ignore[override]
+        user = session.user
+        return any(user.matches_prune(node, token) for token in session.prune_tokens)

@@ -12,10 +12,15 @@ import pytest
 
 from repro import OassisEngine
 from repro.datasets import running_example
+from repro.crowd import CrowdCache, Verdict
 from repro.engine import AnswerOutcome, MemberUser
 from repro.mining.state import Status
 from repro.service import ServiceConfig
-from repro.service.simulation import DOMAINS
+from repro.service.simulation import (
+    DOMAINS,
+    build_identical_crowd,
+    serial_mismatches,
+)
 from repro.vocabulary import Element
 
 
@@ -151,6 +156,60 @@ class TestLateAnswersOnClassifiedNodes:
             assert qm.submit_support(member, 1.0, grandchild) is AnswerOutcome.RECORDED
         assert qm.state.status(grandchild) is Status.INSIGNIFICANT
         assert grandchild not in qm.current_msps()
+
+
+class TestDecidedNodes:
+    """The served walk descends through decided nodes without asking."""
+
+    @pytest.mark.parametrize("threshold, answers", [(0.4, 1203), (0.5, 966)])
+    def test_round_robin_hands_out_no_decided_node(self, threshold, answers):
+        # six identical members take turns, one question each; handing out
+        # decided nodes cost 1,377 and 1,107 answers for the same MSPs
+        travel = DOMAINS["travel"]()
+        query = travel.query(threshold)
+        queue = OassisEngine(travel.ontology).queue_manager(
+            query, sample_size=3, cache=CrowdCache()
+        )
+        users = [
+            MemberUser(member, queue.space)
+            for member in build_identical_crowd(travel, 6, seed=0)
+        ]
+        handed_out_decided = 0
+        progressed = True
+        while progressed:
+            progressed = False
+            for user in users:
+                for node in queue.next_batch(user.member_id):
+                    progressed = True
+                    if queue.aggregator.verdict(node) is not Verdict.UNDECIDED:
+                        handed_out_decided += 1
+                    queue.submit_support(user.member_id, user.support(node), node)
+        assert handed_out_decided == 0
+        assert queue.questions_asked == answers
+        served = {"s": (query, [repr(a) for a in queue.current_msps()])}
+        assert serial_mismatches(
+            "travel", served, crowd_size=6, sample_size=3, seed=0
+        ) == []
+
+    def _decided_root(self, engine, support):
+        qm = engine.queue_manager(running_example.FRAGMENT_QUERY, sample_size=1)
+        (root,) = qm.next_batch("a")
+        qm.submit_support("a", support, root)
+        assert qm.aggregator.verdict(root) is not Verdict.UNDECIDED
+        qm.register_member("b")  # b's stack holds only the decided root
+        return qm, root
+
+    def test_decided_significant_node_yields_its_successors(self, engine):
+        qm, root = self._decided_root(engine, 1.0)
+        successors = list(qm.space.successors(root))
+        assert qm.has_fresh_work("b")
+        assert qm._walks["b"].stack == successors
+        assert qm.next_batch("b") == [successors[-1]]
+
+    def test_decided_insignificant_node_is_no_fresh_work(self, engine):
+        qm, _ = self._decided_root(engine, 0.0)
+        assert not qm.has_fresh_work("b")
+        assert qm.next_batch("b") == []
 
 
 class TestDeadlineBoundaries:
