@@ -88,12 +88,13 @@ class PersonalDatabase:
     # -------------------------------------------------------------- support
 
     def tid_index(self, vocabulary: Vocabulary) -> TidIndex:
-        """The (lazily rebuilt) TID-bitset index against ``vocabulary``."""
+        """The TID-bitset index against ``vocabulary``, current with this database."""
         index = self._index
         if index is None or index.vocabulary is not vocabulary:
-            index = TidIndex(self, vocabulary)
+            index = TidIndex(vocabulary)
             self._index = index
             self._hits_cache.clear()
+        index.sync(self)
         return index
 
     def support(self, fact_set: FactSet, vocabulary: Vocabulary) -> float:

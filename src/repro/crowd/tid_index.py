@@ -28,9 +28,11 @@ and repeated structurally-similar questions (the normal crowd-mining
 workload) hit the per-fact memo directly.
 
 The index is version-stamped on the database and both vocabulary orders
-and rebuilt lazily on the first query after any of them changes, so
-``PersonalDatabase.add()`` invalidates correctly (see
-``docs/PERFORMANCE.md``).
+and rebuilt lazily when its database hands it out after any of them
+changes, so ``PersonalDatabase.add()`` invalidates correctly (see
+``docs/PERFORMANCE.md``).  It keeps no reference to its database: the
+database holds the index, and a cycle would leave every member's
+transactions to the cyclic collector.
 """
 
 from __future__ import annotations
@@ -47,11 +49,10 @@ class TidIndex:
     """The inverted fact → transaction-bitmask index of one database.
 
     Built against a specific :class:`Vocabulary`; keyed on the database
-    version and both order versions, rebuilding lazily when stale.
+    version and both order versions, rebuilding in :meth:`sync` when stale.
     """
 
-    def __init__(self, database, vocabulary: Vocabulary):
-        self._db = database
+    def __init__(self, vocabulary: Vocabulary):
         self.vocabulary = vocabulary
         self._built_stamp: Optional[Tuple[int, int, int]] = None
         # distinct transaction facts, interned to local fact ids
@@ -68,22 +69,19 @@ class TidIndex:
 
     # ---------------------------------------------------------- build / sync
 
-    def _stamp(self) -> Tuple[int, int, int]:
-        return (
-            self._db.data_version,
+    def sync(self, database) -> None:
+        """Rebuild from ``database`` if it or an order changed since the build."""
+        stamp = (
+            database.data_version,
             self.vocabulary.element_order.version,
             self.vocabulary.relation_order.version,
         )
+        if self._built_stamp != stamp:
+            with _obs_span("backend.compile"):
+                self._rebuild(database)
+            self._built_stamp = stamp
 
-    def _ensure_current(self) -> None:
-        if self._built_stamp != self._stamp():
-            self._rebuild()
-
-    def _rebuild(self) -> None:
-        with _obs_span("backend.compile"):
-            self._do_rebuild()
-
-    def _do_rebuild(self) -> None:
+    def _rebuild(self, database) -> None:
         self._fact_ids.clear()
         self._by_subject.clear()
         self._by_relation.clear()
@@ -91,7 +89,7 @@ class TidIndex:
         self._witness_cache.clear()
         fact_masks: List[int] = []
         fact_ids = self._fact_ids
-        for position, transaction in enumerate(self._db):
+        for position, transaction in enumerate(database):
             tx_bit = 1 << position
             for fact in transaction.facts:
                 fid = fact_ids.get(fact)
@@ -112,8 +110,7 @@ class TidIndex:
                 fact_masks[fid] |= tx_bit
         self._fact_masks = fact_masks
         self._all_facts_mask = (1 << len(fact_masks)) - 1
-        self._all_tx_mask = (1 << len(self._db)) - 1
-        self._built_stamp = self._stamp()
+        self._all_tx_mask = (1 << len(database)) - 1
         _obs_count("tid_index.rebuilds")
 
     # -------------------------------------------------------------- queries
@@ -175,7 +172,6 @@ class TidIndex:
         a fact set iterates in hash order, so stopping early would make
         the memo's contents and counters depend on ``PYTHONHASHSEED``.
         """
-        self._ensure_current()
         _obs_count("tid_index.support.queries")
         mask = self._all_tx_mask
         for fact in fact_set:

@@ -10,7 +10,9 @@ with the per-transaction scan must ask the same questions and find the
 same MSPs as one on the index.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -171,6 +173,22 @@ class TestSupportEquivalence:
             assert db.support(query, vocabulary) == db.support_reference(
                 query, vocabulary
             )
+
+    def test_database_with_built_index_needs_no_cyclic_collection(self):
+        rng = random.Random(19)
+        vocabulary = random_vocabulary(
+            element_count=40, relation_count=4, depth=3, seed=19
+        )
+        db = _random_database(rng, vocabulary, transactions=8)
+        for query in _random_queries(rng, vocabulary, count=5):
+            db.support(query, vocabulary)  # builds the index
+        freed = weakref.ref(db)
+        gc.disable()
+        try:
+            del db
+            assert freed() is None, "database and index form a reference cycle"
+        finally:
+            gc.enable()
 
     def test_supporting_transactions_match_reference(self):
         rng = random.Random(17)
