@@ -210,7 +210,6 @@ def run_chaos_once(
         seed=seed,
         faults=plan,
         durable_dir=durable_dir,
-        checkpoint_every=5 if durable_dir is not None else 0,
         breaker_window=4,
         breaker_cooldown=0.05,
         audit=True,

@@ -2,7 +2,7 @@
 
 The restore protocol (see ``docs/RELIABILITY.md``):
 
-1. the **checkpoint** (tiny JSON written atomically by
+1. the **checkpoint** (tiny JSON written once, atomically, by
    :meth:`~repro.service.session.QuerySession.enable_checkpoints`) names
    the query text, sample size and session id — everything needed to
    rebuild the assignment space;
@@ -147,7 +147,6 @@ def restore_session(
     checkpoint_path: PathLike,
     journal_path: PathLike,
     session_id: Optional[str] = None,
-    checkpoint_every: int = 0,
     fsync: bool = False,
 ) -> QuerySession:
     """Resume a killed session from its checkpoint + WAL journal.
@@ -157,8 +156,8 @@ def restore_session(
     a preloaded :class:`~repro.crowd.journal.DurableCrowdCache` (new
     answers keep appending; replayed identities stay idempotent) and
     resumes through ``create_session(..., resume=True)``
-    (:func:`resume_session`).  With ``checkpoint_every > 0`` the restored
-    session continues writing checkpoints to the same path.
+    (:func:`resume_session`).  The checkpoint stays valid for the
+    restored session: nothing in it changes.
     """
     with _obs_span("recovery.restore"):
         payload = read_checkpoint(checkpoint_path)
@@ -177,7 +176,5 @@ def restore_session(
             sample_size=int(raw_sample) if isinstance(raw_sample, int) else None,
             include_invalid=bool(payload.get("include_invalid", False)),
         )
-        if checkpoint_every > 0:
-            session.enable_checkpoints(checkpoint_path, every=checkpoint_every)
     _obs_count("recovery.sessions.restored")
     return session

@@ -68,10 +68,6 @@ class QuerySession:
         # member -> cached (assignment, support) pairs, filled on resume so
         # late-attaching members start from the cached frontier
         self._cached_by_member: Dict[str, List[Tuple[Assignment, float]]] = {}
-        # checkpointing (enable_checkpoints)
-        self._checkpoint_path: Optional[str] = None
-        self._checkpoint_every = 0
-        self._recorded_since_checkpoint = 0
 
     def __repr__(self) -> str:
         return f"QuerySession({self.session_id!r}, {self.state.value})"
@@ -136,20 +132,14 @@ class QuerySession:
     ) -> AnswerOutcome:
         if self.state is not SessionState.OPEN:
             return AnswerOutcome.STALE
-        outcome = self.queue.submit_support(member_id, support, assignment)
-        if outcome is AnswerOutcome.RECORDED:
-            self._note_recorded()
-        return outcome
+        return self.queue.submit_support(member_id, support, assignment)
 
     def prune(
         self, member_id: str, value: Term, assignment: Assignment
     ) -> AnswerOutcome:
         if self.state is not SessionState.OPEN:
             return AnswerOutcome.STALE
-        outcome = self.queue.submit_prune(member_id, value, assignment)
-        if outcome is AnswerOutcome.PRUNED:
-            self._note_recorded()
-        return outcome
+        return self.queue.submit_prune(member_id, value, assignment)
 
     def expire(self, member_id: str, assignment: Assignment) -> None:
         """Return a timed-out question to the member's queue."""
@@ -210,27 +200,23 @@ class QuerySession:
 
     # ----------------------------------------------------------- checkpoints
 
-    def enable_checkpoints(
-        self, path: Union[str, "os.PathLike[str]"], *, every: int = 10
-    ) -> None:
-        """Write a session checkpoint to ``path`` every ``every`` answers.
+    def enable_checkpoints(self, path: Union[str, "os.PathLike[str]"]) -> None:
+        """Write the session checkpoint to ``path``, once.
 
         The checkpoint is tiny metadata (query text, sample size, session
-        id) written atomically; the *answers* live in the WAL journal.
-        Together they are everything :func:`repro.service.recovery.
-        restore_session` needs to resume a killed process.  Requires the
-        session to know its ``query_text``.
+        id, ``include_invalid``) written atomically; none of it changes
+        later, and the *answers* live in the WAL journal.  Together they
+        are everything :func:`repro.service.recovery.restore_session`
+        needs to resume a killed process.  Requires the session to know
+        its ``query_text``.
         """
-        if every < 1:
-            raise ValueError("every must be at least 1")
         if self.query_text is None:
             raise ValueError(
                 "checkpointing requires query_text (create the session "
                 "from an OASSIS-QL string, not a parsed Query)"
             )
-        self._checkpoint_path = os.fspath(path)
-        self._checkpoint_every = every
-        self.write_checkpoint()
+        atomic_write_json(os.fspath(path), self.checkpoint_payload())
+        _obs_count("recovery.checkpoints.written")
 
     def checkpoint_payload(self) -> Dict[str, object]:
         """The JSON-serializable restore metadata (see ``docs/RELIABILITY.md``)."""
@@ -240,24 +226,4 @@ class QuerySession:
             "query": self.query_text,
             "sample_size": self.sample_size,
             "include_invalid": self.include_invalid,
-            "questions_asked": self.queue.questions_asked,
-            "state": self.state.value,
         }
-
-    def write_checkpoint(self) -> bool:
-        """Force a checkpoint write now; False when checkpointing is off."""
-        if self._checkpoint_path is None:
-            return False
-        payload = self.checkpoint_payload()
-        atomic_write_json(self._checkpoint_path, payload)
-        self._recorded_since_checkpoint = 0
-        _obs_count("recovery.checkpoints.written")
-        return True
-
-    def _note_recorded(self) -> None:
-        """Count an applied answer; periodically checkpoint."""
-        if self._checkpoint_path is None:
-            return
-        self._recorded_since_checkpoint += 1
-        if self._recorded_since_checkpoint >= self._checkpoint_every:
-            self.write_checkpoint()

@@ -130,7 +130,6 @@ def run_simulation(
     seed: int = 0,
     faults: Optional[FaultPlan] = None,
     durable_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
-    checkpoint_every: int = 0,
     breaker_window: int = 0,
     breaker_cooldown: float = 0.05,
     audit: bool = False,
@@ -154,8 +153,8 @@ def run_simulation(
     Robustness knobs (PR 5): ``faults`` injects a deterministic
     :class:`~repro.faults.plan.FaultPlan` through the manager and runner
     sites; ``durable_dir`` backs each session with a WAL journal
-    (``<dir>/<session>.wal``); ``checkpoint_every`` additionally writes a
-    session checkpoint (``<dir>/<session>.ckpt.json``) every N answers;
+    (``<dir>/<session>.wal``) and its checkpoint
+    (``<dir>/<session>.ckpt.json``), the pair a restore reads;
     ``breaker_window`` enables the per-member circuit breaker; ``audit``
     keeps a per-submission audit trail on the runner for invariant
     checks.
@@ -173,8 +172,6 @@ def run_simulation(
     check_sample_size(crowd_size, sample_size)
     if departures >= crowd_size:
         raise ValueError("at least one member must stay")
-    if checkpoint_every > 0 and durable_dir is None:
-        raise ValueError("checkpoint_every requires durable_dir")
     dataset = DOMAINS[domain]()
     engine = OassisEngine(dataset.ontology)
     manager = engine.session_manager(
@@ -204,11 +201,8 @@ def run_simulation(
             sample_size=sample_size,
             cache=cache,
         )
-        if checkpoint_every > 0 and durable_dir is not None:
-            session.enable_checkpoints(
-                Path(durable_dir) / f"{session_id}.ckpt.json",
-                every=checkpoint_every,
-            )
+        if durable_dir is not None:
+            session.enable_checkpoints(Path(durable_dir) / f"{session_id}.ckpt.json")
     members = build_identical_crowd(dataset, crowd_size, seed=seed)
     scripts = []
     for index, member in enumerate(members):

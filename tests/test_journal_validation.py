@@ -76,7 +76,7 @@ class TestCrowdJournal:
         session = engine.session_manager().create_session(
             demo.query(0.4), session_id="s", sample_size=3
         )
-        session.enable_checkpoints(ckpt, every=1)
+        session.enable_checkpoints(ckpt)
         wal = tmp_path / "s.wal"
         lines = [
             crowd_line(repr(root), member, support)

@@ -135,13 +135,13 @@ class TestJournal:
 
 
 class TestCheckpoint:
-    def _session(self, engine, demo, tmp_path, every=2):
+    def _session(self, engine, demo, tmp_path):
         manager = engine.session_manager()
         session = manager.create_session(
             demo.query(0.4), session_id="ck", sample_size=1
         )
         path = tmp_path / "ck.json"
-        session.enable_checkpoints(path, every=every)
+        session.enable_checkpoints(path)
         return manager, session, path
 
     def test_written_on_enable_and_readable(self, engine, demo, tmp_path):
@@ -151,20 +151,6 @@ class TestCheckpoint:
         assert payload["session_id"] == "ck"
         assert payload["sample_size"] == 1
         assert payload["query"] == demo.query(0.4)
-
-    def test_refreshes_every_n_recorded_answers(self, engine, demo, tmp_path):
-        manager, session, path = self._session(engine, demo, tmp_path, every=2)
-        manager.attach_member("a")
-        first = read_checkpoint(path)
-        answered = 0
-        while answered < 4:
-            batch = manager.next_batch("a", k=1)
-            if not batch:
-                break
-            manager.submit(batch[0], 1.0)
-            answered += 1
-        refreshed = read_checkpoint(path)
-        assert refreshed["questions_asked"] > first["questions_asked"]
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -178,17 +164,12 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             read_checkpoint(path)
 
-    def test_enable_requires_query_text_and_positive_every(
-        self, engine, demo, tmp_path
-    ):
+    def test_enable_requires_query_text(self, engine, demo, tmp_path):
         manager = engine.session_manager()
-        session = manager.create_session(demo.query(0.4), session_id="s")
-        with pytest.raises(ValueError):
-            session.enable_checkpoints(tmp_path / "x.json", every=0)
         parsed = engine.parse(demo.query(0.4))
         opaque = manager.create_session(parsed, session_id="opaque")
         with pytest.raises(ValueError):
-            opaque.enable_checkpoints(tmp_path / "y.json", every=2)
+            opaque.enable_checkpoints(tmp_path / "y.json")
 
 
 class TestResolveJournal:
@@ -279,7 +260,7 @@ def _kill_and_resume(engine, dataset, tmp_path, *, seed, crowd_size=4,
     session = manager.create_session(
         query, session_id="victim", sample_size=sample_size, cache=cache
     )
-    session.enable_checkpoints(ckpt, every=5)
+    session.enable_checkpoints(ckpt)
     members = build_identical_crowd(dataset, crowd_size, seed=seed)
     killed_at = _pump(manager, members, stop_after=kill_after)
     assert killed_at == kill_after
@@ -325,7 +306,7 @@ class TestKillResumeIdentity:
             query, session_id="victim", sample_size=3,
             cache=DurableCrowdCache(wal),
         )
-        session.enable_checkpoints(ckpt, every=5)
+        session.enable_checkpoints(ckpt)
         members = build_identical_crowd(dataset, 4)
         _pump(manager, members, stop_after=10)
         journaled = len(replay_journal(wal)[0])
