@@ -18,10 +18,10 @@ implemented:
 Traversal starts from the overall most general assignments even when they
 are already classified (the Section 4.2 refinement); in both walks members
 descend *without* being re-asked about assignments whose global verdict is
-already decided (the batch walk's ``ask_decided_generals=True`` spends the
-redundant questions on per-user routing instead — the ablation benchmark
-compares both).  The driver interleaves users round-robin, one question per
-turn, emulating members answering in parallel; it stops as soon as no
+already decided (set the batch walk's ``ask_decided_generals=True`` to spend
+the redundant questions on per-user routing instead — the ablation compares
+both).  The driver interleaves users round-robin, one question per turn,
+emulating members answering in parallel; it stops as soon as no
 globally-unclassified assignment remains reachable, so cached answers beyond
 that point are "not used" (the Section 6.3 accounting).
 """
