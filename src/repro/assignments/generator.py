@@ -62,11 +62,13 @@ class QueryLattice:
     the WHERE tuples per dropped-variable subset, the caps, universes and
     top values, the tuple index and witness memo, the expansion and
     validity verdicts, the roots, the base successor and predecessor
-    lists, and the order-derived memos (``leq`` digests, ordered
-    successors, addable values, chain positions), each with the order
-    stamp it was built at.  Every entry is a pure function of its key,
-    whichever space computed it; crowd answers and crowd-proposed MORE
-    extensions never enter it.
+    lists, each node's instantiated fact-set, and the order-derived memos
+    (``leq`` digests and their right masks, ordered successors, addable
+    values, chain positions, pruning verdicts), each with the order stamp
+    it was built at.  Every entry is a pure function of its key,
+    whichever space computed it.  Pure per-node derivations enter the
+    lattice, also for a node a run's MORE proposal made; crowd answers
+    never do, and no run's proposals enter another run's lists.
 
     A space builds its lattice in its constructor, or shares one passed
     in: :meth:`repro.engine.engine.OassisEngine.build_space` retains a
@@ -92,6 +94,9 @@ class QueryLattice:
         self.successors: Dict[Assignment, List[Assignment]] = {}
         self.predecessors: Dict[Assignment, List[Assignment]] = {}
         self.valid: Dict[Assignment, bool] = {}
+        # φ(A_SAT) per node: a FactSet is immutable, and the SATISFYING
+        # clause is part of the lattice's key
+        self.facts: Dict[Assignment, FactSet] = {}
         # in_expansion verdicts per shared-variable value projection: MORE
         # facts and free variables never enter the verdict
         self.expansion: Dict[Tuple[FrozenSet[Term], ...], bool] = {}
@@ -112,13 +117,18 @@ class QueryLattice:
         self.digest_stamp: Tuple[int, int] = (-1, -1)
         self.left_digest: Dict[Assignment, tuple] = {}
         self.right_digest: Dict[Assignment, tuple] = {}
+        # right-side id-bit masks per value set, shared by the right
+        # digests and the witness indexes' masks
+        self.right_masks: Dict[FrozenSet[Term], Tuple[int, int]] = {}
         # memos derived from the orders, dropped when their stamp moves:
-        # chain-partition sort keys (lazy), ordered_successors lists, and
-        # addable values per (variable, value set)
+        # chain-partition sort keys (lazy), ordered_successors lists,
+        # addable values per (variable, value set), and pruning verdicts
+        # per (term, node)
         self.memo_stamp: Tuple[int, int] = (-1, -1)
         self.chain_pos: Optional[Dict[Term, Tuple[int, int]]] = None
         self.ordered: Dict[Assignment, List[Assignment]] = {}
         self.addable: Dict[Tuple[str, FrozenSet[Term]], List[Term]] = {}
+        self.involves: Dict[Term, Dict[Assignment, bool]] = {}
 
 
 def lattice_key(
@@ -221,13 +231,16 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         self._succ_cache = lattice.successors
         self._pred_cache = lattice.predecessors
         self._valid_cache = lattice.valid
+        self._facts = lattice.facts
         self._expansion_cache = lattice.expansion
         self._tuple_index = lattice.tuple_index
         self._witness_memo = lattice.witness_memo
         self._left_digest = lattice.left_digest
         self._right_digest = lattice.right_digest
+        self._right_masks = lattice.right_masks
         self._ordered = lattice.ordered
         self._addable = lattice.addable
+        self._involves = lattice.involves
 
         # what this run adds.  MORE facts proposed by the crowd (the UI's
         # "more" button): extra successors registered per node, verified
@@ -554,6 +567,7 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
             lattice.chain_pos = None
             self._ordered.clear()
             self._addable.clear()
+            self._involves.clear()
         if stamp != self._own_stamp:
             self._own_stamp = stamp
             self._own_ordered.clear()
@@ -676,12 +690,7 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         """
         if a is b:
             return True
-        stamp = self.order_stamp()
-        lattice = self.lattice
-        if stamp != lattice.digest_stamp:
-            self._left_digest.clear()
-            self._right_digest.clear()
-            lattice.digest_stamp = stamp
+        self._sync_digests()
         left = self._left_digest.get(a)
         if left is None:
             left = self._compile_left_digest(a)
@@ -702,6 +711,17 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
             self.vocabulary.element_order.version,
             self.vocabulary.relation_order.version,
         )
+
+    def _sync_digests(self) -> None:
+        """Drop the ``leq`` digests and right masks when either order's
+        version moved."""
+        stamp = self.order_stamp()
+        lattice = self.lattice
+        if stamp != lattice.digest_stamp:
+            self._left_digest.clear()
+            self._right_digest.clear()
+            self._right_masks.clear()
+            lattice.digest_stamp = stamp
 
     def witness_index(
         self, significant: List[Assignment], insignificant: List[Assignment]
@@ -772,8 +792,13 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
             self._right_more(b.more),
         )
 
-    def _right_values(self, values: Iterable[Term]) -> Tuple[int, int]:
-        """The OR of one variable's value id bits, per order, on the right side."""
+    def _right_values(self, values: FrozenSet[Term]) -> Tuple[int, int]:
+        """The OR of one variable's value id bits, per order, on the right
+        side: one pair per value set in the lattice, at the digest stamp."""
+        self._sync_digests()
+        masks = self._right_masks.get(values)
+        if masks is not None:
+            return masks
         element_order = self.vocabulary.element_order
         relation_order = self.vocabulary.relation_order
         elem_mask = 0
@@ -787,7 +812,8 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
                 tid = relation_order.term_id(v)
                 if tid is not None:
                     rel_mask |= 1 << tid
-        return (elem_mask, rel_mask)
+        masks = self._right_masks[values] = (elem_mask, rel_mask)
+        return masks
 
     def _right_more(self, facts: Iterable[Fact]) -> tuple:
         """Per MORE fact, its components' ``(id bit, term)`` on the right side."""
@@ -1055,8 +1081,25 @@ class QueryAssignmentSpace(AssignmentSpace[Assignment]):
         return result
 
     def instantiate(self, node: Assignment) -> FactSet:
-        """``φ(A_SAT)`` for this query's (blank-resolved) SATISFYING clause."""
-        return node.instantiate(self.satisfying)
+        """``φ(A_SAT)`` for this query's (blank-resolved) SATISFYING clause,
+        built once per node in the lattice: every ask hands out one object."""
+        facts = self._facts.get(node)
+        if facts is None:
+            facts = self._facts[node] = node.instantiate(self.satisfying)
+            _obs_count("lattice.facts.misses")
+        return facts
+
+    def involves(self, node: Assignment, term: Term) -> bool:
+        """:meth:`Assignment.involves` in this space's vocabulary: the
+        pruning rule (§6.2), judged once per (term, node) at the order stamp."""
+        self._sync_memos()
+        verdicts = self._involves.get(term)
+        if verdicts is None:
+            verdicts = self._involves[term] = {}
+        verdict = verdicts.get(node)
+        if verdict is None:
+            verdict = verdicts[node] = node.involves(term, self.vocabulary)
+        return verdict
 
 
 def _values_leq(regs: tuple, unregs: tuple, masks, values) -> bool:
@@ -1105,18 +1148,30 @@ def _grid_search(
             any(all(m & bits for m in masks) for bits in witnesses)
             for witnesses in last
         )
-    options, rest = head[0], head[1:]
+    return _grid_pick(head[0], 0, frozenset(), head[1:], last, masks)
 
-    def pick(k: int, grid: FrozenSet[int]) -> bool:
-        if k == len(options):
-            return _grid_search(rest, last, tuple(grid))
-        for bits in options[k]:
-            extended = [m & bits for m in masks]
-            if all(extended) and pick(k + 1, grid.union(extended)):
-                return True
-        return False
 
-    return pick(0, frozenset())
+def _grid_pick(
+    options: List[Tuple[int, ...]],
+    k: int,
+    grid: FrozenSet[int],
+    rest: List[List[Tuple[int, ...]]],
+    last: List[Tuple[int, ...]],
+    masks: Tuple[int, ...],
+) -> bool:
+    """:func:`_grid_search`'s picks for one variable, from its ``k``-th
+    value on; ``grid`` holds the selection masks the picks so far made.
+    A module function, where a closure would leave a reference cycle
+    per search."""
+    if k == len(options):
+        return _grid_search(rest, last, tuple(grid))
+    for bits in options[k]:
+        extended = [m & bits for m in masks]
+        if all(extended) and _grid_pick(
+            options, k + 1, grid.union(extended), rest, last, masks
+        ):
+            return True
+    return False
 
 
 _NO_VALUES: FrozenSet[Term] = frozenset()

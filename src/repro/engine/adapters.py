@@ -61,4 +61,4 @@ class MemberUser(UserOracle[Assignment]):
         return self.member.suggest_more_fact(self.space.instantiate(node))
 
     def matches_prune(self, node: Assignment, token: object) -> bool:
-        return isinstance(token, Term) and node.involves(token, self.member.vocabulary)
+        return isinstance(token, Term) and self.space.involves(node, token)

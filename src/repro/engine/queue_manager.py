@@ -209,7 +209,8 @@ class QueueManager(CrowdWalk[Assignment]):
 
         ``node`` is answered with support 0 and every assignment
         involving ``value`` (or a specialization) is dropped from the
-        member's walk (:meth:`Assignment.involves`).
+        member's walk (the space's memoized
+        :meth:`~repro.assignments.generator.QueryAssignmentSpace.involves`).
         """
         walk = self._answering(member_id, node)
         if walk is None:
@@ -299,5 +300,5 @@ class QueueManager(CrowdWalk[Assignment]):
                 stack.append(successor)
 
     def _pruned(self, walk: MemberWalk[Assignment], node: Assignment) -> bool:
-        vocabulary = self.space.vocabulary
-        return any(node.involves(token, vocabulary) for token in walk.prune_tokens)
+        involves = self.space.involves
+        return any(involves(node, token) for token in walk.prune_tokens)

@@ -75,6 +75,7 @@ COUNTER_NAMES: FrozenSet[str] = frozenset(
         "lattice.bfs.nodes",
         "lattice.desc_cache.misses",
         "lattice.expansion.checks",
+        "lattice.facts.misses",
         "lattice.reused",
         "lattice.succ_cache.hits",
         "lattice.succ_cache.misses",

@@ -6,7 +6,9 @@ every other variable.  A per-selection check is not enough; these tests pin
 the difference down.
 """
 
+import gc
 import itertools
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,30 @@ class TestWitnessGrid:
         node = Assignment.make(vocab, {"x": {E("A1"), E("A2")}, "y": {E("B1")}})
         assert fresh.in_expansion(node)
         assert fresh.is_valid(node)
+
+    def test_grid_search_needs_no_cyclic_collection(self, space):
+        # a search with a variable left to pick before the last one used
+        # to leave its recursive helper in a function-cell cycle
+        node = Assignment.make(
+            space.vocabulary, {"x": {E("A1"), E("A2")}, "y": {E("B1")}}
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            assert not space.in_expansion(node)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            cyclic = [
+                o.__qualname__
+                for o in gc.garbage
+                if isinstance(o, types.FunctionType)
+                and o.__qualname__.startswith("_grid")
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert cyclic == []
 
     def test_traversal_never_generates_incoherent_combos(self, space):
         for node in space.all_nodes():

@@ -287,6 +287,20 @@ class TestDigestLeq:
         vocabulary.element_order.add_term(E("Totally Unrelated"))
         assert fragment_space.leq(a, b) == before == a.leq(b, vocabulary)
 
+    def test_right_masks_follow_a_term_registered_later(self, fragment_space):
+        # a value the orders do not know has no id bit in its value set's
+        # right mask; once it is registered below Sport, the mask shared
+        # by the lattice must be rebuilt with the digests
+        vocabulary = fragment_space.vocabulary
+        general = Assignment.make(
+            vocabulary, {"x": {E("Central Park")}, "y": {E("Sport")}}
+        )
+        novel = Assignment(dict(general.values, y=frozenset({E("Unicycling")})))
+        assert not fragment_space.leq(general, novel)
+        vocabulary.specialize_element("Sport", "Unicycling")
+        assert general.leq(novel, vocabulary)
+        assert fragment_space.leq(general, novel)
+
 
 class TestOrderedSuccessors:
     def test_same_set_as_successors(self, fragment_space):

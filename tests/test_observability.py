@@ -320,7 +320,8 @@ class TestEngineIntegration:
 
     def test_a_warm_run_expands_nothing_the_first_one_did(self, setting):
         # the second execution of the query on one engine finds every node
-        # the first expanded in the shared lattice, and asks the same
+        # the first expanded or instantiated in the shared lattice, and
+        # asks the same
         _, members = setting
         engine = _engine(running_example.build_ontology())
         runs = []
@@ -332,8 +333,10 @@ class TestEngineIntegration:
             runs.append((tracer, result))
         (cold, first), (warm, second) = runs
         assert cold.value("lattice.succ_cache.misses") > 0
+        assert cold.value("lattice.facts.misses") > 0
         assert warm.value("lattice.reused") == 1
         assert warm.value("lattice.succ_cache.misses") == 0
+        assert warm.value("lattice.facts.misses") == 0
         assert "lattice.latency.expand" not in warm.histograms
         assert warm.value("lattice.succ_cache.hits") > 0
         assert second.questions == first.questions

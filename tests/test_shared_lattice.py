@@ -18,7 +18,7 @@ import pytest
 
 import repro
 
-from repro.assignments import QueryAssignmentSpace
+from repro.assignments import Assignment, QueryAssignmentSpace
 from repro.crowd.cache import CrowdCache
 from repro.datasets import culinary, health, travel
 from repro.engine.adapters import MemberUser
@@ -26,6 +26,7 @@ from repro.engine.config import EngineConfig
 from repro.engine.engine import RETAINED_LATTICES, OassisEngine
 from repro.observability import tracing
 from repro.ontology import Fact
+from repro.vocabulary import Element
 
 CONFIG = EngineConfig(max_values_per_var=2, max_more_facts=1)
 #: (crowd seed, threshold) of the runs one engine executes in turn
@@ -35,7 +36,8 @@ RUNS = ((1, 0.5), (2, 0.6), (3, 0.5))
 @pytest.fixture()
 def question_log(monkeypatch):
     """Every question a member is asked, with its answer, in order: the
-    support and specialization questions and the MORE tips."""
+    support and specialization questions, the MORE tips and the pruning
+    clicks (a click's answer is the pruned term, None for no click)."""
     log = []
 
     def logged(name):
@@ -49,7 +51,7 @@ def question_log(monkeypatch):
 
         return wrapper
 
-    for name in ("support", "choose_specialization", "more_tip"):
+    for name in ("support", "choose_specialization", "more_tip", "prune_value"):
         monkeypatch.setattr(MemberUser, name, logged(name))
     return log
 
@@ -88,8 +90,88 @@ def test_shared_runs_ask_what_fresh_engines_ask(module, question_log):
     assert all(questions > 0 for _, questions, _ in shared)
     assert shared == fresh
     if module is travel:
-        # the travel runs exercise the pool and the crowd's MORE tips
+        # the travel runs exercise the pool, the crowd's MORE tips and the
+        # warm pruning verdicts, which the shared runs read from the lattice
         assert any(entry[0] == "more_tip" and entry[4] for entry in question_log)
+        assert any(entry[0] == "prune_value" and entry[4] for entry in question_log)
+
+
+@pytest.mark.parametrize("module", [travel, culinary, health],
+                         ids=["travel", "culinary", "health"])
+def test_each_node_is_instantiated_once_per_lattice(module, monkeypatch):
+    # every fact-set a run is handed is the node's φ(A_SAT); a second
+    # execution on the engine is handed the first one's objects
+    dataset = module.build_dataset()
+    engine = OassisEngine(dataset.ontology, config=CONFIG)
+    handed = []
+    instantiate = QueryAssignmentSpace.instantiate
+
+    def record(self, node):
+        facts = instantiate(self, node)
+        handed[-1].append((self, node, facts))
+        return facts
+
+    monkeypatch.setattr(QueryAssignmentSpace, "instantiate", record)
+    for _ in range(2):
+        handed.append([])
+        _execute(engine, dataset, 1, 0.5)
+    first, second = handed
+    assert first and [n for _, n, _ in first] == [n for _, n, _ in second]
+    for space, node, facts in first + second:
+        assert facts == node.instantiate(space.satisfying)
+    for (_, _, cold), (_, _, warm) in zip(first, second):
+        assert warm is cold
+    if module is travel:
+        assert any(node.more for _, node, _ in first)
+
+
+def test_pruning_verdicts_equal_involves(travel_engine, monkeypatch):
+    dataset, engine = travel_engine
+    spaces = []
+    build_space = engine.build_space
+
+    def record_space(*args, **kwargs):
+        spaces.append(build_space(*args, **kwargs))
+        return spaces[-1]
+
+    monkeypatch.setattr(engine, "build_space", record_space)
+    crowd = dataset.build_crowd(size=6, seed=1)
+    engine.execute(dataset.query(0.5), crowd, sample_size=3,
+                   cache=CrowdCache(), more_pool=dataset.more_pool)
+    (space,) = spaces
+    vocabulary = space.vocabulary
+    nodes = sorted(space.materialized_nodes(), key=repr)
+    extended = [node for node in nodes if node.more]
+    assert extended
+    unregistered = Element("Unicorn Riding")
+    assert unregistered not in vocabulary.element_order
+    terms = {value for member in crowd for value in member.irrelevant_values}
+    terms.update(f.subject for node in extended for f in node.more)
+    terms.update(f.obj for node in extended for f in node.more)
+    terms = sorted(terms) + [unregistered]
+    expected = {(t, n): n.involves(t, vocabulary) for t in terms for n in nodes}
+    for _ in range(2):  # the first pass fills the memo, the second reads it
+        assert {(t, n): space.involves(n, t) for t in terms for n in nodes} == expected
+    # some verdicts hold only through a MORE fact's subject or object
+    assert any(
+        expected[t, n] and not Assignment(n.values).involves(t, vocabulary)
+        for t in terms for n in extended
+    )
+
+
+def test_pruning_verdicts_follow_an_order_edge(travel_engine):
+    dataset, engine = travel_engine
+    space = engine.build_space(dataset.query(0.5), dataset.more_pool)
+    vocabulary = space.vocabulary
+    nodes = space.all_nodes(max_nodes=400)
+    terms = [Element(name) for name in ("Water Sport", "Biking", "Sport")]
+    before = {(t, n): space.involves(n, t) for t in terms for n in nodes}
+    # Biking becomes a water sport too: every node holding Biking or one
+    # of its specializations now involves Water Sport
+    vocabulary.specialize_element("Water Sport", "Biking")
+    after = {(t, n): space.involves(n, t) for t in terms for n in nodes}
+    assert after == {(t, n): n.involves(t, vocabulary) for t in terms for n in nodes}
+    assert after != before
 
 
 @pytest.fixture()
