@@ -11,16 +11,14 @@ install:
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
-# project-invariant linter (rule catalogue: docs/ANALYSIS.md): every
-# per-file rule plus the whole-program pass (call-graph effect
-# inference, async blocking, determinism, wire taint — each deep finding
-# carries a witness call chain); exits non-zero on any error-severity
-# finding, so CI can gate on it
+# project-invariant linter (rule catalogue: docs/ANALYSIS.md): the eight
+# per-file rules over every module of src/; exits non-zero on any
+# error-severity finding.  CI's lint job runs this target
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro.analysis src/ --deep
+	PYTHONPATH=src $(PYTHON) -m repro.analysis src/
 
 # doc cross-link checker: fails on dangling `docs/*.md` references
-# anywhere in the repository's markdown (part of the CI lint job)
+# anywhere in the repository's markdown; CI's lint job runs this target
 doclint:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis.doclint .
 

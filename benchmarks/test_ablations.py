@@ -23,12 +23,12 @@ def test_expansion_ablation(benchmark, show):
         ),
     )
     show(ablations.render_expansion_ablation(rows))
-    # expansion must not lose any valid MSPs the restricted traversal finds;
-    # valid-only can *split* an invalid MSP into several valid ones, so the
-    # comparison is on recall of the expanded run
+    # DESIGN.md decision 1: walking the expanded space pays for its invalid
+    # generalizations through inference, so in every trial it asks fewer
+    # questions than the valid-only traversal and loses no valid MSP
     for row in rows:
-        assert row["expanded_valid_msps"] >= 0
-        assert row["expanded_questions"] > 0 and row["valid_only_questions"] > 0
+        assert row["expanded_questions"] < row["valid_only_questions"], row
+        assert row["expanded_valid_msps"] >= row["valid_only_msps"], row
 
 
 @pytest.mark.benchmark(group="ablations")

@@ -9,11 +9,6 @@ gate on it.
 Every finding counts: there are no suppression comments and no
 baselines.  A false positive is fixed in the rule or in its
 configuration (:mod:`repro.analysis.project`).
-
-``--deep`` runs the whole-program rules from
-:mod:`repro.analysis.deep` (call-graph effect inference, async
-blocking, determinism, wire taint) after the per-file pass; ``--explain
-FUNC`` prints a function's inferred effects and witness chains.
 """
 
 from __future__ import annotations
@@ -58,7 +53,6 @@ class LintResult:
 
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
-    deep_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
     def errors(self) -> List[Finding]:
@@ -126,14 +120,8 @@ def lint_file(
 def run_lint(
     paths: Sequence[str],
     rule_ids: Optional[Iterable[str]] = None,
-    *,
-    deep: bool = False,
 ) -> LintResult:
-    """Lint every Python file under ``paths`` with the selected rules.
-
-    With ``deep=True`` the whole-program pass from
-    :mod:`repro.analysis.deep` runs as well.
-    """
+    """Lint every Python file under ``paths`` with the selected rules."""
     if rule_ids is None:
         rules: Sequence[Rule] = ALL_RULES
     else:
@@ -145,12 +133,6 @@ def run_lint(
     for path in iter_python_files(paths):
         result.findings.extend(lint_file(path, rules))
         result.files_checked += 1
-    if deep:
-        from .deep import run_deep
-
-        deep_result = run_deep([str(p) for p in paths])
-        result.deep_stats = dict(deep_result.stats)
-        result.findings.extend(deep_result.findings)
     result.findings.sort()
     return result
 
@@ -159,20 +141,10 @@ def run_lint(
 
 
 def _print_rule_table(stream: TextIO) -> None:
-    from .deep import DEEP_RULES
-
-    width = max(
-        max(len(rule.id) for rule in ALL_RULES),
-        max(len(rule.id) for rule in DEEP_RULES),
-    )
+    width = max(len(rule.id) for rule in ALL_RULES)
     for rule in ALL_RULES:
         stream.write(
             f"{rule.id:<{width}}  {rule.severity}  {rule.summary}\n"
-        )
-    for deep_rule in DEEP_RULES:
-        stream.write(
-            f"{deep_rule.id:<{width}}  {deep_rule.severity}  "
-            f"(deep) {deep_rule.summary}\n"
         )
 
 
@@ -202,29 +174,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="print the rule catalogue and exit",
     )
-    parser.add_argument(
-        "--deep",
-        action="store_true",
-        help="also run the whole-program rules (call-graph effects, "
-        "determinism, wire taint; docs/ANALYSIS.md)",
-    )
-    parser.add_argument(
-        "--explain",
-        metavar="FUNC",
-        help="print inferred effects and witness chains for a function "
-        "(qualname or suffix, e.g. SessionManager.submit) and exit",
-    )
     args = parser.parse_args(argv)
     if args.list_rules:
         _print_rule_table(sys.stdout)
         return 0
-    if args.explain:
-        from .deep import explain_function
-
-        return explain_function(args.paths, args.explain)
     rule_ids = sorted(_parse_rule_list(args.rules)) if args.rules else None
     try:
-        result = run_lint(args.paths, rule_ids, deep=args.deep)
+        result = run_lint(args.paths, rule_ids)
     except FileNotFoundError as error:
         print(str(error), file=sys.stderr)
         return 2
@@ -236,15 +192,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         for finding in result.findings:
             print(finding.render())
-        summary = (
+        print(
             f"{result.files_checked} file(s) checked: "
             f"{len(result.errors)} error(s), "
             f"{len(result.warnings)} warning(s)"
         )
-        if result.deep_stats:
-            summary += (
-                f" [deep: {result.deep_stats.get('functions', 0)} functions, "
-                f"{result.deep_stats.get('edges', 0)} edges]"
-            )
-        print(summary)
     return 0 if result.ok else 1

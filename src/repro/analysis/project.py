@@ -3,8 +3,8 @@
 The linter in :mod:`repro.analysis.lint` is generic machinery (walk
 files, parse, dispatch rules, report); everything that makes it *this
 repo's* linter lives here: which classes carry version stamps, which
-layers must not swallow errors, and which modules must stay
-deterministic.  Each constant is documented in ``docs/ANALYSIS.md``
+layers must not swallow errors, and which calls read the wall clock or
+block an event loop.  Each constant is documented in ``docs/ANALYSIS.md``
 next to the rule that reads it.  A false positive is fixed here or in
 the rule, never silenced at the call site.
 """
@@ -145,13 +145,6 @@ FORK_STATE_EXEMPTING_METHODS: FrozenSet[str] = frozenset(
 
 # ------------------------------------------------------------ determinism
 
-#: module suffixes that must stay deterministic for replay: no global
-#: (unseeded) random calls, no wall-clock reads
-DETERMINISTIC_MODULE_PREFIXES: Tuple[str, ...] = (
-    "repro/mining/",
-    "repro/crowd/simulation.py",
-)
-
 #: functions of the ``random`` module that use the shared global RNG
 GLOBAL_RNG_FUNCTIONS: FrozenSet[str] = frozenset(
     {
@@ -172,7 +165,8 @@ GLOBAL_RNG_FUNCTIONS: FrozenSet[str] = frozenset(
     }
 )
 
-#: wall-clock reads banned in deterministic modules (module name -> attrs)
+#: wall-clock reads, banned in every module (module name -> attrs): replay
+#: and the identity oracles re-run the same inputs and compare outputs
 WALL_CLOCK_CALLS = {
     "time": frozenset({"time", "time_ns", "localtime", "ctime", "gmtime"}),
     "datetime": frozenset({"now", "utcnow", "today"}),
@@ -189,89 +183,18 @@ ASYNC_MODULE_PREFIXES: Tuple[str, ...] = ("repro/gateway/",)
 #: calls that block the event loop (module name -> attrs), banned inside
 #: ``async def`` in the modules above; each has an asyncio-native
 #: replacement (asyncio.sleep, open_connection, create_subprocess_exec,
-#: run_in_executor)
+#: run_in_executor).  The tier-1 suite's event-loop tripwire
+#: (``tests/conftest.py``) fails a test that calls one of these, or a
+#: builtin below, on a thread that runs an asyncio loop
 BLOCKING_CALLS_IN_ASYNC = {
     "time": frozenset({"sleep"}),
     "socket": frozenset({"create_connection", "getaddrinfo", "gethostbyname"}),
     "subprocess": frozenset(
         {"run", "call", "check_call", "check_output", "Popen"}
     ),
-    "os": frozenset({"system", "wait", "waitpid"}),
+    "os": frozenset({"fsync", "system", "wait", "waitpid"}),
     "requests": frozenset({"get", "post", "put", "delete", "head", "request"}),
 }
 
 #: bare builtins that block inside ``async def`` (filesystem and tty I/O)
 BLOCKING_BUILTINS_IN_ASYNC: FrozenSet[str] = frozenset({"open", "input"})
-
-
-# ------------------------------------------------------- deep (whole-program)
-
-#: method names the call-graph builder must NEVER resolve by uniqueness
-#: alone: they collide with dict/list/set/str/file/thread/queue protocol
-#: methods, so ``x.get(...)`` on an untyped receiver stays unresolved
-#: rather than aliasing some project method that happens to share the name
-COMMON_METHOD_NAMES: FrozenSet[str] = frozenset(
-    {name for t in (dict, list, set, tuple, str, bytes, frozenset) for name in dir(t)}
-    | {
-        "acquire",
-        "cancel",
-        "close",
-        "fileno",
-        "flush",
-        "get",
-        "get_nowait",
-        "is_alive",
-        "join",
-        "notify",
-        "notify_all",
-        "open",
-        "put",
-        "put_nowait",
-        "read",
-        "readline",
-        "release",
-        "run",
-        "send",
-        "set",
-        "start",
-        "stop",
-        "submit",
-        "wait",
-        "write",
-    }
-)
-
-#: module prefixes whose *public* functions are determinism entry points
-#: for the transitive pass: the replay/identity oracles re-execute these,
-#: so no wall-clock read or unseeded-random call may be reachable.  This
-#: is a superset of DETERMINISTIC_MODULE_PREFIXES — the lattice /
-#: assignment core is included even though the local (direct-call) rule
-#: does not police it
-DEEP_DETERMINISM_ENTRY_PREFIXES: Tuple[str, ...] = (
-    "repro/mining/",
-    "repro/assignments/",
-    "repro/crowd/simulation.py",
-)
-
-#: transport modules whose raw payload dicts are wire-taint sources
-WIRE_TAINT_MODULES: Tuple[str, ...] = (
-    "repro/gateway/http.py",
-    "repro/gateway/mcp.py",
-)
-
-#: parameter names that carry raw (undecoded) wire payloads in the
-#: transport modules above — MCP hands ``message``/``params``/
-#: ``arguments`` dicts straight from JSON-RPC
-WIRE_TAINT_PARAM_NAMES: FrozenSet[str] = frozenset(
-    {"message", "params", "arguments", "payload"}
-)
-
-#: methods whose return value counts as *decoded*: the schema layer's
-#: versioned constructors (``XxxRequest.from_wire``)
-WIRE_DECODE_METHODS: FrozenSet[str] = frozenset({"from_wire"})
-
-#: classes whose methods are wire-taint sinks: raw payloads must not
-#: reach them without passing a schema decode or a scalar validation
-WIRE_SINK_CLASSES: FrozenSet[str] = frozenset(
-    {"GatewayApp", "SessionManager", "QueueManager"}
-)

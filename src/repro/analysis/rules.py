@@ -12,14 +12,19 @@ invariant that is otherwise only documented prose:
   :mod:`repro.observability.names`;
 * ``silent-except`` — broad excepts in the serving/fault layer must log
   a counter or re-raise (``docs/RELIABILITY.md``);
-* ``unseeded-random`` / ``wall-clock`` — core algorithm modules stay
-  deterministic for replay;
+* ``unseeded-random`` / ``wall-clock`` — no module reads the global RNG
+  or the wall clock, so replay and the identity oracles stay exact;
 * ``async-blocking-io`` — gateway ``async def`` bodies never block the
   event loop (``docs/GATEWAY.md``);
 * ``fork-unsafe-state`` — modules imported into shard worker processes
   hold no import-time locks/RNGs/thread-locals (``docs/SHARDING.md``):
   build such state in a factory called after spawn, or own the process
   boundary with ``__getstate__``.
+
+``unseeded-random``, ``wall-clock`` and ``async-blocking-io`` see a call
+through every import form: ``t.time()`` after ``import time as t`` and
+``sleep()`` after ``from time import sleep`` are the calls they name
+(:func:`banned_call`).
 
 A false positive is fixed in the rule or in ``project.py``, never
 silenced at the call site.  See ``docs/ANALYSIS.md`` for the catalogue.
@@ -31,7 +36,16 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from . import project
 from .findings import Finding, Severity
@@ -80,6 +94,63 @@ def _last_component(node: ast.expr) -> Optional[str]:
     if isinstance(node, ast.Name):
         return node.id
     return None
+
+
+def import_bindings(tree: ast.Module) -> Dict[str, str]:
+    """Each name the module's absolute imports bind, mapped to what it names.
+
+    ``import time as t`` binds ``t`` to ``time``; ``from time import
+    sleep as nap`` binds ``nap`` to ``time.sleep``; ``import os.path``
+    binds ``os`` to ``os``.  Imports inside functions count too.
+    """
+    bindings: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    bindings[alias.asname] = alias.name
+                else:
+                    root = alias.name.partition(".")[0]
+                    bindings[root] = root
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                bindings[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return bindings
+
+
+def _dotted(node: ast.expr, bindings: Dict[str, str]) -> Optional[str]:
+    """``a.b.c`` as a string, its root name replaced by what an import binds."""
+    if isinstance(node, ast.Name):
+        return bindings.get(node.id, node.id)
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value, bindings)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
+def banned_call(
+    func: ast.expr, bindings: Dict[str, str], banned: Mapping[str, FrozenSet[str]]
+) -> Optional[str]:
+    """``module.attr`` when a call names one of ``banned``'s functions.
+
+    The call is seen through the module's imports: ``t.time()`` after
+    ``import time as t`` and ``time()`` after ``from time import time``
+    both name ``time.time``, and ``datetime.now()`` after ``from
+    datetime import datetime`` names ``datetime.now``.  The module is the
+    last component of the receiver, so ``self.clock.time()`` names
+    ``clock.time``.  A bare name that no import binds names nothing.
+    """
+    if isinstance(func, ast.Name):
+        target = bindings.get(func.id)
+        if target is None or "." not in target:
+            return None
+        receiver, _, attr = target.rpartition(".")
+    elif isinstance(func, ast.Attribute):
+        receiver, attr = _dotted(func.value, bindings) or "", func.attr
+    else:
+        return None
+    module = receiver.rpartition(".")[2]
+    return f"{module}.{attr}" if attr in banned.get(module, ()) else None
 
 
 _DOTTED_NAME = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
@@ -376,8 +447,7 @@ class UnseededRandomRule(Rule):
     summary = "global random calls break deterministic replay"
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        if not module.in_any(project.DETERMINISTIC_MODULE_PREFIXES):
-            return
+        bindings = import_bindings(module.tree)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ImportFrom) and node.module == "random":
                 for alias in node.names:
@@ -391,19 +461,19 @@ class UnseededRandomRule(Rule):
             elif isinstance(node, ast.Call) and isinstance(
                 node.func, ast.Attribute
             ):
-                func = node.func
-                if (
-                    isinstance(func.value, ast.Name)
-                    and func.value.id == "random"
-                    and func.attr in project.GLOBAL_RNG_FUNCTIONS
-                ):
+                # a bare call through `from random import ...` is
+                # reported at its import, above
+                name = banned_call(node.func, bindings, _GLOBAL_RNG_CALLS)
+                if name:
                     yield self.finding(
                         module,
                         node,
-                        f"random.{func.attr}() uses the global unseeded RNG; "
-                        "deterministic modules must thread a seeded "
-                        "random.Random instance",
+                        f"{name}() uses the global unseeded RNG; thread a "
+                        "seeded random.Random instance",
                     )
+
+
+_GLOBAL_RNG_CALLS = {"random": project.GLOBAL_RNG_FUNCTIONS}
 
 
 class WallClockRule(Rule):
@@ -412,23 +482,17 @@ class WallClockRule(Rule):
     summary = "wall-clock read breaks deterministic replay"
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        if not module.in_any(project.DETERMINISTIC_MODULE_PREFIXES):
-            return
+        bindings = import_bindings(module.tree)
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call) or not isinstance(
-                node.func, ast.Attribute
-            ):
+            if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            base = _last_component(func.value)
-            banned = project.WALL_CLOCK_CALLS.get(base or "")
-            if banned and func.attr in banned:
+            name = banned_call(node.func, bindings, project.WALL_CLOCK_CALLS)
+            if name:
                 yield self.finding(
                     module,
                     node,
-                    f"{base}.{func.attr}() reads the wall clock; "
-                    "deterministic modules must take time as a parameter "
-                    "(injectable clock)",
+                    f"{name}() reads the wall clock; take time as a "
+                    "parameter (an injectable clock) so runs replay",
                 )
 
 
@@ -502,6 +566,7 @@ class AsyncBlockingRule(Rule):
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         if not module.in_any(project.ASYNC_MODULE_PREFIXES):
             return
+        bindings = import_bindings(module.tree)
         reported: Set[int] = set()
         for outer in ast.walk(module.tree):
             if not isinstance(outer, ast.AsyncFunctionDef):
@@ -510,9 +575,11 @@ class AsyncBlockingRule(Rule):
                 if not isinstance(node, ast.Call) or id(node) in reported:
                     continue
                 func = node.func
-                if isinstance(func, ast.Name):
-                    if func.id not in project.BLOCKING_BUILTINS_IN_ASYNC:
-                        continue
+                if (
+                    isinstance(func, ast.Name)
+                    and func.id not in bindings
+                    and func.id in project.BLOCKING_BUILTINS_IN_ASYNC
+                ):
                     reported.add(id(node))
                     yield self.finding(
                         module,
@@ -521,20 +588,21 @@ class AsyncBlockingRule(Rule):
                         "def; every connected client stalls behind it — use "
                         "the asyncio equivalent or run_in_executor",
                     )
-                elif isinstance(func, ast.Attribute):
-                    base = _last_component(func.value)
-                    banned = project.BLOCKING_CALLS_IN_ASYNC.get(base or "")
-                    if not banned or func.attr not in banned:
-                        continue
-                    reported.add(id(node))
-                    yield self.finding(
-                        module,
-                        node,
-                        f"{base}.{func.attr}() blocks the event loop inside "
-                        "an async def; every connected client stalls behind "
-                        "it — use the asyncio equivalent (e.g. "
-                        "asyncio.sleep, loop.run_in_executor)",
-                    )
+                    continue
+                name = banned_call(
+                    func, bindings, project.BLOCKING_CALLS_IN_ASYNC
+                )
+                if not name:
+                    continue
+                reported.add(id(node))
+                yield self.finding(
+                    module,
+                    node,
+                    f"{name}() blocks the event loop inside "
+                    "an async def; every connected client stalls behind "
+                    "it — use the asyncio equivalent (e.g. "
+                    "asyncio.sleep, loop.run_in_executor)",
+                )
 
 
 # -------------------------------------------------------------- the registry

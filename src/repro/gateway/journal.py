@@ -246,7 +246,7 @@ class GatewayJournal:
 
     # the barrier is opt-in (fsync=False by default) and bounded: one
     # line per acknowledged mutation, the price of crash durability
-    def _append(self, record: Dict[str, Any]) -> None:  # repro-effects: allow=fsync
+    def _append(self, record: Dict[str, Any]) -> None:
         record["v"] = JOURNAL_VERSION
         with self._lock:
             self._log.append(record)

@@ -192,16 +192,23 @@ class TestTracerNameRule:
 
 class TestAsyncBlockingRule:
     def test_time_sleep_in_async_gateway_fires(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/gateway/mod.py",
-            "import time\n"
-            "async def handler():\n"
-            "    time.sleep(0.1)\n",
-        )
-        result = lint(tmp_path, "async-blocking-io")
-        assert rule_ids(result) == ["async-blocking-io"]
-        assert "time.sleep" in result.findings[0].message
+        # every import form names the same call
+        for number, (imports, call) in enumerate(
+            [
+                ("import time", "time.sleep(0.1)"),
+                ("from time import sleep", "sleep(1)"),
+                ("import time as t", "t.sleep(1)"),
+            ]
+        ):
+            root = tmp_path / str(number)
+            write(
+                root,
+                "repro/gateway/mod.py",
+                f"{imports}\nasync def handler():\n    {call}\n",
+            )
+            result = lint(root, "async-blocking-io")
+            assert rule_ids(result) == ["async-blocking-io"], imports
+            assert "time.sleep" in result.findings[0].message
 
     def test_open_in_async_gateway_fires(self, tmp_path):
         write(
@@ -264,13 +271,16 @@ class TestAsyncBlockingRule:
 
 class TestDeterminismRules:
     def test_global_random_fires_in_mining(self, tmp_path):
-        write(
-            tmp_path,
-            "repro/mining/mod.py",
-            "import random\nx = random.random()\n",
-        )
-        result = lint(tmp_path, "unseeded-random")
-        assert rule_ids(result) == ["unseeded-random"]
+        for number, source in enumerate(
+            [
+                "import random\nx = random.random()\n",
+                "import random as r\ndef pick():\n    return r.random()\n",
+            ]
+        ):
+            root = tmp_path / str(number)
+            write(root, "repro/mining/mod.py", source)
+            result = lint(root, "unseeded-random")
+            assert rule_ids(result) == ["unseeded-random"], source
 
     def test_from_import_of_global_rng_fires(self, tmp_path):
         write(
@@ -288,16 +298,38 @@ class TestDeterminismRules:
         )
         assert lint(tmp_path, "unseeded-random").findings == []
 
-    def test_global_random_outside_core_is_silent(self, tmp_path):
+    def test_global_random_fires_outside_the_core(self, tmp_path):
+        # the rules police every module: a helper anywhere can feed a
+        # mining verdict
         write(tmp_path, "repro/cli.py", "import random\nx = random.random()\n")
-        assert lint(tmp_path, "unseeded-random").findings == []
+        assert rule_ids(lint(tmp_path, "unseeded-random")) == ["unseeded-random"]
 
     def test_wall_clock_fires_in_mining(self, tmp_path):
-        write(tmp_path, "repro/mining/mod.py", "import time\nt = time.time()\n")
+        for number, source in enumerate(
+            [
+                "import time\nt = time.time()\n",
+                "from time import time\ndef stamp():\n    return time()\n",
+                "import time as t\ndef stamp():\n    return t.time()\n",
+                "from datetime import datetime\nnow = datetime.now()\n",
+            ]
+        ):
+            root = tmp_path / str(number)
+            write(root, "repro/mining/mod.py", source)
+            assert rule_ids(lint(root, "wall-clock")) == ["wall-clock"], source
+
+    def test_wall_clock_fires_outside_the_core(self, tmp_path):
+        write(tmp_path, "repro/service/mod.py", "import time\nt = time.time()\n")
         assert rule_ids(lint(tmp_path, "wall-clock")) == ["wall-clock"]
 
-    def test_wall_clock_outside_core_is_silent(self, tmp_path):
-        write(tmp_path, "repro/service/mod.py", "import time\nt = time.time()\n")
+    def test_other_clocks_are_silent(self, tmp_path):
+        # a monotonic clock measures durations; it is not the wall clock
+        write(
+            tmp_path,
+            "repro/service/mod.py",
+            "from time import monotonic as time\n"
+            "import time as clock\n"
+            "t = time() + clock.perf_counter()\n",
+        )
         assert lint(tmp_path, "wall-clock").findings == []
 
 
@@ -440,14 +472,9 @@ class TestMainExitCodes:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
+        assert len(out.splitlines()) == len(ALL_RULES) == 8
         for rule in ALL_RULES:
             assert rule.id in out
-
-    def test_list_rules_includes_the_deep_catalogue(self, capsys):
-        assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        assert "async-blocking-transitive" in out
-        assert "(deep)" in out
 
     def test_rule_selection(self, tmp_path, capsys):
         write(

@@ -220,7 +220,7 @@ class TestUsageErrors:
 class TestLintCommand:
     @pytest.fixture()
     def dirty(self, tmp_path):
-        # a wall-clock read in a module the determinism rules police
+        # a wall-clock read: the determinism rules police every module
         target = tmp_path / "repro" / "mining" / "dirty.py"
         target.parent.mkdir(parents=True)
         target.write_text("import time\nt = time.time()\n")
@@ -265,4 +265,4 @@ class TestLintCommand:
         with pytest.raises(SystemExit):
             lint_main(["--help"])
         assert via_cli == capsys.readouterr().out
-        assert "--explain" in via_cli
+        assert "--list-rules" in via_cli

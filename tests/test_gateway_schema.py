@@ -1,5 +1,6 @@
 """The gateway wire schema: versioned DTOs, typed decode, fact triples."""
 
+import http.client
 import http.server
 import json
 import threading
@@ -29,6 +30,7 @@ from repro.gateway.schema import (
     facts_to_wire,
 )
 from repro.crowd import CrowdMember, PersonalDatabase
+from repro.gateway import GatewayApp, GatewayConfig, serve_in_thread
 from repro.gateway.client import _member_loop
 from repro.ontology.facts import Fact, FactSet
 from repro.vocabulary import Vocabulary
@@ -271,3 +273,172 @@ def test_campaign_member_records_an_undecodable_batch():
         server.server_close()
     assert len(errors) == 1
     assert "undecodable batch" in errors[0]
+
+
+# ------------------------------------------------------ the live boundary
+
+#: every error the gateway types; a 500 ``internal_error`` is a decode the
+#: boundary let through
+_TYPED_ERRORS = {
+    "bad_request",
+    "schema_error",
+    "unauthorized",
+    "forbidden",
+    "not_found",
+    "conflict",
+    "backpressure",
+}
+
+#: the fuzzing member's id, longer than any text ``_json`` draws, so no
+#: mutated payload names it by chance
+_FUZZ_MEMBER = "fuzz-member"
+
+
+class _LiveGateway:
+    """A served demo gateway, and the qids the fuzzing member holds."""
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.call("POST", "/datasets/activate", ActivateRequest("demo").to_wire())
+        self._sessions = 0
+        self.new_session()
+        _, joined = self.call("POST", "/join", JoinRequest(_FUZZ_MEMBER).to_wire())
+        self.token = joined["token"]
+        self.held = []
+        self._keys = 0
+
+    def call(self, method, path, payload=None, token=None):
+        connection = http.client.HTTPConnection(
+            self.handle.host, self.handle.port, timeout=10
+        )
+        headers = {"Content-Type": "application/json"}
+        if token is not None:
+            headers["Authorization"] = f"Bearer {token}"
+        body = None if payload is None else json.dumps(payload).encode()
+        try:
+            connection.request(method, path, body=body, headers=headers)
+            response = connection.getresponse()
+            status, raw = response.status, response.read()
+        finally:
+            connection.close()
+        decoded = json.loads(raw)
+        assert status < 500, decoded
+        if status >= 400:
+            assert decoded.get("error") in _TYPED_ERRORS, decoded
+        return status, decoded
+
+    def new_session(self):
+        self._sessions += 1
+        request = QueryRequest(None, 0.5, 3, f"fuzz-s{self._sessions}")
+        status, accepted = self.call("POST", "/query", request.to_wire())
+        assert status == 200, accepted
+
+    def held_qid(self):
+        """A qid the fuzzing member holds now (posing a session if need be)."""
+        for _ in range(3):
+            if self.held:
+                return self.held[0]
+            _, batch = self.call("GET", "/next?wait=0", token=self.token)
+            self.held.extend(question["qid"] for question in batch["questions"])
+            if not self.held:
+                self.new_session()
+        raise AssertionError("the demo gateway dispatched no question")
+
+    def fresh_key(self):
+        self._keys += 1
+        return f"fuzz-key-{self._keys}"
+
+    def answered(self, qid, status, response):
+        """Drop ``qid`` from the held ones once an answer consumed it."""
+        if status == 200 and response.get("qid") == qid:
+            self.held.remove(qid)
+
+
+@pytest.fixture(scope="module")
+def live_gateway():
+    app = GatewayApp(config=GatewayConfig(question_timeout=60.0))
+    handle = serve_in_thread(app)
+    try:
+        yield _LiveGateway(handle)
+    finally:
+        handle.stop()
+
+
+def _post_answer(live, data):
+    qid = live.held_qid()
+    payload = data.draw(
+        _mutated(AnswerRequest(qid, 0.5, live.fresh_key(), 2.0).to_wire())
+    )
+    payload["qid"] = qid
+    status, response = live.call("POST", "/answer", payload, token=live.token)
+    live.answered(qid, status, response)
+
+
+def _post(path, sample):
+    def post(live, data):
+        live.call("POST", path, data.draw(st.one_of(_json, _mutated(sample))))
+
+    return post
+
+
+def _tools_call(name, arguments):
+    return {
+        "jsonrpc": "2.0",
+        "id": 1,
+        "method": "tools/call",
+        "params": {"name": name, "arguments": arguments},
+    }
+
+
+def _call_tool(name, sample):
+    def call(live, data):
+        arguments = data.draw(st.one_of(_json, _mutated(sample)))
+        live.call("POST", "/mcp", _tools_call(name, arguments))
+
+    return call
+
+
+def _call_submit_answer(live, data):
+    qid = live.held_qid()
+    sample = {"member_id": _FUZZ_MEMBER, "qid": qid, "support": 0.5}
+    arguments = data.draw(_mutated(sample))
+    arguments.update(member_id=_FUZZ_MEMBER, qid=qid)
+    status, response = live.call(
+        "POST", "/mcp", _tools_call("submit_answer", arguments)
+    )
+    result = response["result"]
+    if not result["isError"]:
+        live.answered(qid, status, json.loads(result["content"][0]["text"]))
+
+
+#: one request maker per trust boundary: each HTTP body and each MCP tool
+_BOUNDARIES = {
+    "POST /datasets/activate": _post(
+        "/datasets/activate", ActivateRequest("demo").to_wire()
+    ),
+    "POST /join": _post("/join", JoinRequest("m0").to_wire()),
+    "POST /query": _post("/query", QueryRequest(None, 0.5, 3).to_wire()),
+    "POST /answer": _post_answer,
+    "mcp list_datasets": _call_tool("list_datasets", {}),
+    "mcp activate_dataset": _call_tool("activate_dataset", {"name": "demo"}),
+    "mcp pose_query": _call_tool(
+        "pose_query", {"threshold": 0.5, "sample_size": 3}
+    ),
+    "mcp next_questions": _call_tool(
+        "next_questions", {"member_id": "mcp-member", "k": 1}
+    ),
+    "mcp submit_answer": _call_submit_answer,
+    "mcp get_result": _call_tool("get_result", {"session_id": "fuzz-s1"}),
+}
+
+
+@pytest.mark.parametrize("boundary", list(_BOUNDARIES))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_served_boundaries_answer_or_raise_a_typed_error(
+    live_gateway, boundary, data
+):
+    """A near-valid body or tool call posted to a live gateway comes back
+    2xx or a typed 4xx error, never a 500; an answer carries a qid the
+    member holds, so the gateway reads its support."""
+    _BOUNDARIES[boundary](live_gateway, data)
